@@ -23,11 +23,12 @@ from .topos import is_mono
 from .univalence import (
     check_mono_classification,
     enumerate_univalent,
+    is_finset_topos,
     is_univalent,
     nerve_of_map,
     pullback_square_homs,
 )
-from .workspace import Workspace, decode_workspace, load_workspace
+from .workspace import Workspace, WorkspaceError, decode_workspace, load_workspace
 
 
 class CliError(Exception):
@@ -153,8 +154,14 @@ def cmd_check_univalent(w: Workspace, args):
     return report, ok
 
 
+def _enumerate(w: Workspace, args):
+    if not is_finset_topos(w.topos):
+        raise CliError(f"{args.command} needs a workspace over the one-point index")
+    return enumerate_univalent(w.topos, args.max_e, args.max_b)
+
+
 def cmd_enumerate_univalent(w: Workspace, args):
-    found = enumerate_univalent(w.topos, args.max_e, args.max_b)
+    found = _enumerate(w, args)
     report = {
         "command": "enumerate-univalent",
         "max_e": args.max_e,
@@ -167,7 +174,7 @@ def cmd_enumerate_univalent(w: Workspace, args):
 
 
 def cmd_poset(w: Workspace, args):
-    found = enumerate_univalent(w.topos, args.max_e, args.max_b)
+    found = _enumerate(w, args)
     counts = {}
     poset_ok = True
     for sig2, p2 in found:
@@ -205,6 +212,13 @@ def cmd_classify(w: Workspace, args):
 # entry point
 
 
+def natural(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a natural number, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="segaltopos",
@@ -220,8 +234,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if needs_name:
             p.add_argument("name")
         if bounds:
-            p.add_argument("--max-e", type=int, default=2)
-            p.add_argument("--max-b", type=int, default=2)
+            p.add_argument("--max-e", type=natural, default=2)
+            p.add_argument("--max-b", type=natural, default=2)
 
     common(sub.add_parser("validate", help="validate every structure in the workspace"))
     common(sub.add_parser("check-segal", help="nerve a category object and check the chain-splitting condition"), needs_name=True)
@@ -261,7 +275,7 @@ def main(argv=None) -> int:
     try:
         w = _load_workspace(args.workspace, args.bound)
         report, ok = _COMMANDS[args.command](w, args)
-    except CliError as exc:
+    except (CliError, WorkspaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceBoundError as exc:

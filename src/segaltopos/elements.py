@@ -2,30 +2,34 @@
 
 Every computed object (limit, section family, sieve) is populated with
 Element terms so that equal constructions produce literally equal values.
+
+Elements are hash-consed: each constructor looks its term up in one
+module-level weak-value table keyed by the already-interned children, so
+equal terms are the same object.  Equality and hashing are therefore the
+built-in identity ones.  The table is not locked: elements are built in one
+thread.
 """
 
 from __future__ import annotations
 
+import weakref
+from operator import attrgetter
 from typing import Iterable, Iterator
+
+_INTERN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class Element:
     """A canonical term: an atom, a tuple of terms, or a keyed family.
 
-    Elements are immutable, hashable and totally ordered (lexicographic on
-    variant rank, then contents).
+    Elements are immutable, hash-consed (equal means identical) and totally
+    ordered (lexicographic on variant rank, then contents).
     """
 
-    __slots__ = ("_key", "_hash")
+    __slots__ = ("_key", "__weakref__")
 
     def key(self):
         return self._key
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return isinstance(other, Element) and self._key == other._key
 
     def __lt__(self, other):
         return self._key < other._key
@@ -43,10 +47,18 @@ class Element:
 class Atom(Element):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_key", (0, name))
-        object.__setattr__(self, "_hash", hash((0, name)))
+    def __new__(cls, name: str):
+        ikey = (0, name)
+        obj = _INTERN.get(ikey)
+        if obj is None:
+            obj = object.__new__(cls)
+            obj.name = name
+            obj._key = ikey
+            _INTERN[ikey] = obj
+        return obj
+
+    def __reduce__(self):
+        return (Atom, (self.name,))
 
     def __repr__(self):
         return f"Atom({self.name!r})"
@@ -55,12 +67,19 @@ class Atom(Element):
 class Tup(Element):
     __slots__ = ("items",)
 
-    def __init__(self, items: Iterable[Element]):
+    def __new__(cls, items: Iterable[Element]):
         items = tuple(items)
-        object.__setattr__(self, "items", items)
-        key = (1, tuple(x._key for x in items))
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        ikey = (1, items)
+        obj = _INTERN.get(ikey)
+        if obj is None:
+            obj = object.__new__(cls)
+            obj.items = items
+            obj._key = (1, tuple(x._key for x in items))
+            _INTERN[ikey] = obj
+        return obj
+
+    def __reduce__(self):
+        return (Tup, (self.items,))
 
     def __repr__(self):
         return f"Tup({list(self.items)!r})"
@@ -80,16 +99,23 @@ class Fam(Element):
 
     __slots__ = ("entries", "_lookup")
 
-    def __init__(self, entries: Iterable[tuple[Element, Element]]):
-        entries = tuple(sorted(entries, key=lambda kv: kv[0]._key))
-        for (k1, _), (k2, _) in zip(entries, entries[1:]):
-            if k1 == k2:
-                raise ValueError(f"duplicate family key {k1!r}")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_lookup", dict(entries))
-        key = (2, tuple((k._key, v._key) for k, v in entries))
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+    def __new__(cls, entries: Iterable[tuple[Element, Element]]):
+        entries = tuple(sorted(map(tuple, entries), key=lambda kv: kv[0]._key))
+        ikey = (2, entries)
+        obj = _INTERN.get(ikey)
+        if obj is None:
+            for (k1, _), (k2, _) in zip(entries, entries[1:]):
+                if k1 is k2:
+                    raise ValueError(f"duplicate family key {k1!r}")
+            obj = object.__new__(cls)
+            obj.entries = entries
+            obj._lookup = dict(entries)
+            obj._key = (2, tuple((k._key, v._key) for k, v in entries))
+            _INTERN[ikey] = obj
+        return obj
+
+    def __reduce__(self):
+        return (Fam, (self.entries,))
 
     def __repr__(self):
         return f"Fam({list(self.entries)!r})"
@@ -103,6 +129,10 @@ class Fam(Element):
 
 STAR = Tup(())
 
+# Sorting on the keys themselves compares in C and gives the same order as
+# the Element comparison methods.
+_sort_key = attrgetter("_key")
+
 
 class FinSet:
     """A finite set of elements, stored sorted and duplicate free."""
@@ -110,7 +140,7 @@ class FinSet:
     __slots__ = ("elements", "_members")
 
     def __init__(self, elements: Iterable[Element]):
-        elems = tuple(sorted(set(elements)))
+        elems = tuple(sorted(set(elements), key=_sort_key))
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "_members", frozenset(elems))
 
@@ -147,15 +177,15 @@ class FinFunction:
     __slots__ = ("dom", "cod", "table")
 
     def __init__(self, dom: FinSet, cod: FinSet, table: dict):
-        if set(table) != set(dom.elements):
-            missing = set(dom.elements) - set(table)
-            extra = set(table) - set(dom.elements)
+        if table.keys() != dom._members:
+            missing = dom._members - table.keys()
+            extra = table.keys() - dom._members
             raise ValueError(
                 f"function table mismatch: missing {sorted(missing)}, extra {sorted(extra)}"
             )
-        for x, y in table.items():
-            if y not in cod:
-                raise ValueError(f"value {y!r} of {x!r} not in codomain")
+        if not cod._members.issuperset(table.values()):
+            x, y = next((x, y) for x, y in table.items() if y not in cod._members)
+            raise ValueError(f"value {y!r} of {x!r} not in codomain")
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
         object.__setattr__(self, "table", dict(table))

@@ -282,8 +282,11 @@ def fin_limit(d: Diagram, bound: int = DEFAULT_BOUND) -> LimitCone:
     """Limit of a finite diagram of finite sets.
 
     Elements are tuples over the shape objects in canonical order; computed
-    incrementally, pruning with every constraint whose endpoints are both
-    assigned.
+    slot by slot as a hash join: each slot's candidates are filtered by its
+    loop constraints once, a constraint into the slot fixes the candidate,
+    one out of it looks the candidate up in a preimage index, and every
+    other constraint whose endpoints are both assigned is checked on that
+    short list.
     """
     problems = validate_diagram(d)
     if problems:
@@ -307,29 +310,49 @@ def fin_limit(d: Diagram, bound: int = DEFAULT_BOUND) -> LimitCone:
 
     partials = [()]
     for j, o in enumerate(order):
-        new = []
-        cands = d.obj[o].elements
-        checks = [
-            (i, d.mor[u], flip)
-            for (i, jj), us in constraints.items()
-            if jj == j
-            for (u, flip) in us
-        ]
-        loops = [d.mor[u] for u in loop_constraints if pos[d.shape.src(u)] == j]
-        for part in partials:
+        loops = [d.mor[u].table for u in loop_constraints if pos[d.shape.src(u)] == j]
+        cands = [x for x in d.obj[o].elements if all(f[x] == x for f in loops)]
+        # forward: mor maps slot i to slot j; backward: slot j to slot i
+        forward, backward = [], []
+        for (i, jj), us in constraints.items():
+            if jj == j:
+                for u, flip in us:
+                    (backward if flip else forward).append((i, d.mor[u].table))
+        # The first constraint picks the candidates for a partial tuple (a
+        # sublist of cands, in cands order); the others are checked on it.
+        if forward:
+            i0, f0 = forward.pop(0)
+            allowed = set(cands)
+
+            def lookup(part):
+                x = f0[part[i0]]
+                return (x,) if x in allowed else ()
+
+        elif backward:
+            i0, f0 = backward.pop(0)
+            preimage = {}
             for x in cands:
-                ok = all(f(x) == x for f in loops)
-                if ok:
-                    for i, f, flip in checks:
-                        if flip:
-                            if f(x) != part[i]:
-                                ok = False
-                                break
-                        elif f(part[i]) != x:
-                            ok = False
-                            break
-                if ok:
-                    new.append(part + (x,))
+                preimage.setdefault(f0[x], []).append(x)
+
+            def lookup(part):
+                return preimage.get(part[i0], ())
+
+        else:
+
+            def lookup(part):
+                return cands
+
+        new = []
+        for part in partials:
+            xs = lookup(part)
+            if forward or backward:
+                xs = [
+                    x
+                    for x in xs
+                    if all(f[part[i]] == x for i, f in forward)
+                    and all(f[x] == part[i] for i, f in backward)
+                ]
+            new.extend(part + (x,) for x in xs)
             check_bound(len(new), bound)
         partials = new
     apex = FinSet(Tup(p) for p in partials)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .elements import Atom, Element, Fam, FinFunction, FinSet, STAR, Tup
-from .fincat import FiniteCategory, zigzag_shape
+from .fincat import FiniteCategory, check_bound, zigzag_shape
 from .topos import (
     InternalCheckError,
     NatTrans,
@@ -211,17 +211,20 @@ def validate_category_object(C: CategoryObject) -> list[str]:
         mc = C.m.component[c]
         ec, sc, tc = C.e.component[c], C.s.component[c], C.t.component[c]
         pairs = C.composable.apex.at[c]
+        by_source = {}
         for f in C.C1.at[c]:
+            by_source.setdefault(sc(f), []).append(f)
             if mc(Tup((ec(sc(f)), sc(f), f))) != f:
                 report.append(f"left unit law fails at {c!r} on {f!r}")
             if mc(Tup((f, tc(f), ec(tc(f))))) != f:
                 report.append(f"right unit law fails at {c!r} on {f!r}")
+        # The composable triples are the elements of X3 at c.
+        triples = sum(len(by_source.get(tc(pair[2]), ())) for pair in pairs)
+        check_bound(triples, C.topos.bound)
         for pair in pairs:
             f1, x1, f2 = pair[0], pair[1], pair[2]
-            for f3 in C.C1.at[c]:
-                if sc(f3) != tc(f2):
-                    continue
-                x2 = tc(f2)
+            x2 = tc(f2)
+            for f3 in by_source.get(x2, ()):
                 lhs = mc(Tup((mc(pair), x2, f3)))
                 rhs = mc(Tup((f1, x1, mc(Tup((f2, x2, f3))))))
                 if lhs != rhs:

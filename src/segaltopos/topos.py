@@ -377,8 +377,8 @@ def enumerate_nat_trans(X: Presheaf, Y: Presheaf, over=None, limit=None):
                 for c in idx.objects
             }
             count += 1
-            if limit is not None and count > limit:
-                raise check_bound(count, limit)
+            if limit is not None:
+                check_bound(count, limit)
             yield NatTrans(X, Y, comp)
             return
         c, x = slots[i]

@@ -226,7 +226,7 @@ def is_univalent(p: NatTrans, name: str = "p", run_oracle: bool = True) -> Univa
     univalent = is_complete(nerve.trunc, eq)
     oracle = None
     agrees = None
-    if run_oracle and _is_finset(p.dom.topos):
+    if run_oracle and is_finset_topos(p.dom.topos):
         oracle = fiber_oracle_univalent(p)
         agrees = oracle == univalent
     return UnivalenceReport(
@@ -242,14 +242,15 @@ def is_univalent(p: NatTrans, name: str = "p", run_oracle: bool = True) -> Univa
     )
 
 
-def _is_finset(T: Topos) -> bool:
+def is_finset_topos(T: Topos) -> bool:
+    """Whether T is presheaves on the point, that is finite sets."""
     return len(T.index.objects) == 1 and len(T.index.morphisms) == 1
 
 
 def fiber_oracle_univalent(p: NatTrans) -> bool:
     """Reference implementation for maps of finite sets: every fiber has at
     most one element and no two fibers have the same cardinality."""
-    if not _is_finset(p.dom.topos):
+    if not is_finset_topos(p.dom.topos):
         raise ValueError("fiber oracle only applies over the one-point index")
     star = p.dom.topos.index.objects.elements[0]
     func = p.component[star]
@@ -332,7 +333,7 @@ def enumerate_univalent(T: Topos, max_E: int, max_B: int) -> list[tuple[tuple, N
     """All univalent maps of finite sets with |E| <= max_E and |B| <= max_B,
     one per isomorphism class of arrows, as (fiber signature, map) pairs in
     deterministic order."""
-    if not _is_finset(T):
+    if not is_finset_topos(T):
         raise ValueError("enumeration is only implemented over the one-point index")
     signatures = set()
 

@@ -1,9 +1,19 @@
+import gc
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import segaltopos
 from segaltopos.elements import (
+    _INTERN,
     Atom,
     EMPTY,
+    Element,
     Fam,
     FinFunction,
     FinSet,
@@ -86,3 +96,60 @@ class TestFinFunction:
         incl = FinFunction(one, two, {Atom("x"): Atom("a")})
         assert incl.is_injective() and not incl.is_surjective()
         assert incl.image() == atoms("a")
+
+
+class TestHashConsing:
+    def test_equal_terms_are_identical(self):
+        assert Atom("a") is Atom("a")
+        assert Tup([Atom("a"), STAR]) is Tup((Atom("a"), Tup([])))
+        f = Fam([(Atom("b"), Atom("1")), (Atom("a"), Tup([Atom("0")]))])
+        g = Fam([(Atom("a"), Tup([Atom("0")])), (Atom("b"), Atom("1"))])
+        assert f is g
+        assert Tup([f]) is Tup([g])
+
+    def test_equality_and_hash_are_identity(self):
+        for cls in (Element, Atom, Tup, Fam):
+            assert cls.__eq__ is object.__eq__
+            assert cls.__hash__ is object.__hash__
+
+    @given(small_elements())
+    def test_rebuilt_term_is_identical(self, x):
+        def rebuild(e):
+            if isinstance(e, Atom):
+                return Atom(e.name)
+            return Tup([rebuild(y) for y in e.items])
+
+        assert rebuild(x) is x
+
+    @given(small_elements())
+    def test_pickle_round_trip_reinterns(self, x):
+        for term in (x, Tup([x, x]), Fam([(Atom("k"), x)]), Fam([(x, Atom("v"))])):
+            assert pickle.loads(pickle.dumps(term)) is term
+
+    def test_intern_table_shrinks_after_release(self):
+        gc.collect()
+        before = len(_INTERN)
+        held = [Tup([Atom(f"tmp-{i}"), Atom("tmp")]) for i in range(50)]
+        fam = Fam((x, x) for x in held)
+        assert len(_INTERN) == before + 102
+        del held, fam
+        gc.collect()
+        assert len(_INTERN) <= before
+
+    def test_fam_duplicate_composite_key_raises(self):
+        with pytest.raises(ValueError):
+            Fam([(Tup([Atom("k")]), Atom("x")), (Tup([Atom("k")]), Atom("y"))])
+
+    def test_report_bytes_identical_across_interpreters(self):
+        # identity hashes differ between processes; a set order leaking into
+        # a report would show here
+        src = Path(segaltopos.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        argv = [sys.executable, "-m", "segaltopos.cli", "check-univalent"]
+        argv += ["--workspace", "c2", "--json", "free_over_point"]
+        outs = [
+            subprocess.run(argv, env=env, capture_output=True, check=True, timeout=120).stdout
+            for _ in range(2)
+        ]
+        assert outs[0] == outs[1]
+        assert b'"univalent": ' in outs[0]

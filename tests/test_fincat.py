@@ -221,3 +221,103 @@ def test_random_cyclic_group_tables_validate(n, data):
         names, "g0", lambda a, b: names[(names.index(a) + names.index(b)) % n]
     )
     assert validate_category(C) == []
+
+
+# ---------------------------------------------------------------------------
+# fin_limit against a brute-force reference
+
+
+def reference_limit(d: Diagram):
+    """The product of the slot sets filtered by every morphism of the shape,
+    with its projections."""
+    order = d.shape.objects.elements
+    pos = {o: i for i, o in enumerate(order)}
+    arrows = [(pos[d.shape.src(u)], pos[d.shape.tgt(u)], d.mor[u]) for u in d.shape.morphisms]
+    apex = FinSet(
+        Tup(t)
+        for t in itertools.product(*(d.obj[o].elements for o in order))
+        if all(f(t[i]) == t[j] for i, j, f in arrows)
+    )
+    legs = {o: FinFunction(apex, d.obj[o], {e: e[i] for e in apex}) for i, o in enumerate(order)}
+    return apex, legs
+
+
+def _numbered(n: int) -> FinSet:
+    return FinSet(Atom(str(k)) for k in range(n))
+
+
+def _random_function(draw, dom: FinSet, cod: FinSet) -> FinFunction:
+    return FinFunction(dom, cod, {x: draw(st.sampled_from(cod.elements)) for x in dom})
+
+
+def _diagram(shape, obj, arrows):
+    mor = dict(arrows)
+    for o in shape.objects:
+        mor[shape.id_of(o)] = FinFunction.identity(obj[o])
+    return Diagram(shape, obj, mor)
+
+
+@st.composite
+def zigzag_diagrams(draw):
+    n = draw(st.integers(1, 3))
+    shape = zigzag_shape(n)
+    obj = {
+        Atom(f"o{i}"): _numbered(draw(st.integers(0 if i % 2 == 0 else 1, 3)))
+        for i in range(2 * n - 1)
+    }
+    arrows = {}
+    for k in range(n - 1):
+        vertex = obj[Atom(f"o{2 * k + 1}")]
+        arrows[Atom(f"a{2 * k}")] = _random_function(draw, obj[Atom(f"o{2 * k}")], vertex)
+        arrows[Atom(f"a{2 * k + 1}")] = _random_function(draw, obj[Atom(f"o{2 * k + 2}")], vertex)
+    return _diagram(shape, obj, arrows)
+
+
+@st.composite
+def chain_diagrams(draw):
+    """x ≤ y ≤ z with the names shuffled, so the slot order mixes arrows
+    into and out of a slot and a slot with two constraints."""
+    x, y, z = draw(st.permutations(["a", "b", "c"]))
+    rank = {x: 0, y: 1, z: 2}
+    shape = poset_category(["a", "b", "c"], lambda p, q: rank[p] <= rank[q])
+    sets = {v: _numbered(draw(st.integers(1, 3))) for v in (x, y, z)}
+    f = _random_function(draw, sets[x], sets[y])
+    g = _random_function(draw, sets[y], sets[z])
+    obj = {Atom(v): s for v, s in sets.items()}
+    arrows = {
+        Tup((Atom(x), Atom(y))): f,
+        Tup((Atom(y), Atom(z))): g,
+        Tup((Atom(x), Atom(z))): g.compose(f),
+    }
+    return _diagram(shape, obj, arrows)
+
+
+@st.composite
+def monoid_diagrams(draw):
+    """A set with an idempotent or an involution: one object, one
+    non-identity loop."""
+    s = _numbered(draw(st.integers(0, 4)))
+    xs = list(s)
+    if draw(st.booleans()):
+        shape = monoid_category(["1", "p"], "1", lambda a, b: "1" if a == b == "1" else "p")
+        fixed = set(draw(st.lists(st.sampled_from(xs), min_size=1, unique=True))) if xs else set()
+        table = {x: x if x in fixed else draw(st.sampled_from(sorted(fixed))) for x in xs}
+    else:
+        shape = c2()
+        table = {}
+        rest = draw(st.permutations(xs))
+        while rest:
+            a, *rest = rest
+            b = rest.pop(0) if rest and draw(st.booleans()) else a
+            table[a], table[b] = b, a
+    loop = shape.morphisms.elements[-1]
+    return _diagram(shape, {Atom("*"): s}, {loop: FinFunction(s, s, table)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(zigzag_diagrams(), chain_diagrams(), monoid_diagrams()))
+def test_fin_limit_matches_reference(d):
+    cone = fin_limit(d)
+    apex, legs = reference_limit(d)
+    assert cone.apex == apex
+    assert cone.legs == legs

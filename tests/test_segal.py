@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from segaltopos.elements import Atom, FinFunction, FinSet, STAR
+from segaltopos.fincat import ResourceBoundError
 from segaltopos.corpus import coproduct, corpus_categories, is_gaunt, iso_hom_set, iso_set
 from segaltopos.segal import (
     CategoryObject,
@@ -93,6 +96,13 @@ class TestNerveTruncation:
         assert validate_category_object(bad) != []
         with pytest.raises(ValueError):
             nerve_truncation(bad)
+
+    def test_associativity_loop_is_bounded(self):
+        # c2 has 2 x 2 x 2 composable triples at the one stage, as many as X3
+        cat = category_object_from_finite_category(corpus_categories()["c2"])
+        assert validate_category_object(replace(cat, topos=finset_topos(8))) == []
+        with pytest.raises(ResourceBoundError):
+            validate_category_object(replace(cat, topos=finset_topos(7)))
 
 
 def _singleton_index_presheaf(T, s):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from segaltopos.elements import Atom, FinFunction, FinSet, STAR, Tup
+from segaltopos.fincat import ResourceBoundError
 from segaltopos.corpus import (
     c2_topos,
     coproduct,
@@ -179,6 +180,12 @@ class TestEnumerateNatTrans:
         first = [t.component[STAR_OBJ].table for t in enumerate_nat_trans(X, X)]
         second = [t.component[STAR_OBJ].table for t in enumerate_nat_trans(X, X)]
         assert first == second
+
+    def test_limit_raises_resource_bound(self):
+        X, Y = finset_presheaf(["a", "b"]), finset_presheaf(["0", "1", "2"])
+        assert len(list(enumerate_nat_trans(X, Y, limit=9))) == 9
+        with pytest.raises(ResourceBoundError):
+            list(enumerate_nat_trans(X, Y, limit=8))
 
 
 class TestExponential:

@@ -224,6 +224,30 @@ class TestCli:
         assert code == 2
         assert "parse error" in err
 
+    def test_bad_workspace_exits_two(self, capsys, tmp_path):
+        data = encode_workspace(build_bundle("finset"))
+        data["format"] = 99
+        path = tmp_path / "future.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "validate", "--workspace", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "format 99" in err
+
+    @pytest.mark.parametrize("command", ["enumerate-univalent", "poset"])
+    def test_enumeration_over_other_index_exits_two(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--workspace", "c2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "one-point index" in err
+
+    @pytest.mark.parametrize("flag", ["--max-e", "--max-b"])
+    def test_negative_enumeration_bound_exits_two(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate-univalent", "--workspace", "finset", flag, "-1"])
+        assert exc.value.code == 2
+        assert "natural number" in capsys.readouterr().err
+
     def test_tiny_bound_exits_three(self, capsys):
         code, _, err = run_cli(
             capsys, "check-univalent", "--workspace", "finset", "--bound", "2", "u_sub"
