@@ -1,7 +1,7 @@
 """Command-line interface: load a workspace, run checks, emit reports.
 
 Reports are deterministic: the same workspace file produces byte-identical
-output regardless of the --parallel setting.
+output on every run.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def _load_workspace(arg: str, bound: int | None) -> Workspace:
             raise CliError(f"cannot read workspace {arg!r}: {exc}")
         except json.JSONDecodeError as exc:
             raise CliError(f"workspace {arg!r}: parse error at line {exc.lineno}, column {exc.colno}")
-    if bound is not None:
+    if bound is not None and isinstance(data, dict):
         data["bound"] = bound
     return decode_workspace(data)
 
@@ -230,7 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workspace", required=True, help="bundle name or JSON path")
         p.add_argument("--bound", type=int, default=None, help="intermediate-size guardrail")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--parallel", type=int, default=1, help="worker hint; output is identical for any value")
         if needs_name:
             p.add_argument("name")
         if bounds:

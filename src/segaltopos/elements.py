@@ -140,7 +140,9 @@ class FinSet:
     __slots__ = ("elements", "_members")
 
     def __init__(self, elements: Iterable[Element]):
-        elems = tuple(sorted(set(elements), key=_sort_key))
+        # dict.fromkeys keeps the input order, so an already sorted input
+        # (a fin_limit apex) costs the sort one linear pass.
+        elems = tuple(sorted(dict.fromkeys(elements), key=_sort_key))
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "_members", frozenset(elems))
 

@@ -90,6 +90,10 @@ def validate_category(C: FiniteCategory) -> list[str]:
             report.append(f"comp({g!r},{f!r}) not a morphism")
         elif C.src(h) != C.src(f) or C.tgt(h) != C.tgt(g):
             report.append(f"comp({g!r},{f!r}) has wrong endpoints")
+    if report:
+        # The unit and associativity laws look up composites that exist
+        # only when identities and composites have the right endpoints.
+        return report
     for f in C.morphisms:
         if C.comp[(f, C.identity(C.src(f)))] != f:
             report.append(f"right unit law fails for {f!r}")

@@ -9,6 +9,7 @@ and the target map is d(1,0); composable pairs are stored as
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .elements import Atom, Element, Fam, FinFunction, FinSet, STAR, Tup
@@ -206,6 +207,10 @@ def validate_category_object(C: CategoryObject) -> list[str]:
         report.append("source of a composite differs from source of the first factor")
     if C.m.then(C.t) != pr2.then(C.t):
         report.append("target of a composite differs from target of the second factor")
+    if report:
+        # The unit and associativity laws below form chains that are
+        # composable only when these endpoint laws hold.
+        return report
     idx = C.topos.index
     for c in idx.objects:
         mc = C.m.component[c]
@@ -253,10 +258,20 @@ def category_object_from_finite_category(C: FiniteCategory) -> CategoryObject:
     return out
 
 
+class CategoryObjectError(ValueError):
+    """A category object failed validate_category_object."""
+
+    def __init__(self, problems: list[str]):
+        super().__init__("invalid category object: " + "; ".join(problems))
+        self.problems = problems
+
+
 def nerve_truncation(C: CategoryObject) -> TruncatedSimplicialObject:
+    """The nerve of C up to level 3.  C is validated first, and the result
+    is checked against the simplicial identities before it is returned."""
     problems = validate_category_object(C)
     if problems:
-        raise ValueError("invalid category object: " + "; ".join(problems))
+        raise CategoryObjectError(problems)
     T = C.topos
     idx = T.index
     X2cone = C.composable
@@ -348,6 +363,11 @@ def segal_check(X: TruncatedSimplicialObject) -> SegalWitness:
     problems = X.validate()
     if problems:
         raise ValueError("invalid simplicial object: " + "; ".join(problems))
+    return _segal_witness(X)
+
+
+def _segal_witness(X: TruncatedSimplicialObject) -> SegalWitness:
+    """The spine comparisons of an already validated X."""
     comparison, cones = {}, {}
     holds = True
     for n in (2, 3):
@@ -475,17 +495,24 @@ def is_complete(X: TruncatedSimplicialObject, eq: EquivalencesObject | None = No
     s0 = X.degen[(0, 0)]
     via_square = s0.then(z.from_X1) == top.then(z.from_X3)
     if via_square:
+        # The square is a pullback when the images (s0 x, top x) are
+        # exactly the pairs (w1, w3) over one point of Z.  Counting X1 and
+        # X3 over each point of Z gives the number of such pairs without
+        # listing them: distinct images over one point each are all of
+        # them exactly when there are that many.
         for c in X.topos.index.objects:
-            pairs = {
-                (w1, w3)
-                for w1 in X.level[1].at[c]
-                for w3 in X.level[3].at[c]
-                if z.from_X1.component[c](w1) == z.from_X3.component[c](w3)
-            }
-            images = [
-                (s0.component[c](x), top.component[c](x)) for x in X.level[0].at[c]
-            ]
-            if len(set(images)) != len(images) or set(images) != pairs:
+            f1 = z.from_X1.component[c].table
+            f3 = z.from_X3.component[c].table
+            over1 = Counter(f1.values())
+            over3 = Counter(f3.values())
+            pairs = sum(n * over3[w] for w, n in over1.items())
+            s0c, topc = s0.component[c].table, top.component[c].table
+            images = {(s0c[x], topc[x]) for x in X.level[0].at[c]}
+            if (
+                len(images) != len(X.level[0].at[c])
+                or len(images) != pairs
+                or any(f1[a] is not f3[b] for a, b in images)
+            ):
                 via_square = False
                 break
     if via_lift != via_square:

@@ -243,6 +243,13 @@ def ps_limit(T: Topos, d: PsDiagram) -> PsLimitCone:
     restrict = {}
     for w in idx.morphisms:
         c, dd = idx.src(w), idx.tgt(w)
+        if c == dd and all(
+            k is v for o in order for k, v in d.obj[o].restrict[w].table.items()
+        ):
+            # Every vertex restricts along w as the identity, so the limit
+            # does too.
+            restrict[w] = FinFunction.identity(at[c])
+            continue
         table = {}
         for e in at[dd]:
             val = Tup(

@@ -36,14 +36,14 @@ from .topos import (
 )
 from .segal import (
     CategoryObject,
+    CategoryObjectError,
     EquivalencesObject,
     TruncatedSimplicialObject,
+    _segal_witness,
     composable_pairs,
     hoequiv,
     is_complete,
-    is_segal,
     nerve_truncation,
-    validate_category_object,
 )
 
 
@@ -91,13 +91,15 @@ def nerve_of_map(p: NatTrans) -> NerveOfMap:
     cone = composable_pairs(T, B, M.total, s, t)
     m = _fiberwise_composition(p, M, cone)
     cat = CategoryObject(T, B, M.total, s, t, e, cone, m)
-    problems = validate_category_object(cat)
-    if problems:
+    # nerve_truncation validates cat once and checks the simplicial
+    # identities of its result once; the Segal comparison reuses both.
+    try:
+        trunc = nerve_truncation(cat)
+    except CategoryObjectError as exc:
         raise InternalCheckError(
-            "fiberwise maps do not form a category object: " + problems[0]
-        )
-    trunc = nerve_truncation(cat)
-    if not is_segal(trunc):
+            "fiberwise maps do not form a category object: " + exc.problems[0]
+        ) from exc
+    if not _segal_witness(trunc).holds:
         raise InternalCheckError("nerve of the map is not Segal")
     return NerveOfMap(p, M, s, t, e, cat, trunc)
 

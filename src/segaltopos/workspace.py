@@ -23,6 +23,22 @@ class WorkspaceError(ValueError):
     pass
 
 
+_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _expect(data, kind, where: str):
+    """data itself, when it is a JSON value of the given kind."""
+    if not isinstance(data, kind):
+        raise WorkspaceError(f"{where}: expected {_KINDS[kind]}, got {data!r}")
+    return data
+
+
+def _field(data: dict, key: str, kind, where: str):
+    if key not in data:
+        raise WorkspaceError(f"{where}: missing {key!r}")
+    return _expect(data[key], kind, f"{where}.{key}")
+
+
 # ---------------------------------------------------------------------------
 # element codec
 
@@ -41,13 +57,21 @@ def decode_element(data) -> Element:
     if not isinstance(data, list) or len(data) != 2:
         raise WorkspaceError(f"bad element encoding: {data!r}")
     tag, body = data
+    if tag not in ("a", "t", "f"):
+        raise WorkspaceError(f"bad element tag: {tag!r}")
     if tag == "a":
-        return Atom(body)
+        return Atom(_expect(body, str, "atom name"))
     if tag == "t":
-        return Tup(decode_element(x) for x in body)
-    if tag == "f":
-        return Fam((decode_element(k), decode_element(v)) for k, v in body)
-    raise WorkspaceError(f"bad element tag: {tag!r}")
+        return Tup(decode_element(x) for x in _expect(body, list, "tuple items"))
+    entries = []
+    for kv in _expect(body, list, "family entries"):
+        if not isinstance(kv, list) or len(kv) != 2:
+            raise WorkspaceError(f"bad family entry: {kv!r}")
+        entries.append((decode_element(kv[0]), decode_element(kv[1])))
+    try:
+        return Fam(entries)
+    except ValueError as exc:
+        raise WorkspaceError(str(exc)) from exc
 
 
 def element_key(e: Element) -> str:
@@ -55,7 +79,11 @@ def element_key(e: Element) -> str:
 
 
 def decode_key(s: str) -> Element:
-    return decode_element(json.loads(s))
+    try:
+        data = json.loads(s)
+    except json.JSONDecodeError as exc:
+        raise WorkspaceError(f"bad element key: {s!r}") from exc
+    return decode_element(data)
 
 
 def _encode_table(f: FinFunction) -> dict:
@@ -63,8 +91,14 @@ def _encode_table(f: FinFunction) -> dict:
 
 
 def _decode_table(dom: FinSet, cod: FinSet, data: dict) -> FinFunction:
-    table = {decode_key(k): decode_element(v) for k, v in data.items()}
-    return FinFunction(dom, cod, table)
+    table = {
+        decode_key(k): decode_element(v)
+        for k, v in _expect(data, dict, "function table").items()
+    }
+    try:
+        return FinFunction(dom, cod, table)
+    except ValueError as exc:
+        raise WorkspaceError(str(exc)) from exc
 
 
 def encode_category(C: FiniteCategory) -> dict:
@@ -84,15 +118,19 @@ def encode_category(C: FiniteCategory) -> dict:
 
 
 def decode_category(data: dict) -> FiniteCategory:
-    objs = FinSet(decode_element(o) for o in data["objects"])
-    mors = FinSet(decode_element(m) for m in data["morphisms"])
-    src = _decode_table(mors, objs, data["src"])
-    tgt = _decode_table(mors, objs, data["tgt"])
-    idf = _decode_table(objs, mors, data["identity"])
-    comp = {
-        (decode_element(g), decode_element(f)): decode_element(h)
-        for g, f, h in data["comp"]
-    }
+    where = "index"
+    _expect(data, dict, where)
+    objs = FinSet(decode_element(o) for o in _field(data, "objects", list, where))
+    mors = FinSet(decode_element(m) for m in _field(data, "morphisms", list, where))
+    src = _decode_table(mors, objs, _field(data, "src", dict, where))
+    tgt = _decode_table(mors, objs, _field(data, "tgt", dict, where))
+    idf = _decode_table(objs, mors, _field(data, "identity", dict, where))
+    comp = {}
+    for entry in _field(data, "comp", list, where):
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise WorkspaceError(f"bad composition entry: {entry!r}")
+        g, f, h = map(decode_element, entry)
+        comp[(g, f)] = h
     return FiniteCategory(objs, mors, src, tgt, idf, comp)
 
 
@@ -108,14 +146,20 @@ def encode_presheaf(X: Presheaf) -> dict:
 
 
 def decode_presheaf(T: Topos, data: dict) -> Presheaf:
+    where = "presheaf"
+    _expect(data, dict, where)
     at = {
-        decode_key(c): FinSet(decode_element(x) for x in xs)
-        for c, xs in data["at"].items()
+        decode_key(c): FinSet(decode_element(x) for x in _expect(xs, list, "presheaf set"))
+        for c, xs in _field(data, "at", dict, where).items()
     }
     idx = T.index
     restrict = {}
-    for k, table in data["restrict"].items():
+    for k, table in _field(data, "restrict", dict, where).items():
         u = decode_key(k)
+        if u not in idx.morphisms:
+            raise WorkspaceError(f"restriction along unknown morphism {u!r}")
+        if idx.tgt(u) not in at or idx.src(u) not in at:
+            raise WorkspaceError(f"restriction along {u!r} has no set at an endpoint")
         restrict[u] = _decode_table(at[idx.tgt(u)], at[idx.src(u)], table)
     return Presheaf(T, at, restrict)
 
@@ -126,8 +170,10 @@ def encode_nat_trans(f: NatTrans) -> dict:
 
 def decode_nat_trans(dom: Presheaf, cod: Presheaf, data: dict) -> NatTrans:
     component = {}
-    for k, table in data.items():
+    for k, table in _expect(data, dict, "components").items():
         c = decode_key(k)
+        if c not in dom.at or c not in cod.at:
+            raise WorkspaceError(f"component at {c!r} has no set at an endpoint")
         component[c] = _decode_table(dom.at[c], cod.at[c], table)
     return NatTrans(dom, cod, component)
 
@@ -215,41 +261,69 @@ def encode_workspace(w: Workspace) -> dict:
     }
 
 
-def decode_workspace(data: dict) -> Workspace:
-    if data.get("format") != FORMAT_VERSION:
-        raise WorkspaceError(f"unsupported format {data.get('format')!r}")
-    index = decode_category(data["index"])
-    T = Topos(index, int(data.get("bound", DEFAULT_BOUND)))
-    w = Workspace(T)
-    for name in sorted(data.get("presheaves", {})):
-        w.add_presheaf(name, decode_presheaf(T, data["presheaves"][name]))
-    for name in sorted(data.get("morphisms", {})):
-        entry = data["morphisms"][name]
-        dom = w.presheaves.get(entry["dom"])
-        cod = w.presheaves.get(entry["cod"])
-        if dom is None or cod is None:
-            raise WorkspaceError(f"morphism {name!r} references unknown presheaves")
-        f = decode_nat_trans(dom, cod, entry["component"])
-        w.add_morphism(name, f, entry["dom"], entry["cod"])
-    for name in sorted(data.get("category_objects", {})):
-        entry = data["category_objects"][name]
-        try:
-            C0 = w.presheaves[entry["C0"]]
-            C1 = w.presheaves[entry["C1"]]
-            s = w.morphisms[entry["s"]]
-            t = w.morphisms[entry["t"]]
-            e = w.morphisms[entry["e"]]
-        except KeyError as exc:
-            raise WorkspaceError(f"category object {name!r}: unresolved {exc}") from exc
-        cone = composable_pairs(T, C0, C1, s, t)
-        m = decode_nat_trans(cone.apex, C1, entry["m"])
-        C = CategoryObject(T, C0, C1, s, t, e, cone, m)
-        w.add_category_object(name, C, {k: entry[k] for k in ("C0", "C1", "s", "t", "e")})
-    for alias in sorted(data.get("maps", {})):
-        w.add_map(alias, data["maps"][alias])
-    problems = w.validate()
+def _raise_problems(problems: list[str]) -> None:
     if problems:
         raise WorkspaceError("invalid workspace: " + "; ".join(problems))
+
+
+def decode_workspace(data: dict) -> Workspace:
+    """Decode and validate a workspace.  Any defect of the input, from a
+    wrong JSON shape to a failed law, raises WorkspaceError; an oversized
+    intermediate raises ResourceBoundError."""
+    _expect(data, dict, "workspace")
+    if data.get("format") != FORMAT_VERSION:
+        raise WorkspaceError(f"unsupported format {data.get('format')!r}")
+    index = decode_category(data.get("index"))
+    try:
+        bound = int(data.get("bound", DEFAULT_BOUND))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise WorkspaceError(f"bad bound {data.get('bound')!r}") from exc
+    try:
+        T = Topos(index, bound)
+    except ValueError as exc:
+        raise WorkspaceError(str(exc)) from exc
+    w = Workspace(T)
+    presheaves = _expect(data.get("presheaves", {}), dict, "presheaves")
+    for name in sorted(presheaves):
+        w.add_presheaf(name, decode_presheaf(T, presheaves[name]))
+    morphisms = _expect(data.get("morphisms", {}), dict, "morphisms")
+    for name in sorted(morphisms):
+        where = f"morphism {name!r}"
+        entry = _expect(morphisms[name], dict, where)
+        dom_name = _field(entry, "dom", str, where)
+        cod_name = _field(entry, "cod", str, where)
+        dom = w.presheaves.get(dom_name)
+        cod = w.presheaves.get(cod_name)
+        if dom is None or cod is None:
+            raise WorkspaceError(f"morphism {name!r} references unknown presheaves")
+        f = decode_nat_trans(dom, cod, _field(entry, "component", dict, where))
+        w.add_morphism(name, f, dom_name, cod_name)
+    maps = _expect(data.get("maps", {}), dict, "maps")
+    for alias in sorted(maps):
+        w.add_map(alias, _expect(maps[alias], str, f"map {alias!r}"))
+    # Presheaves and morphisms are checked before any limit is built on
+    # them, so a failed law is reported rather than breaking the limit.
+    _raise_problems(w.validate())
+    category_objects = _expect(data.get("category_objects", {}), dict, "category objects")
+    for name in sorted(category_objects):
+        where = f"category object {name!r}"
+        entry = _expect(category_objects[name], dict, where)
+        refs = {k: _field(entry, k, str, where) for k in ("C0", "C1", "s", "t", "e")}
+        try:
+            C0 = w.presheaves[refs["C0"]]
+            C1 = w.presheaves[refs["C1"]]
+            s = w.morphisms[refs["s"]]
+            t = w.morphisms[refs["t"]]
+            e = w.morphisms[refs["e"]]
+        except KeyError as exc:
+            raise WorkspaceError(f"{where}: unresolved {exc}") from exc
+        if not (s.dom == t.dom == e.cod == C1 and s.cod == t.cod == e.dom == C0):
+            raise WorkspaceError(f"{where}: s, t or e has the wrong endpoints")
+        cone = composable_pairs(T, C0, C1, s, t)
+        m = decode_nat_trans(cone.apex, C1, _field(entry, "m", dict, where))
+        C = CategoryObject(T, C0, C1, s, t, e, cone, m)
+        _raise_problems([f"category object {name}: {p}" for p in validate_category_object(C)])
+        w.add_category_object(name, C, refs)
     return w
 
 

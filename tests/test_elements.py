@@ -73,6 +73,13 @@ class TestFinSet:
         assert len(EMPTY) == 0
         assert list(SINGLETON) == [STAR]
 
+    @given(st.lists(small_elements(), max_size=8), st.randoms(use_true_random=False))
+    def test_order_matches_sorted_set_on_shuffled_duplicates(self, xs, rnd):
+        xs = xs + xs[: len(xs) // 2]
+        rnd.shuffle(xs)
+        assert FinSet(xs).elements == tuple(sorted(set(xs)))
+        assert FinSet(sorted(xs)).elements == tuple(sorted(set(xs)))
+
 
 class TestFinFunction:
     def test_totality_enforced(self):

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -13,6 +14,7 @@ from segaltopos.segal import (
     compose,
     composition_data,
     constant_singleton_simplicial,
+    hoequiv,
     hoequiv_object,
     identity_morphism,
     is_complete,
@@ -26,6 +28,7 @@ from segaltopos.segal import (
     segal_check,
     segal_map_from_nerves,
     to_category_object,
+    total_degeneracy,
     validate_category_object,
     z3,
 )
@@ -37,6 +40,7 @@ from segaltopos.topos import (
     is_mono,
     terminal,
 )
+from segaltopos.univalence import nerve_of_map
 
 STAR_OBJ = Atom("*")
 
@@ -213,6 +217,28 @@ class TestHoequiv:
         assert image == {C.id_of(o) for o in C.objects}
 
 
+def square_is_pullback_by_pair_scan(X, eq) -> bool:
+    """The completeness cross-check by its definition: list every pair
+    (w1, w3) over one point of Z(3) and compare them with the images of X0.
+    Quadratic in the level sizes; the reference for is_complete."""
+    z = eq.z
+    top = total_degeneracy(X, 3)
+    s0 = X.degen[(0, 0)]
+    if s0.then(z.from_X1) != top.then(z.from_X3):
+        return False
+    for c in X.topos.index.objects:
+        f1, f3 = z.from_X1.component[c], z.from_X3.component[c]
+        pairs = {
+            (w1, w3)
+            for w1, w3 in product(X.level[1].at[c], X.level[3].at[c])
+            if f1(w1) == f3(w3)
+        }
+        images = [(s0.component[c](x), top.component[c](x)) for x in X.level[0].at[c]]
+        if len(set(images)) != len(images) or set(images) != pairs:
+            return False
+    return True
+
+
 class TestCompleteness:
     def test_complete_iff_no_nonidentity_isos(self, corpus_nerves):
         for name, (C, cat, X, eq) in corpus_nerves.items():
@@ -220,6 +246,29 @@ class TestCompleteness:
 
     def test_constant_singleton_complete(self):
         assert is_complete(constant_singleton_simplicial(finset_topos()))
+
+    def test_agrees_with_pair_scan_on_corpus(self, corpus_nerves):
+        verdicts = set()
+        for name, (_, _, X, eq) in corpus_nerves.items():
+            verdict = square_is_pullback_by_pair_scan(X, eq)
+            assert is_complete(X, eq) == verdict, name
+            verdicts.add(verdict)
+        assert verdicts == {False, True}
+
+    def test_agrees_with_pair_scan_on_sweep(self, finset_sweep):
+        for sig, (p, report) in finset_sweep.items():
+            X = nerve_of_map(p).trunc
+            eq = hoequiv(X)
+            assert square_is_pullback_by_pair_scan(X, eq) == report.univalent, sig
+            assert is_complete(X, eq) == report.univalent, sig
+
+    @pytest.mark.parametrize("name", ["c2_cat", "chain2_cat"])
+    def test_agrees_with_pair_scan_on_bundled_category_objects(
+        self, bundled_workspaces, name
+    ):
+        X = nerve_truncation(bundled_workspaces["finset"].category_objects[name])
+        eq = hoequiv(X)
+        assert is_complete(X, eq) == square_is_pullback_by_pair_scan(X, eq)
 
 
 class TestMappingObjects:

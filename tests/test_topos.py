@@ -111,6 +111,28 @@ class TestPointwiseLimits:
         for leg in prod.legs.values():
             assert leg.validate() == []
 
+    def test_restrictions_over_c2_by_hand(self):
+        # y(*) over C2 is the free orbit {e, g}; g acts on it by swapping,
+        # so along g the product takes the general path, and a constant
+        # factor, on which g acts trivially, stays put.
+        T = c2_topos()
+        e, g = Atom("e"), Atom("g")
+        X = yoneda(T, STAR_OBJ)
+        K = constant_presheaf(T, FinSet([Atom("k")]))
+        swap = {e: g, g: e}
+        prod = ps_product([X, K, X])
+        assert prod.apex.validate() == []
+        apex = prod.apex.at[STAR_OBJ]
+        assert [tuple(x.items) for x in apex] == [
+            (a, Atom("k"), b) for a in (e, g) for b in (e, g)
+        ]
+        by_hand = {x: Tup((swap[x[0]], x[1], swap[x[2]])) for x in apex}
+        assert prod.apex.restrict[g].table == by_hand
+        assert prod.apex.restrict[e].table == {x: x for x in apex}
+        # every factor fixed by g: the limit is fixed too
+        KK = ps_product([K, K]).apex
+        assert KK.restrict[g] == FinFunction.identity(KK.at[STAR_OBJ])
+
 
 class TestMonoEpiIso:
     def test_identity(self):

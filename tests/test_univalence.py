@@ -1,8 +1,10 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from segaltopos.elements import Atom
+from segaltopos import segal, univalence
+from segaltopos.elements import Atom, FinFunction
 from segaltopos.corpus import (
     c2_topos,
     finset_function,
@@ -11,7 +13,9 @@ from segaltopos.corpus import (
     random_map_to,
     sierpinski_topos,
 )
+from segaltopos.segal import TruncatedSimplicialObject, segal_check
 from segaltopos.topos import (
+    InternalCheckError,
     NatTrans,
     finset_topos,
     is_minus1_truncated,
@@ -175,6 +179,63 @@ class TestIsUnivalent:
         omega, true_arrow = subobject_classifier(c2_topos())
         report = is_univalent(true_arrow, run_oracle=False)
         assert report.univalent and report.mono
+
+
+def _counting(monkeypatch, owner, name, calls):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def _swap_two_values(f: NatTrans) -> NatTrans:
+    """f with the values at the first two keys of different value swapped,
+    at every stage where there are such keys."""
+    component = {}
+    for c, g in f.component.items():
+        table = dict(g.table)
+        keys = sorted(table)
+        other = next((k for k in keys if table[k] is not table[keys[0]]), None)
+        if other is not None:
+            table[keys[0]], table[other] = table[other], table[keys[0]]
+        component[c] = FinFunction(g.dom, g.cod, table)
+    return NatTrans(f.dom, f.cod, component)
+
+
+class TestValidateOnce:
+    @pytest.mark.parametrize(
+        "bundle,name", [("finset", "u_sub"), ("c2", "free_over_point"), ("sierpinski", "open_over_point")]
+    )
+    def test_each_check_runs_once_per_verdict(self, monkeypatch, bundled_workspaces, bundle, name):
+        w = bundled_workspaces[bundle]
+        p = w.morphisms[w.maps[name]]
+        calls = {"validate_category_object": 0, "validate": 0}
+        _counting(monkeypatch, segal, "validate_category_object", calls)
+        _counting(monkeypatch, TruncatedSimplicialObject, "validate", calls)
+        is_univalent(p, name=name)
+        assert calls == {"validate_category_object": 1, "validate": 1}
+
+    def test_nerve_of_map_rejects_corrupted_composition(self, monkeypatch):
+        build = univalence._fiberwise_composition
+        monkeypatch.setattr(
+            univalence,
+            "_fiberwise_composition",
+            lambda *args: _swap_two_values(build(*args)),
+        )
+        with pytest.raises(InternalCheckError, match="do not form a category object"):
+            nerve_of_map(_finset_map((2,)))
+
+    def test_segal_check_rejects_corrupted_face(self):
+        X = nerve_of_map(_finset_map((2,))).trunc
+        face = dict(X.face)
+        face[(2, 1)] = _swap_two_values(face[(2, 1)])
+        bad = replace(X, face=face)
+        assert bad.validate() != []
+        with pytest.raises(ValueError, match="invalid simplicial object"):
+            segal_check(bad)
 
 
 class TestIdentityUnivalence:

@@ -1,8 +1,18 @@
+import contextlib
+import copy
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+import segaltopos
 
 from segaltopos.bundles import build_bundle, bundle_names
 from segaltopos.cli import main
@@ -263,22 +273,20 @@ class TestCli:
         assert code == 0
         assert json.loads(out)["univalent"] is True
 
-    def test_output_deterministic_across_parallel(self, capsys):
+    def test_output_deterministic_across_runs(self, capsys):
         outputs = []
-        for workers in ("1", "4"):
+        for _ in range(2):
             code, out, _ = run_cli(
-                capsys,
-                "check-univalent",
-                "--workspace",
-                "finset",
-                "--json",
-                "--parallel",
-                workers,
-                "u_sub",
+                capsys, "check-univalent", "--workspace", "finset", "--json", "u_sub"
             )
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+    def test_parallel_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--workspace", "finset", "--parallel", "2"])
+        assert exc.value.code == 2
 
     def test_c2_bundle_univalence(self, capsys):
         code, out, _ = run_cli(
@@ -299,3 +307,90 @@ class TestCli:
         assert code == 0
         report = json.loads(out)
         assert report["univalent"] is True
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract on malformed workspace files
+
+SRC = str(Path(segaltopos.__file__).resolve().parent.parent)
+FINSET_DATA = json.loads(
+    resources.files("segaltopos").joinpath("data", "finset.json").read_text()
+)
+
+
+def _leaves(data, path=()):
+    """(path, value) of every scalar or empty container in a JSON value."""
+    if isinstance(data, dict) and data:
+        for k, v in data.items():
+            yield from _leaves(v, path + (k,))
+    elif isinstance(data, list) and data:
+        for i, v in enumerate(data):
+            yield from _leaves(v, path + (i,))
+    else:
+        yield path, data
+
+
+FINSET_LEAVES = list(_leaves(FINSET_DATA))
+
+
+def _mutated(path, value):
+    data = copy.deepcopy(FINSET_DATA)
+    node = data
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1]] = value
+    return data
+
+
+def _with_index_objects_five():
+    data = copy.deepcopy(FINSET_DATA)
+    data["index"] = {"objects": 5}
+    return data
+
+
+class TestWorkspaceInputContract:
+    @pytest.mark.parametrize(
+        "data,extra",
+        [([], []), ([], ["--bound", "5"]), (_with_index_objects_five(), [])],
+        ids=["empty-list", "empty-list-bound", "index-objects-five"],
+    )
+    def test_malformed_file_exits_two_without_traceback(self, tmp_path, data, extra):
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(data))
+        proc = subprocess.run(
+            [sys.executable, "-m", "segaltopos.cli", "validate", "--workspace", str(path), *extra],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(FINSET_LEAVES),
+        st.one_of(
+            st.none(),
+            st.booleans(),
+            st.integers(-2, 6),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.text(max_size=3),
+            st.sampled_from([v for _, v in FINSET_LEAVES]),
+            st.lists(st.sampled_from(["a", "t", "f", "*", "0"]), max_size=3),
+            st.just({}),
+        ),
+    )
+    def test_single_leaf_mutation_keeps_exit_contract(self, leaf, value):
+        path, _ = leaf
+        with tempfile.TemporaryDirectory() as tmp:
+            ws = Path(tmp) / "ws.json"
+            ws.write_text(json.dumps(_mutated(path, value)))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["validate", "--workspace", str(ws)])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
