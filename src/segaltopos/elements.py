@@ -28,9 +28,6 @@ class Element:
 
     __slots__ = ("_key", "__weakref__")
 
-    def key(self):
-        return self._key
-
     def __lt__(self, other):
         return self._key < other._key
 

@@ -165,10 +165,6 @@ def zigzag_shape(num_edges: int) -> FiniteCategory:
     return _close_identities(objects, arrows)
 
 
-def cospan_shape() -> FiniteCategory:
-    return zigzag_shape(2)
-
-
 def monoid_category(elements: list[str], unit: str, mult) -> FiniteCategory:
     """One-object category; mult(a, b) = 'a after b'."""
     obj = Atom("*")

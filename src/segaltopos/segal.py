@@ -68,12 +68,20 @@ def wide_pullback(
 # truncated simplicial objects
 
 
-@dataclass
+@dataclass(frozen=True)
 class TruncatedSimplicialObject:
+    """Checked against the simplicial identities when it is built, so no
+    consumer checks it again."""
+
     topos: Topos
     level: dict  # n in 0..3 -> Presheaf
     face: dict  # (n, i) -> NatTrans level[n] -> level[n-1]
     degen: dict  # (n, i) -> NatTrans level[n] -> level[n+1]
+
+    def __post_init__(self):
+        problems = self.validate()
+        if problems:
+            raise ValueError("invalid simplicial object: " + "; ".join(problems))
 
     @property
     def source(self) -> NatTrans:
@@ -174,8 +182,19 @@ def constant_singleton_simplicial(T: Topos) -> TruncatedSimplicialObject:
 # category objects and nerves
 
 
-@dataclass
+class CategoryObjectError(ValueError):
+    """A category object failed validate_category_object."""
+
+    def __init__(self, problems: list[str]):
+        super().__init__("invalid category object: " + "; ".join(problems))
+        self.problems = problems
+
+
+@dataclass(frozen=True)
 class CategoryObject:
+    """Checked against the category laws when it is built, so no consumer
+    checks it again."""
+
     topos: Topos
     C0: Presheaf
     C1: Presheaf
@@ -184,6 +203,11 @@ class CategoryObject:
     e: NatTrans
     composable: PsLimitCone  # C1 x_{C0} C1, elements (f1, middle, f2)
     m: NatTrans  # composable.apex -> C1, "second after first"
+
+    def __post_init__(self):
+        problems = validate_category_object(self)
+        if problems:
+            raise CategoryObjectError(problems)
 
 
 def composable_pairs(T: Topos, C0, C1, s, t) -> PsLimitCone:
@@ -251,27 +275,11 @@ def category_object_from_finite_category(C: FiniteCategory) -> CategoryObject:
     cone = composable_pairs(T, obj0, obj1, s, t)
     table = {p: C.comp[(p[2], p[0])] for p in cone.apex.at[star]}
     m = NatTrans(cone.apex, obj1, {star: FinFunction(cone.apex.at[star], C.morphisms, table)})
-    out = CategoryObject(T, obj0, obj1, s, t, e, cone, m)
-    problems = validate_category_object(out)
-    if problems:
-        raise InternalCheckError("finite category gave invalid category object: " + problems[0])
-    return out
-
-
-class CategoryObjectError(ValueError):
-    """A category object failed validate_category_object."""
-
-    def __init__(self, problems: list[str]):
-        super().__init__("invalid category object: " + "; ".join(problems))
-        self.problems = problems
+    return CategoryObject(T, obj0, obj1, s, t, e, cone, m)
 
 
 def nerve_truncation(C: CategoryObject) -> TruncatedSimplicialObject:
-    """The nerve of C up to level 3.  C is validated first, and the result
-    is checked against the simplicial identities before it is returned."""
-    problems = validate_category_object(C)
-    if problems:
-        raise CategoryObjectError(problems)
+    """The nerve of C up to level 3."""
     T = C.topos
     idx = T.index
     X2cone = C.composable
@@ -321,11 +329,7 @@ def nerve_truncation(C: CategoryObject) -> TruncatedSimplicialObject:
             2, 3, lambda c, x: Tup((x[0], x[1], x[2], tc(c, x[2]), ec(c, tc(c, x[2]))))
         ),
     }
-    out = TruncatedSimplicialObject(T, X, face, degen)
-    problems = out.validate()
-    if problems:
-        raise InternalCheckError("nerve fails simplicial identities: " + problems[0])
-    return out
+    return TruncatedSimplicialObject(T, X, face, degen)
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +364,7 @@ def _spine_comparison(X, n, cone) -> NatTrans:
 
 
 def segal_check(X: TruncatedSimplicialObject) -> SegalWitness:
-    problems = X.validate()
-    if problems:
-        raise ValueError("invalid simplicial object: " + "; ".join(problems))
-    return _segal_witness(X)
-
-
-def _segal_witness(X: TruncatedSimplicialObject) -> SegalWitness:
-    """The spine comparisons of an already validated X."""
+    """The spine comparisons of X and whether they are all invertible."""
     comparison, cones = {}, {}
     holds = True
     for n in (2, 3):
@@ -531,22 +528,6 @@ def is_hoequiv_morphism(X: TruncatedSimplicialObject, f: NatTrans, eq=None) -> b
     return True
 
 
-def hoequiv_lift(X: TruncatedSimplicialObject, f: NatTrans, eq=None) -> NatTrans:
-    """The unique factorization of f: D -> X1 through the mono U."""
-    if eq is None:
-        eq = hoequiv(X)
-    component = {}
-    for c, func in f.component.items():
-        back = {v: k for k, v in eq.U.component[c].table.items()}
-        component[c] = FinFunction(
-            func.dom, eq.carrier.at[c], {x: back[func(x)] for x in func.dom}
-        )
-    lift = NatTrans(f.dom, eq.carrier, component)
-    if lift.then(eq.U) != f:
-        raise InternalCheckError("lift does not factor the given morphism")
-    return lift
-
-
 # ---------------------------------------------------------------------------
 # mapping objects and composition
 
@@ -563,15 +544,11 @@ class MappingObject:
     n: int
 
 
-def _points_pairing(X, D, points, prod) -> NatTrans:
-    return pairing(prod, D, list(points))
-
-
 def _pulled_level(X, D, points, n):
     """Pullback of level[n] along (x0..xn): D -> X0^(n+1)."""
     prod = ps_product([X.level[0]] * (n + 1))
     vertex = pairing(prod, X.level[n], X.vertex_maps(n))
-    pts = _points_pairing(X, D, points, prod)
+    pts = pairing(prod, D, points)
     cone = ps_pullback(vertex, pts)
     return cone, SliceMap(cone.apex, D, cone.legs[_o(2)])
 
@@ -596,7 +573,7 @@ def _edge_slice_map(src: MappingObject, k: int, binary: MappingObject) -> NatTra
     X, D = src.X, src.context
     edge = src.cone.legs[_o(0)].then(X.spine_maps(src.n)[k])
     prod2 = ps_product([X.level[0]] * 2)
-    pts2 = _points_pairing(X, D, [src.points[k], src.points[k + 1]], prod2)
+    pts2 = pairing(prod2, D, [src.points[k], src.points[k + 1]])
     return binary.cone.mediate(
         src.cone.apex,
         {
@@ -654,7 +631,7 @@ def identity_morphism(X: TruncatedSimplicialObject, D: Presheaf, x: NatTrans) ->
         D,
         {
             _o(0): x.then(X.degen[(0, 0)]),
-            _o(1): _points_pairing(X, D, [x, x], ps_product([X.level[0]] * 2)),
+            _o(1): pairing(ps_product([X.level[0]] * 2), D, [x, x]),
             _o(2): NatTrans.identity(D),
         },
     )
@@ -694,7 +671,7 @@ def composition_data(X, D, x, y, z) -> CompositionData:
     # the inner face sends a two-chain to its composite one-chain
     inner = ternary.cone.legs[_o(0)].then(X.face[(2, 1)])
     prod2 = ps_product([X.level[0]] * 2)
-    pts2 = _points_pairing(X, D, [x, z], prod2)
+    pts2 = pairing(prod2, D, [x, z])
     h = map_xz.cone.mediate(
         ternary.cone.apex,
         {
@@ -725,7 +702,7 @@ def hoequiv_object(X, D, x, y, eq=None):
         eq = hoequiv(X)
     prod2 = ps_product([X.level[0]] * 2)
     st = pairing(prod2, eq.carrier, [eq.U.then(X.source), eq.U.then(X.target)])
-    pts = _points_pairing(X, D, [x, y], prod2)
+    pts = pairing(prod2, D, [x, y])
     cone = ps_pullback(st, pts)
     pulled = SliceMap(cone.apex, D, cone.legs[_o(2)])
     unique = unique_to_terminal(D)

@@ -38,13 +38,6 @@ class Topos:
         if problems:
             raise ValueError("invalid index category: " + "; ".join(problems))
 
-    def compose_mor(self, w: Element, u: Element) -> Element:
-        """w after u in the index category."""
-        return self.index.comp[(w, u)]
-
-    def morphisms_into(self, c: Element):
-        return self.index.morphisms_into(c)
-
 
 def finset_topos(bound: int = DEFAULT_BOUND) -> Topos:
     return Topos(terminal_category(), bound)
@@ -62,6 +55,9 @@ class Presheaf:
         for c in idx.objects:
             if c not in self.at:
                 report.append(f"no set at {c!r}")
+        for c in self.at:
+            if c not in idx.objects:
+                report.append(f"set at {c!r}, which is not an index object")
         for u in idx.morphisms:
             if u not in self.restrict:
                 report.append(f"no restriction along {u!r}")
@@ -130,9 +126,6 @@ class NatTrans:
             and self.component == other.component
         )
 
-    def apply(self, c: Element, x: Element) -> Element:
-        return self.component[c](x)
-
     def then(self, other: "NatTrans") -> "NatTrans":
         """other after self."""
         if other.dom != self.cod:
@@ -142,9 +135,6 @@ class NatTrans:
             other.cod,
             {c: other.component[c].compose(f) for c, f in self.component.items()},
         )
-
-    def after(self, other: "NatTrans") -> "NatTrans":
-        return other.then(self)
 
     @staticmethod
     def identity(X: Presheaf) -> "NatTrans":
@@ -180,13 +170,6 @@ def unique_to_terminal(X: Presheaf) -> NatTrans:
         X,
         one,
         {c: FinFunction.constant(X.at[c], one.at[c], STAR) for c in X.at},
-    )
-
-
-def from_initial(X: Presheaf) -> NatTrans:
-    zero = initial(X.topos)
-    return NatTrans(
-        zero, X, {c: FinFunction(zero.at[c], X.at[c], {}) for c in X.at}
     )
 
 
@@ -606,10 +589,6 @@ class SliceMap:
         return report
 
 
-def slice_of(proj: NatTrans) -> SliceMap:
-    return SliceMap(proj.dom, proj.cod, proj)
-
-
 @dataclass
 class PullbackResult:
     slice: SliceMap
@@ -744,10 +723,3 @@ def slice_exponential(g: SliceMap, f: SliceMap) -> SliceMap:
         raise ValueError("slices are not over the same base")
     pulled = pullback_functor(g.proj, f)
     return dependent_product(g.proj, pulled.slice)
-
-
-def slice_hom_count(g: SliceMap, x: SliceMap) -> int:
-    """Number of morphisms g -> x in the slice over their common base."""
-    if g.base != x.base:
-        raise ValueError("slices are not over the same base")
-    return hom_count(g.total, x.total, over=(g.proj, x.proj))

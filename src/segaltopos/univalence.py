@@ -39,11 +39,11 @@ from .segal import (
     CategoryObjectError,
     EquivalencesObject,
     TruncatedSimplicialObject,
-    _segal_witness,
     composable_pairs,
     hoequiv,
     is_complete,
     nerve_truncation,
+    segal_check,
 )
 
 
@@ -90,16 +90,14 @@ def nerve_of_map(p: NatTrans) -> NerveOfMap:
     _verify_identity_section_unique(p, M, bb, e)
     cone = composable_pairs(T, B, M.total, s, t)
     m = _fiberwise_composition(p, M, cone)
-    cat = CategoryObject(T, B, M.total, s, t, e, cone, m)
-    # nerve_truncation validates cat once and checks the simplicial
-    # identities of its result once; the Segal comparison reuses both.
     try:
-        trunc = nerve_truncation(cat)
+        cat = CategoryObject(T, B, M.total, s, t, e, cone, m)
     except CategoryObjectError as exc:
         raise InternalCheckError(
             "fiberwise maps do not form a category object: " + exc.problems[0]
         ) from exc
-    if not _segal_witness(trunc).holds:
+    trunc = nerve_truncation(cat)
+    if not segal_check(trunc).holds:
         raise InternalCheckError("nerve of the map is not Segal")
     return NerveOfMap(p, M, s, t, e, cat, trunc)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .elements import Atom, Element, Fam, FinFunction, FinSet, Tup
 from .fincat import DEFAULT_BOUND, FiniteCategory
 from .topos import NatTrans, Presheaf, Topos
-from .segal import CategoryObject, composable_pairs, validate_category_object
+from .segal import CategoryObject, CategoryObjectError, composable_pairs
 
 FORMAT_VERSION = 1
 
@@ -221,10 +221,6 @@ class Workspace:
             dn, cn = self.morphism_ends[name]
             if f.dom != self.presheaves.get(dn) or f.cod != self.presheaves.get(cn):
                 report.append(f"morphism {name}: endpoint names do not resolve")
-        for name, C in self.category_objects.items():
-            report.extend(
-                f"category object {name}: {p}" for p in validate_category_object(C)
-            )
         for alias, mname in self.maps.items():
             if mname not in self.morphisms:
                 report.append(f"map {alias}: unknown morphism {mname!r}")
@@ -274,10 +270,10 @@ def decode_workspace(data: dict) -> Workspace:
     if data.get("format") != FORMAT_VERSION:
         raise WorkspaceError(f"unsupported format {data.get('format')!r}")
     index = decode_category(data.get("index"))
-    try:
-        bound = int(data.get("bound", DEFAULT_BOUND))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise WorkspaceError(f"bad bound {data.get('bound')!r}") from exc
+    bound = data.get("bound", DEFAULT_BOUND)
+    # A JSON integer decodes to exactly int; true and false decode to bool.
+    if type(bound) is not int or bound < 0:
+        raise WorkspaceError(f"bad bound {bound!r}: expected a natural number")
     try:
         T = Topos(index, bound)
     except ValueError as exc:
@@ -321,8 +317,10 @@ def decode_workspace(data: dict) -> Workspace:
             raise WorkspaceError(f"{where}: s, t or e has the wrong endpoints")
         cone = composable_pairs(T, C0, C1, s, t)
         m = decode_nat_trans(cone.apex, C1, _field(entry, "m", dict, where))
-        C = CategoryObject(T, C0, C1, s, t, e, cone, m)
-        _raise_problems([f"category object {name}: {p}" for p in validate_category_object(C)])
+        try:
+            C = CategoryObject(T, C0, C1, s, t, e, cone, m)
+        except CategoryObjectError as exc:
+            _raise_problems([f"category object {name}: {p}" for p in exc.problems])
         w.add_category_object(name, C, refs)
     return w
 
@@ -333,13 +331,3 @@ def dumps_workspace(w: Workspace) -> str:
 
 def loads_workspace(text: str) -> Workspace:
     return decode_workspace(json.loads(text))
-
-
-def save_workspace(w: Workspace, path):
-    with open(path, "w") as fh:
-        fh.write(dumps_workspace(w))
-
-
-def load_workspace(path) -> Workspace:
-    with open(path) as fh:
-        return loads_workspace(fh.read())

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from itertools import product
 
 import pytest
@@ -8,6 +8,7 @@ from segaltopos.fincat import ResourceBoundError
 from segaltopos.corpus import coproduct, corpus_categories, is_gaunt, iso_hom_set, iso_set
 from segaltopos.segal import (
     CategoryObject,
+    CategoryObjectError,
     SegalMap,
     TruncatedSimplicialObject,
     category_object_from_finite_category,
@@ -94,12 +95,21 @@ class TestNerveTruncation:
                 )
             },
         )
-        bad = CategoryObject(
-            cat.topos, cat.C0, cat.C1, cat.s, cat.t, cat.e, cat.composable, bad_m
-        )
-        assert validate_category_object(bad) != []
-        with pytest.raises(ValueError):
-            nerve_truncation(bad)
+        with pytest.raises(CategoryObjectError) as exc:
+            CategoryObject(
+                cat.topos, cat.C0, cat.C1, cat.s, cat.t, cat.e, cat.composable, bad_m
+            )
+        assert exc.value.problems != []
+        # replace builds a new object, so it is checked again
+        with pytest.raises(CategoryObjectError):
+            replace(cat, m=bad_m)
+
+    def test_records_are_frozen(self):
+        _, cat, X = nerve("c2")
+        with pytest.raises(FrozenInstanceError):
+            cat.m = cat.e
+        with pytest.raises(FrozenInstanceError):
+            X.face = {}
 
     def test_associativity_loop_is_bounded(self):
         # c2 has 2 x 2 x 2 composable triples at the one stage, as many as X3

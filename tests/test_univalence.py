@@ -13,7 +13,8 @@ from segaltopos.corpus import (
     random_map_to,
     sierpinski_topos,
 )
-from segaltopos.segal import TruncatedSimplicialObject, segal_check
+from segaltopos.cli import main
+from segaltopos.segal import TruncatedSimplicialObject
 from segaltopos.topos import (
     InternalCheckError,
     NatTrans,
@@ -218,6 +219,30 @@ class TestValidateOnce:
         is_univalent(p, name=name)
         assert calls == {"validate_category_object": 1, "validate": 1}
 
+    @pytest.mark.parametrize(
+        "argv,category_checks,simplicial_checks",
+        [
+            # finset has two category objects, each checked once by decoding
+            (["validate"], 2, 0),
+            (["check-segal", "c2_cat"], 2, 1),
+            (["check-complete", "c2_cat"], 2, 1),
+        ],
+        ids=["validate", "check-segal", "check-complete"],
+    )
+    def test_each_check_runs_once_per_cli_command(
+        self, monkeypatch, capsys, argv, category_checks, simplicial_checks
+    ):
+        calls = {"validate_category_object": 0, "validate": 0}
+        _counting(monkeypatch, segal, "validate_category_object", calls)
+        _counting(monkeypatch, TruncatedSimplicialObject, "validate", calls)
+        command, *names = argv
+        assert main([command, "--workspace", "finset", *names]) == 0
+        capsys.readouterr()
+        assert calls == {
+            "validate_category_object": category_checks,
+            "validate": simplicial_checks,
+        }
+
     def test_nerve_of_map_rejects_corrupted_composition(self, monkeypatch):
         build = univalence._fiberwise_composition
         monkeypatch.setattr(
@@ -232,10 +257,8 @@ class TestValidateOnce:
         X = nerve_of_map(_finset_map((2,))).trunc
         face = dict(X.face)
         face[(2, 1)] = _swap_two_values(face[(2, 1)])
-        bad = replace(X, face=face)
-        assert bad.validate() != []
         with pytest.raises(ValueError, match="invalid simplicial object"):
-            segal_check(bad)
+            replace(X, face=face)
 
 
 class TestIdentityUnivalence:

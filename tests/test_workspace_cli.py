@@ -258,6 +258,12 @@ class TestCli:
         assert exc.value.code == 2
         assert "natural number" in capsys.readouterr().err
 
+    def test_negative_bound_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-univalent", "--workspace", "finset", "--bound", "-1", "u_sub"])
+        assert exc.value.code == 2
+        assert "natural number" in capsys.readouterr().err
+
     def test_tiny_bound_exits_three(self, capsys):
         code, _, err = run_cli(
             capsys, "check-univalent", "--workspace", "finset", "--bound", "2", "u_sub"
@@ -367,6 +373,31 @@ class TestWorkspaceInputContract:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("name", sorted(FINSET_DATA["presheaves"]))
+    def test_set_at_unknown_stage_exits_two(self, capsys, tmp_path, name):
+        data = copy.deepcopy(FINSET_DATA)
+        data["presheaves"][name]["at"]['["a","junk"]'] = [["a", "z1"]]
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(data))
+        for argv in (["validate"], ["check-univalent", "u_sub"], ["nerve", "one_into_two"]):
+            command, *names = argv
+            code, out, err = run_cli(capsys, command, "--workspace", str(path), *names)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and "not an index object" in err
+
+    @pytest.mark.parametrize("bound", [True, 1.7, "12", -5])
+    def test_bound_must_be_a_natural_number(self, bound):
+        data = copy.deepcopy(FINSET_DATA)
+        data["bound"] = bound
+        with pytest.raises(WorkspaceError, match="bad bound"):
+            decode_workspace(data)
+
+    def test_integer_bound_is_kept(self):
+        data = copy.deepcopy(FINSET_DATA)
+        data["bound"] = 123456
+        assert decode_workspace(data).topos.bound == 123456
 
     @settings(max_examples=200, deadline=None)
     @given(
