@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from .elements import Atom, FinFunction, FinSet
 from .corpus import (
-    c2_group,
     c2_topos,
     corpus_categories,
     finset_presheaf,
@@ -17,7 +16,6 @@ from .segal import category_object_from_finite_category
 from .topos import (
     NatTrans,
     Presheaf,
-    Topos,
     constant_presheaf,
     finset_topos,
     terminal,

@@ -274,7 +274,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceBoundError as exc:
-        print(f"resource bound exceeded: {exc}", file=sys.stderr)
+        print(f"resource bound exceeded in {exc.stage}: {exc}", file=sys.stderr)
         return 3
     _emit(report, args.json)
     return 0 if ok else 1

@@ -1,7 +1,10 @@
 """Canonical element terms, finite sets and finite functions.
 
-Every computed object (limit, section family, sieve) is populated with
-Element terms so that equal constructions produce literally equal values.
+Every computed object (limit, section family, sieve) is a set of Element
+terms, its labels, so that equal constructions produce literally equal
+values.  Inside the kernel an element is its position in the sorted set:
+finite functions are tuples of positions and limits are rows of positions,
+whose labels are built only when code that works on labels asks for them.
 
 Elements are hash-consed: each constructor looks its term up in one
 module-level weak-value table keyed by the already-interned children, so
@@ -13,7 +16,7 @@ thread.
 from __future__ import annotations
 
 import weakref
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator
 
 _INTERN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
@@ -131,17 +134,29 @@ STAR = Tup(())
 _sort_key = attrgetter("_key")
 
 
-class FinSet:
-    """A finite set of elements, stored sorted and duplicate free."""
+def pick(seq, positions) -> tuple:
+    """The tuple (seq[p] for p in positions)."""
+    if len(positions) > 1:
+        return itemgetter(*positions)(seq)
+    return tuple(seq[p] for p in positions)
 
-    __slots__ = ("elements", "_members")
+
+class FinSet:
+    """A finite set of elements, stored sorted and duplicate free.
+
+    The position of an element is its rank in that order; ``index`` maps
+    each element to its position.  Finite functions refer to elements by
+    position only.
+    """
+
+    __slots__ = ("elements", "index")
 
     def __init__(self, elements: Iterable[Element]):
         # dict.fromkeys keeps the input order, so an already sorted input
-        # (a fin_limit apex) costs the sort one linear pass.
+        # costs the sort one linear pass.
         elems = tuple(sorted(dict.fromkeys(elements), key=_sort_key))
-        object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "_members", frozenset(elems))
+        self.elements = elems
+        self.index = dict(zip(elems, range(len(elems))))
 
     def __iter__(self) -> Iterator[Element]:
         return iter(self.elements)
@@ -150,16 +165,71 @@ class FinSet:
         return len(self.elements)
 
     def __contains__(self, x):
-        return x in self._members
+        return x in self.index
 
     def __eq__(self, other):
-        return isinstance(other, FinSet) and self.elements == other.elements
+        if self is other:
+            return True
+        return (
+            isinstance(other, FinSet)
+            and len(self) == len(other)
+            and self.elements == other.elements
+        )
 
     def __hash__(self):
         return hash(self.elements)
 
     def __repr__(self):
         return f"FinSet({list(self.elements)!r})"
+
+
+class RowSet(FinSet):
+    """A finite set of tuples given by rows of positions: row k lists, for
+    each factor set, the position of the k-th tuple's entry in it.
+
+    Rows are distinct and in lexicographic order.  That order is the
+    canonical order of the tuples' Tup labels, so row k is element k.  The
+    labels and their index are built the first time something asks for
+    them; ``row_index`` maps each row to its position, also on first use.
+    """
+
+    __slots__ = ("rows", "factors", "row_index")
+
+    def __init__(self, rows: tuple, factors: tuple):
+        self.rows = rows
+        self.factors = factors
+
+    def __getattr__(self, name):
+        # Called only while the slot `name` is still empty.
+        if name == "elements":
+            if self.factors:
+                columns = [
+                    pick(f.elements, col) for f, col in zip(self.factors, zip(*self.rows))
+                ]
+                self.elements = tuple(map(Tup, zip(*columns)))
+            else:
+                self.elements = (STAR,) * len(self.rows)
+            return self.elements
+        if name == "index":
+            self.index = dict(zip(self.elements, range(len(self.rows))))
+            return self.index
+        if name == "row_index":
+            self.row_index = dict(zip(self.rows, range(len(self.rows))))
+            return self.row_index
+        raise AttributeError(name)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if isinstance(other, RowSet) and len(self.factors) == len(other.factors):
+            if all(a == b for a, b in zip(self.factors, other.factors)):
+                return self.rows == other.rows
+        return FinSet.__eq__(self, other)
+
+    __hash__ = FinSet.__hash__
 
 
 EMPTY = FinSet(())
@@ -171,63 +241,91 @@ def atoms(*names: str) -> FinSet:
 
 
 class FinFunction:
-    """A total function between finite sets, given by an explicit table."""
+    """A total function between finite sets.
 
-    __slots__ = ("dom", "cod", "table")
+    ``idx[i]`` is the position in ``cod`` of the value at the i-th element
+    of ``dom``, so composition is indexing and equality is tuple equality.
+    The constructor takes a dict from elements to elements and checks it;
+    ``from_idx`` takes positions and trusts them.
+    """
+
+    __slots__ = ("dom", "cod", "idx")
 
     def __init__(self, dom: FinSet, cod: FinSet, table: dict):
-        if table.keys() != dom._members:
-            missing = dom._members - table.keys()
-            extra = table.keys() - dom._members
+        index = dom.index
+        if table.keys() != index.keys():
+            missing = index.keys() - table.keys()
+            extra = table.keys() - index.keys()
             raise ValueError(
                 f"function table mismatch: missing {sorted(missing)}, extra {sorted(extra)}"
             )
-        if not cod._members.issuperset(table.values()):
-            x, y = next((x, y) for x, y in table.items() if y not in cod._members)
-            raise ValueError(f"value {y!r} of {x!r} not in codomain")
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "table", dict(table))
+        cindex = cod.index
+        try:
+            idx = tuple([cindex[table[x]] for x in dom.elements])
+        except KeyError:
+            x, y = next((x, y) for x, y in table.items() if y not in cindex)
+            raise ValueError(f"value {y!r} of {x!r} not in codomain") from None
+        self.dom = dom
+        self.cod = cod
+        self.idx = idx
+
+    @classmethod
+    def from_idx(cls, dom: FinSet, cod: FinSet, idx: tuple) -> "FinFunction":
+        f = object.__new__(cls)
+        f.dom = dom
+        f.cod = cod
+        f.idx = idx
+        return f
+
+    @property
+    def table(self) -> dict:
+        """The function as a dict from elements to elements, built anew on
+        each access; for code that works on labels."""
+        return dict(zip(self.dom.elements, pick(self.cod.elements, self.idx)))
 
     def __call__(self, x: Element) -> Element:
-        return self.table[x]
+        return self.cod.elements[self.idx[self.dom.index[x]]]
 
     def __eq__(self, other):
         return (
             isinstance(other, FinFunction)
+            and self.idx == other.idx
             and self.dom == other.dom
             and self.cod == other.cod
-            and self.table == other.table
         )
 
     def __hash__(self):
-        return hash((self.dom, self.cod, tuple(sorted(self.table.items()))))
+        return hash((self.dom, self.cod, self.idx))
 
     def __repr__(self):
         return f"FinFunction({self.dom!r}, {self.cod!r}, {self.table!r})"
 
     @staticmethod
     def identity(s: FinSet) -> "FinFunction":
-        return FinFunction(s, s, {x: x for x in s})
+        return FinFunction.from_idx(s, s, tuple(range(len(s))))
 
     @staticmethod
     def constant(dom: FinSet, cod: FinSet, value: Element) -> "FinFunction":
-        return FinFunction(dom, cod, {x: value for x in dom})
+        if not len(dom):
+            return FinFunction.from_idx(dom, cod, ())
+        if value not in cod:
+            raise ValueError(f"value {value!r} of {dom.elements[0]!r} not in codomain")
+        return FinFunction.from_idx(dom, cod, (cod.index[value],) * len(dom))
 
     def compose(self, other: "FinFunction") -> "FinFunction":
         """self after other."""
         if other.cod != self.dom:
             raise ValueError("composition type mismatch")
-        return FinFunction(other.dom, self.cod, {x: self.table[y] for x, y in other.table.items()})
+        return FinFunction.from_idx(other.dom, self.cod, pick(self.idx, other.idx))
 
     def image(self) -> FinSet:
-        return FinSet(self.table.values())
+        return FinSet(pick(self.cod.elements, tuple(set(self.idx))))
 
     def is_injective(self) -> bool:
-        return len(set(self.table.values())) == len(self.table)
+        return len(set(self.idx)) == len(self.idx)
 
     def is_surjective(self) -> bool:
-        return set(self.table.values()) == set(self.cod.elements)
+        return len(set(self.idx)) == len(self.cod)
 
     def is_bijective(self) -> bool:
         return self.is_injective() and self.is_surjective()
@@ -235,4 +333,7 @@ class FinFunction:
     def inverse(self) -> "FinFunction":
         if not self.is_bijective():
             raise ValueError("not a bijection")
-        return FinFunction(self.cod, self.dom, {y: x for x, y in self.table.items()})
+        idx = self.idx
+        return FinFunction.from_idx(
+            self.cod, self.dom, tuple(sorted(range(len(idx)), key=idx.__getitem__))
+        )

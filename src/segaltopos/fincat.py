@@ -5,23 +5,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
-from .elements import Atom, Element, FinFunction, FinSet, Tup
+from .elements import Atom, Element, FinFunction, FinSet, RowSet, Tup
 
 DEFAULT_BOUND = 10**6
 
 
 class ResourceBoundError(RuntimeError):
-    """Raised when an intermediate set would exceed the configured bound."""
+    """Raised when an intermediate set would exceed the configured bound;
+    ``stage`` names the computation that would have built it."""
 
-    def __init__(self, size, bound):
+    def __init__(self, size, bound, stage):
         super().__init__(f"intermediate size {size} exceeds bound {bound}")
         self.size = size
         self.bound = bound
+        self.stage = stage
 
 
-def check_bound(size: int, bound: int):
+def check_bound(size: int, bound: int, stage: str):
     if size > bound:
-        raise ResourceBoundError(size, bound)
+        raise ResourceBoundError(size, bound, stage)
 
 
 @dataclass(frozen=True)
@@ -246,22 +248,37 @@ def validate_diagram(d: Diagram) -> list[str]:
     return report
 
 
+def _column(f: FinFunction, dom: FinSet, target: FinSet) -> tuple:
+    """The values of f, a map dom -> target, as positions in target."""
+    if f.dom != dom or f.cod != target:
+        raise ValueError("cone leg has the wrong endpoints")
+    return f.idx
+
+
 @dataclass
 class LimitCone:
-    apex: FinSet
+    apex: RowSet
     legs: dict
     diagram: Diagram
 
     def mediate(self, dom: FinSet, cone: dict) -> FinFunction:
         """The unique map into the apex commuting with the given cone."""
         order = self.diagram.shape.objects.elements
-        table = {}
-        for x in dom:
-            val = Tup(cone[o](x) for o in order)
-            if val not in self.apex:
-                raise ValueError(f"cone is not compatible at {x!r}")
-            table[x] = val
-        return FinFunction(dom, self.apex, table)
+        columns = [_column(cone[o], dom, self.diagram.obj[o]) for o in order]
+        rows = zip(*columns) if columns else [()] * len(dom)
+        where = self.apex.row_index
+        idx = tuple(map(where.get, rows))
+        if None in idx:
+            x = dom.elements[idx.index(None)]
+            raise ValueError(f"cone is not compatible at {x!r}")
+        return FinFunction.from_idx(dom, self.apex, idx)
+
+
+def _cone_over(rows: list, sets: list) -> tuple[RowSet, list]:
+    """The apex with the given rows over the given sets, and its legs."""
+    apex = RowSet(tuple(rows), tuple(sets))
+    columns = list(zip(*rows)) if rows else [()] * len(sets)
+    return apex, [FinFunction.from_idx(apex, s, col) for s, col in zip(sets, columns)]
 
 
 def fin_product(sets, bound: int = DEFAULT_BOUND):
@@ -269,24 +286,20 @@ def fin_product(sets, bound: int = DEFAULT_BOUND):
     size = 1
     for s in sets:
         size *= len(s)
-    check_bound(size, bound)
-    elems = [Tup(xs) for xs in iproduct(*[s.elements for s in sets])]
-    apex = FinSet(elems)
-    projections = [
-        FinFunction(apex, s, {e: e[i] for e in apex}) for i, s in enumerate(sets)
-    ]
-    return apex, projections
+    check_bound(size, bound, "fin_product")
+    return _cone_over(list(iproduct(*(range(len(s)) for s in sets))), list(sets))
 
 
 def fin_limit(d: Diagram, bound: int = DEFAULT_BOUND) -> LimitCone:
     """Limit of a finite diagram of finite sets.
 
-    Elements are tuples over the shape objects in canonical order; computed
-    slot by slot as a hash join: each slot's candidates are filtered by its
+    Elements are tuples over the shape objects in canonical order, joined
+    on positions slot by slot: each slot's candidates are filtered by its
     loop constraints once, a constraint into the slot fixes the candidate,
     one out of it looks the candidate up in a preimage index, and every
     other constraint whose endpoints are both assigned is checked on that
-    short list.
+    short list.  Candidates are tried in position order, so the rows come
+    out in lexicographic order, which is the canonical order of the apex.
     """
     problems = validate_diagram(d)
     if problems:
@@ -310,54 +323,42 @@ def fin_limit(d: Diagram, bound: int = DEFAULT_BOUND) -> LimitCone:
 
     partials = [()]
     for j, o in enumerate(order):
-        loops = [d.mor[u].table for u in loop_constraints if pos[d.shape.src(u)] == j]
-        cands = [x for x in d.obj[o].elements if all(f[x] == x for f in loops)]
+        loops = [d.mor[u].idx for u in loop_constraints if pos[d.shape.src(u)] == j]
+        cands = range(len(d.obj[o]))
+        if loops:
+            cands = [x for x in cands if all(f[x] == x for f in loops)]
         # forward: mor maps slot i to slot j; backward: slot j to slot i
         forward, backward = [], []
         for (i, jj), us in constraints.items():
             if jj == j:
                 for u, flip in us:
-                    (backward if flip else forward).append((i, d.mor[u].table))
-        # The first constraint picks the candidates for a partial tuple (a
-        # sublist of cands, in cands order); the others are checked on it.
+                    (backward if flip else forward).append((i, d.mor[u].idx))
+        # The first constraint picks the candidates for a partial row from
+        # its entry at slot i0: picks[position] lists them as 1-tuples, in
+        # cands order.  The other constraints are checked on that list.
         if forward:
             i0, f0 = forward.pop(0)
             allowed = set(cands)
-
-            def lookup(part):
-                x = f0[part[i0]]
-                return (x,) if x in allowed else ()
-
+            picks = [((x,),) if x in allowed else () for x in f0]
         elif backward:
             i0, f0 = backward.pop(0)
-            preimage = {}
+            picks = [[] for _ in range(len(d.obj[order[i0]]))]
             for x in cands:
-                preimage.setdefault(f0[x], []).append(x)
-
-            def lookup(part):
-                return preimage.get(part[i0], ())
-
+                picks[f0[x]].append((x,))
         else:
-
-            def lookup(part):
-                return cands
-
+            i0, picks = None, [(x,) for x in cands]
         new = []
         for part in partials:
-            xs = lookup(part)
+            tails = picks if i0 is None else picks[part[i0]]
             if forward or backward:
-                xs = [
-                    x
-                    for x in xs
-                    if all(f[part[i]] == x for i, f in forward)
-                    and all(f[x] == part[i] for i, f in backward)
+                tails = [
+                    t
+                    for t in tails
+                    if all(f[part[i]] == t[0] for i, f in forward)
+                    and all(f[t[0]] == part[i] for i, f in backward)
                 ]
-            new.extend(part + (x,) for x in xs)
-            check_bound(len(new), bound)
+            new.extend([part + t for t in tails])
+            check_bound(len(new), bound, "fin_limit")
         partials = new
-    apex = FinSet(Tup(p) for p in partials)
-    legs = {
-        o: FinFunction(apex, d.obj[o], {e: e[i] for e in apex})
-        for i, o in enumerate(order)
-    }
-    return LimitCone(apex, legs, d)
+    apex, legs = _cone_over(partials, [d.obj[o] for o in order])
+    return LimitCone(apex, dict(zip(order, legs)), d)

@@ -10,9 +10,9 @@ and the target map is d(1,0); composable pairs are stored as
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .elements import Atom, Element, Fam, FinFunction, FinSet, STAR, Tup
+from .elements import Atom, Element, Fam, FinFunction, STAR, Tup
 from .fincat import FiniteCategory, check_bound, zigzag_shape
 from .topos import (
     InternalCheckError,
@@ -235,30 +235,29 @@ def validate_category_object(C: CategoryObject) -> list[str]:
         # The unit and associativity laws below form chains that are
         # composable only when these endpoint laws hold.
         return report
-    idx = C.topos.index
-    for c in idx.objects:
-        mc = C.m.component[c]
-        ec, sc, tc = C.e.component[c], C.s.component[c], C.t.component[c]
-        pairs = C.composable.apex.at[c]
+    for c in C.topos.index.objects:
+        m = C.m.component[c].idx
+        e, src, tgt = C.e.component[c].idx, C.s.component[c].idx, C.t.component[c].idx
+        arrows = C.C1.at[c].elements
+        # The composable pairs are rows (f1, x, f2) with x = t(f1) = s(f2);
+        # comp[(f1, f2)] is the position of their composite.
+        comp = dict(zip([(r[0], r[2]) for r in C.composable.apex.at[c].rows], m))
         by_source = {}
-        for f in C.C1.at[c]:
-            by_source.setdefault(sc(f), []).append(f)
-            if mc(Tup((ec(sc(f)), sc(f), f))) != f:
-                report.append(f"left unit law fails at {c!r} on {f!r}")
-            if mc(Tup((f, tc(f), ec(tc(f))))) != f:
-                report.append(f"right unit law fails at {c!r} on {f!r}")
+        for f in range(len(arrows)):
+            by_source.setdefault(src[f], []).append(f)
+            if comp[(e[src[f]], f)] != f:
+                report.append(f"left unit law fails at {c!r} on {arrows[f]!r}")
+            if comp[(f, e[tgt[f]])] != f:
+                report.append(f"right unit law fails at {c!r} on {arrows[f]!r}")
         # The composable triples are the elements of X3 at c.
-        triples = sum(len(by_source.get(tc(pair[2]), ())) for pair in pairs)
-        check_bound(triples, C.topos.bound)
-        for pair in pairs:
-            f1, x1, f2 = pair[0], pair[1], pair[2]
-            x2 = tc(f2)
-            for f3 in by_source.get(x2, ()):
-                lhs = mc(Tup((mc(pair), x2, f3)))
-                rhs = mc(Tup((f1, x1, mc(Tup((f2, x2, f3))))))
-                if lhs != rhs:
+        triples = sum(len(by_source.get(tgt[f2], ())) for _, f2 in comp)
+        check_bound(triples, C.topos.bound, "associativity")
+        for (f1, f2), g in comp.items():
+            for f3 in by_source.get(tgt[f2], ()):
+                if comp[(g, f3)] != comp[(f1, comp[(f2, f3)])]:
                     report.append(
-                        f"associativity fails at {c!r} on ({f1!r},{f2!r},{f3!r})"
+                        f"associativity fails at {c!r} on "
+                        f"({arrows[f1]!r},{arrows[f2]!r},{arrows[f3]!r})"
                     )
     return report
 
@@ -279,55 +278,40 @@ def category_object_from_finite_category(C: FiniteCategory) -> CategoryObject:
 
 
 def nerve_truncation(C: CategoryObject) -> TruncatedSimplicialObject:
-    """The nerve of C up to level 3."""
+    """The nerve of C up to level 3.  Each face and degeneracy into level 2
+    or 3 is the mediating map into the limit cone of that level."""
     T = C.topos
-    idx = T.index
     X2cone = C.composable
     X3cone = wide_pullback(T, [C.C1, C.C1, C.C1], [C.C0, C.C0], [C.t, C.s, C.t, C.s])
     X = {0: C.C0, 1: C.C1, 2: X2cone.apex, 3: X3cone.apex}
+    x2 = [X2cone.legs[_o(i)] for i in range(3)]  # (f1, middle, f2)
+    x3 = [X3cone.legs[_o(i)] for i in range(5)]  # (f1, x1, f2, x2, f3)
+    ident1 = NatTrans.identity(C.C1)
+    e_of_s, e_of_t = C.s.then(C.e), C.t.then(C.e)
 
-    def tabulated(n_from, n_to, fn) -> NatTrans:
-        component = {}
-        for c in idx.objects:
-            table = {x: fn(c, x) for x in X[n_from].at[c]}
-            component[c] = FinFunction(X[n_from].at[c], X[n_to].at[c], table)
-        return NatTrans(X[n_from], X[n_to], component)
+    def into(cone, dom, legs) -> NatTrans:
+        return cone.mediate(dom, {_o(i): f for i, f in enumerate(legs)})
 
-    def comp(c, f1, f2):
-        return C.m.component[c](Tup((f1, C.t.component[c](f1), f2)))
-
+    first_two = into(X2cone, X[3], x3[:3])
+    last_two = into(X2cone, X[3], x3[2:])
     face = {
         (1, 0): C.t,
         (1, 1): C.s,
-        (2, 0): tabulated(2, 1, lambda c, x: x[2]),
-        (2, 1): tabulated(2, 1, lambda c, x: comp(c, x[0], x[2])),
-        (2, 2): tabulated(2, 1, lambda c, x: x[0]),
-        (3, 0): tabulated(3, 2, lambda c, x: Tup((x[2], x[3], x[4]))),
-        (3, 1): tabulated(3, 2, lambda c, x: Tup((comp(c, x[0], x[2]), x[3], x[4]))),
-        (3, 2): tabulated(3, 2, lambda c, x: Tup((x[0], x[1], comp(c, x[2], x[4])))),
-        (3, 3): tabulated(3, 2, lambda c, x: Tup((x[0], x[1], x[2]))),
+        (2, 0): x2[2],
+        (2, 1): C.m,
+        (2, 2): x2[0],
+        (3, 0): last_two,
+        (3, 1): into(X2cone, X[3], [first_two.then(C.m), x3[3], x3[4]]),
+        (3, 2): into(X2cone, X[3], [x3[0], x3[1], last_two.then(C.m)]),
+        (3, 3): first_two,
     }
-
-    def ec(c, x):
-        return C.e.component[c](x)
-
-    def sc(c, f):
-        return C.s.component[c](f)
-
-    def tc(c, f):
-        return C.t.component[c](f)
-
     degen = {
         (0, 0): C.e,
-        (1, 0): tabulated(1, 2, lambda c, f: Tup((ec(c, sc(c, f)), sc(c, f), f))),
-        (1, 1): tabulated(1, 2, lambda c, f: Tup((f, tc(c, f), ec(c, tc(c, f))))),
-        (2, 0): tabulated(
-            2, 3, lambda c, x: Tup((ec(c, sc(c, x[0])), sc(c, x[0]), x[0], x[1], x[2]))
-        ),
-        (2, 1): tabulated(2, 3, lambda c, x: Tup((x[0], x[1], ec(c, x[1]), x[1], x[2]))),
-        (2, 2): tabulated(
-            2, 3, lambda c, x: Tup((x[0], x[1], x[2], tc(c, x[2]), ec(c, tc(c, x[2]))))
-        ),
+        (1, 0): into(X2cone, X[1], [e_of_s, C.s, ident1]),
+        (1, 1): into(X2cone, X[1], [ident1, C.t, e_of_t]),
+        (2, 0): into(X3cone, X[2], [x2[0].then(e_of_s), x2[0].then(C.s), *x2]),
+        (2, 1): into(X3cone, X[2], [x2[0], x2[1], x2[1].then(C.e), x2[1], x2[2]]),
+        (2, 2): into(X3cone, X[2], [*x2, x2[2].then(C.t), x2[2].then(e_of_t)]),
     }
     return TruncatedSimplicialObject(T, X, face, degen)
 
@@ -498,17 +482,17 @@ def is_complete(X: TruncatedSimplicialObject, eq: EquivalencesObject | None = No
         # listing them: distinct images over one point each are all of
         # them exactly when there are that many.
         for c in X.topos.index.objects:
-            f1 = z.from_X1.component[c].table
-            f3 = z.from_X3.component[c].table
-            over1 = Counter(f1.values())
-            over3 = Counter(f3.values())
+            f1 = z.from_X1.component[c].idx
+            f3 = z.from_X3.component[c].idx
+            over1 = Counter(f1)
+            over3 = Counter(f3)
             pairs = sum(n * over3[w] for w, n in over1.items())
-            s0c, topc = s0.component[c].table, top.component[c].table
-            images = {(s0c[x], topc[x]) for x in X.level[0].at[c]}
+            s0c, topc = s0.component[c].idx, top.component[c].idx
+            images = set(zip(s0c, topc))
             if (
-                len(images) != len(X.level[0].at[c])
+                len(images) != len(s0c)
                 or len(images) != pairs
-                or any(f1[a] is not f3[b] for a, b in images)
+                or any(f1[a] != f3[b] for a, b in images)
             ):
                 via_square = False
                 break
@@ -522,8 +506,8 @@ def is_hoequiv_morphism(X: TruncatedSimplicialObject, f: NatTrans, eq=None) -> b
     if eq is None:
         eq = hoequiv(X)
     for c, func in f.component.items():
-        image = set(eq.U.component[c].table.values())
-        if any(v not in image for v in func.table.values()):
+        image = set(eq.U.component[c].idx)
+        if any(v not in image for v in func.idx):
             return False
     return True
 

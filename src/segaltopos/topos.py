@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .elements import Atom, Element, Fam, FinFunction, FinSet, STAR, Tup
+from .elements import Atom, Element, Fam, FinFunction, FinSet, STAR, Tup, pick
 from .fincat import (
     DEFAULT_BOUND,
     Diagram,
     FiniteCategory,
-    LimitCone,
     check_bound,
     discrete_category,
     fin_limit,
@@ -226,22 +225,21 @@ def ps_limit(T: Topos, d: PsDiagram) -> PsLimitCone:
     restrict = {}
     for w in idx.morphisms:
         c, dd = idx.src(w), idx.tgt(w)
-        if c == dd and all(
-            k is v for o in order for k, v in d.obj[o].restrict[w].table.items()
-        ):
+        maps = [d.obj[o].restrict[w].idx for o in order]
+        if c == dd and all(f == tuple(range(len(f))) for f in maps):
             # Every vertex restricts along w as the identity, so the limit
             # does too.
             restrict[w] = FinFunction.identity(at[c])
             continue
-        table = {}
-        for e in at[dd]:
-            val = Tup(
-                d.obj[o].restrict[w](e[i]) for i, o in enumerate(order)
-            )
-            if val not in at[c]:
-                raise InternalCheckError("induced restriction leaves the limit")
-            table[e] = val
-        restrict[w] = FinFunction(at[dd], at[c], table)
+        # Restrict each row of the limit at dd slot by slot and look the
+        # result up among the rows at c.
+        rows = at[dd].rows
+        if order:
+            rows = zip(*map(pick, maps, zip(*rows)))
+        idx_w = tuple(map(at[c].row_index.get, rows))
+        if None in idx_w:
+            raise InternalCheckError("induced restriction leaves the limit")
+        restrict[w] = FinFunction.from_idx(at[dd], at[c], idx_w)
     apex = Presheaf(T, at, restrict)
     legs = {
         o: NatTrans(
@@ -368,7 +366,7 @@ def enumerate_nat_trans(X: Presheaf, Y: Presheaf, over=None, limit=None):
             }
             count += 1
             if limit is not None:
-                check_bound(count, limit)
+                check_bound(count, limit, "enumerate_nat_trans")
             yield NatTrans(X, Y, comp)
             return
         c, x = slots[i]
@@ -419,7 +417,7 @@ def exponential(T: Topos, F: Presheaf, G: Presheaf) -> ExponentialObject:
                 for e in prod.apex.at[d]:
                     entries.append((e, t.component[d](e)))
             fams.append(Fam(entries))
-        check_bound(len(fams), T.bound)
+        check_bound(len(fams), T.bound, "exponential")
         at[c] = FinSet(fams)
     restrict = {}
     for w in idx.morphisms:
@@ -484,7 +482,7 @@ def exp_transpose(expo: ExponentialObject, A: Presheaf, h: NatTrans) -> NatTrans
 def _sieves_at(T: Topos, c: Element) -> list[frozenset]:
     idx = T.index
     into = idx.morphisms_into(c)
-    check_bound(2 ** len(into), T.bound)
+    check_bound(2 ** len(into), T.bound, "sieves")
     sieves = []
     for bits in range(2 ** len(into)):
         s = frozenset(u for i, u in enumerate(into) if bits >> i & 1)
@@ -543,7 +541,7 @@ def classify_mono(m: NatTrans) -> NatTrans:
     idx = T.index
     X = m.cod
     omega, true_arrow = subobject_classifier(T)
-    images = {c: set(m.component[c].table.values()) for c in idx.objects}
+    images = {c: m.component[c].image() for c in idx.objects}
     component = {}
     for c in idx.objects:
         table = {}
@@ -665,7 +663,7 @@ def dependent_product(f: NatTrans, x: SliceMap) -> SliceMap:
             commas[(c, b)] = (L, pr)
             for t in enumerate_nat_trans(L, x.total, over=(pr, x.proj), limit=T.bound):
                 elems.append(Tup((b, _section_family(T, L, t))))
-        check_bound(len(elems), T.bound)
+        check_bound(len(elems), T.bound, "dependent_product")
         at[c] = FinSet(elems)
     restrict = {}
     for w in idx.morphisms:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .elements import Atom, Element, Fam, FinFunction, FinSet, STAR, Tup
+from .elements import Atom, Element, Fam, FinFunction, FinSet, Tup
 from .topos import (
     InternalCheckError,
     NatTrans,
@@ -24,20 +24,17 @@ from .topos import (
     enumerate_nat_trans,
     finset_topos,
     is_iso,
-    is_minus1_truncated,
     is_mono,
     pairing,
     ps_product,
     ps_pullback,
     slice_exponential,
     subobject_classifier,
-    terminal,
     yoneda,
 )
 from .segal import (
     CategoryObject,
     CategoryObjectError,
-    EquivalencesObject,
     TruncatedSimplicialObject,
     composable_pairs,
     hoequiv,
@@ -60,13 +57,6 @@ class NerveOfMap:
     e: NatTrans
     cat: CategoryObject
     trunc: TruncatedSimplicialObject
-
-
-def _fiberwise_value(fam: Fam, u, a0, target_b):
-    """Chase a fiber element a0 through a fiberwise map family at stage u;
-    target_b is the restricted target point the family maps into."""
-    v = fam.get(Tup((u, Tup((a0, target_b)))))
-    return v[1]
 
 
 def nerve_of_map(p: NatTrans) -> NerveOfMap:
@@ -177,25 +167,37 @@ def _fiberwise_composition(p: NatTrans, M: SliceMap, cone) -> NatTrans:
     through the first family, then the second."""
     E, B = p.dom, p.cod
     idx = E.topos.index
+    keys = {}
+
+    def key(u, a, b):
+        """The family key of fiber element a at stage u over target point b."""
+        k = keys.get((u, a, b))
+        if k is None:
+            k = keys[(u, a, b)] = Tup((u, Tup((a, b))))
+        return k
+
     component = {}
     for c in idx.objects:
-        table = {}
-        for pair in cone.apex.at[c]:
-            m1, m2 = pair[0], pair[2]
+        families = M.total.at[c]
+        maps = families.elements
+        out = []
+        for row in cone.apex.at[c].rows:
+            m1, m2 = maps[row[0]], maps[row[2]]
             b2_1, fam1 = m1[0], m1[1]
             b2_2, fam2 = m2[0], m2[1]
             b2 = Tup((b2_1[0], b2_2[1]))
             entries = []
             for u, e0, b_out in _section_keys(p, c, b2):
+                # chase e0 through the first family, then the second
                 mid_b = B.restrict[u](b2_1[1])
-                e_mid = _fiberwise_value(fam1, u, e0, mid_b)
-                e_out = _fiberwise_value(fam2, u, e_mid, b_out)
-                entries.append((Tup((u, Tup((e0, b_out)))), Tup((e0, e_out))))
-            val = Tup((b2, Fam(entries)))
-            if val not in M.total.at[c]:
+                e_mid = fam1.get(key(u, e0, mid_b))[1]
+                e_out = fam2.get(key(u, e_mid, b_out))[1]
+                entries.append((key(u, e0, b_out), Tup((e0, e_out))))
+            val = families.index.get(Tup((b2, Fam(entries))))
+            if val is None:
                 raise InternalCheckError("composite family is not a product element")
-            table[pair] = val
-        component[c] = FinFunction(cone.apex.at[c], M.total.at[c], table)
+            out.append(val)
+        component[c] = FinFunction.from_idx(cone.apex.at[c], families, tuple(out))
     m = NatTrans(cone.apex, M.total, component)
     if m.validate():
         raise InternalCheckError("fiberwise composition is not natural")

@@ -160,3 +160,126 @@ class TestHashConsing:
         ]
         assert outs[0] == outs[1]
         assert b'"univalent": ' in outs[0]
+
+
+# ---------------------------------------------------------------------------
+# the positional FinFunction against a dict reference
+
+NAMES = ["a", "b", "c", "d", "e"]
+
+
+def dict_compose(g: dict, f: dict) -> dict:
+    """g after f, on dicts."""
+    return {x: g[y] for x, y in f.items()}
+
+
+@st.composite
+def finite_sets(draw, min_size=0):
+    return atoms(*draw(st.lists(st.sampled_from(NAMES), min_size=min_size, unique=True)))
+
+
+@st.composite
+def dict_functions(draw, dom=None, cod=None):
+    """(dom, cod, table) with table a dict from dom to cod, in a shuffled
+    insertion order."""
+    if dom is None:
+        dom = draw(finite_sets())
+    if cod is None:
+        cod = draw(finite_sets(min_size=1 if len(dom) else 0))
+    keys = draw(st.permutations(list(dom)))
+    return dom, cod, {x: draw(st.sampled_from(cod.elements)) for x in keys}
+
+
+class TestPositionalKernel:
+    @given(dict_functions())
+    def test_table_view_is_the_input_dict(self, fn):
+        dom, cod, table = fn
+        f = FinFunction(dom, cod, table)
+        assert f.table == table
+        assert all(f(x) == y for x, y in table.items())
+        view = f.table
+        view.clear()
+        assert f.table == table
+
+    @given(st.data())
+    def test_compose_matches_dict_composition(self, data):
+        dom, mid, f = data.draw(dict_functions())
+        _, cod, g = data.draw(dict_functions(dom=mid))
+        composite = FinFunction(mid, cod, g).compose(FinFunction(dom, mid, f))
+        assert composite.table == dict_compose(g, f)
+        assert composite.dom == dom and composite.cod == cod
+
+    @given(dict_functions())
+    def test_identity_is_neutral(self, fn):
+        dom, cod, table = fn
+        f = FinFunction(dom, cod, table)
+        assert FinFunction.identity(dom).table == {x: x for x in dom}
+        assert f.compose(FinFunction.identity(dom)) == f
+        assert FinFunction.identity(cod).compose(f) == f
+
+    @given(finite_sets(), st.randoms(use_true_random=False))
+    def test_inverse_of_a_permutation(self, s, rnd):
+        xs = list(s)
+        ys = xs[:]
+        rnd.shuffle(ys)
+        f = FinFunction(s, s, dict(zip(xs, ys)))
+        assert f.inverse().table == dict(zip(ys, xs))
+        assert f.inverse().compose(f) == FinFunction.identity(s)
+
+    @given(st.data())
+    def test_equality_and_hash_follow_the_dicts(self, data):
+        dom, cod, f = data.draw(dict_functions())
+        _, _, g = data.draw(dict_functions(dom=dom, cod=cod))
+        ff, gg = FinFunction(dom, cod, f), FinFunction(dom, cod, g)
+        assert (ff == gg) == (f == g)
+        if f == g:
+            assert hash(ff) == hash(gg)
+        assert FinFunction(dom, cod, dict(reversed(list(f.items())))) == ff
+
+    @given(dict_functions())
+    def test_predicates_and_image(self, fn):
+        dom, cod, table = fn
+        f = FinFunction(dom, cod, table)
+        values = set(table.values())
+        assert f.is_injective() == (len(values) == len(table))
+        assert f.is_surjective() == (values == set(cod))
+        assert f.is_bijective() == (f.is_injective() and f.is_surjective())
+        assert f.image() == FinSet(values)
+        if not f.is_bijective():
+            with pytest.raises(ValueError, match="not a bijection"):
+                f.inverse()
+
+    @given(dict_functions(), st.sampled_from(NAMES + ["z"]), st.booleans())
+    def test_error_text_on_missing_or_extra_keys(self, fn, name, drop):
+        dom, cod, table = fn
+        table = dict(table)
+        x = Atom(name)
+        if drop and x in table:
+            del table[x]
+        elif x not in dom and len(cod):
+            table[x] = cod.elements[0]
+        else:
+            return
+        missing = set(dom) - table.keys()
+        extra = table.keys() - set(dom)
+        with pytest.raises(ValueError) as exc:
+            FinFunction(dom, cod, table)
+        assert str(exc.value) == (
+            f"function table mismatch: missing {sorted(missing)}, extra {sorted(extra)}"
+        )
+
+    @given(dict_functions(dom=atoms("a", "b", "c")), st.data())
+    def test_error_text_on_values_outside_the_codomain(self, fn, data):
+        dom, cod, table = fn
+        bad = data.draw(st.lists(st.sampled_from(list(table)), min_size=1, unique=True))
+        table = {x: Atom("outside") if x in bad else y for x, y in table.items()}
+        first = next(x for x in table if x in bad)
+        with pytest.raises(ValueError) as exc:
+            FinFunction(dom, cod, table)
+        assert str(exc.value) == f"value {Atom('outside')!r} of {first!r} not in codomain"
+
+    def test_constant_outside_the_codomain(self):
+        with pytest.raises(ValueError) as exc:
+            FinFunction.constant(atoms("a", "b"), atoms("x"), Atom("y"))
+        assert str(exc.value) == f"value {Atom('y')!r} of {Atom('a')!r} not in codomain"
+        assert FinFunction.constant(EMPTY, atoms("x"), Atom("y")).table == {}

@@ -85,8 +85,9 @@ class TestFinProduct:
                 assert proj(e) == e[i]
 
     def test_bound(self):
-        with pytest.raises(ResourceBoundError):
+        with pytest.raises(ResourceBoundError) as exc:
             fin_product([atoms("a", "b")] * 3, bound=7)
+        assert (exc.value.stage, exc.value.size, exc.value.bound) == ("fin_product", 8, 7)
 
 
 def _cospan_diagram(fsets, fns):
@@ -318,6 +319,10 @@ def monoid_diagrams(draw):
 @given(st.one_of(zigzag_diagrams(), chain_diagrams(), monoid_diagrams()))
 def test_fin_limit_matches_reference(d):
     cone = fin_limit(d)
+    # before anything asks for the apex labels
+    assert cone.mediate(cone.apex, cone.legs) == FinFunction.identity(cone.apex)
+    labels = cone.apex.elements
+    assert labels == FinSet(labels).elements
     apex, legs = reference_limit(d)
     assert cone.apex == apex
     assert cone.legs == legs

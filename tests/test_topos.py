@@ -206,8 +206,9 @@ class TestEnumerateNatTrans:
     def test_limit_raises_resource_bound(self):
         X, Y = finset_presheaf(["a", "b"]), finset_presheaf(["0", "1", "2"])
         assert len(list(enumerate_nat_trans(X, Y, limit=9))) == 9
-        with pytest.raises(ResourceBoundError):
+        with pytest.raises(ResourceBoundError) as exc:
             list(enumerate_nat_trans(X, Y, limit=8))
+        assert exc.value.stage == "enumerate_nat_trans"
 
 
 class TestExponential:

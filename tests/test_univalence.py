@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from segaltopos import segal, univalence
-from segaltopos.elements import Atom, FinFunction
+from segaltopos.elements import Atom, FinFunction, Tup
 from segaltopos.corpus import (
     c2_topos,
     finset_function,
@@ -65,6 +65,25 @@ class TestNerveOfMap:
         p = _finset_map(())
         nerve = nerve_of_map(p)
         assert [nerve.trunc.level[n].total_size() for n in range(4)] == [0, 0, 0, 0]
+
+    def test_verdict_builds_no_level3_labels(self, monkeypatch):
+        # X3(*) of the (3,)-fiber map has 27**3 = 19 683 elements; a verdict
+        # path that labelled them would call Tup at least that often.
+        p = _finset_map((3,))
+        original = Tup.__new__
+        calls = 0
+
+        def counting(cls, items):
+            nonlocal calls
+            calls += 1
+            return original(cls, items)
+
+        monkeypatch.setattr(Tup, "__new__", counting)
+        report = is_univalent(p)
+        monkeypatch.undo()
+        assert report.level_sizes[3] == 19683
+        assert report.univalent is False and report.oracle_agrees is True
+        assert 0 < calls < 19683
 
     def test_source_target_of_unit(self):
         p = _finset_map((0, 2))

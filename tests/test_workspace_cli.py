@@ -270,6 +270,16 @@ class TestCli:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("bound,stage", [(2, "fin_limit"), (5, "associativity")])
+    def test_bound_error_names_its_stage(self, capsys, bound, stage):
+        code, out, err = run_cli(
+            capsys, "check-univalent", "--workspace", "finset", "--bound", str(bound), "u_sub"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"resource bound exceeded in {stage}: intermediate size ")
+        assert err.rstrip().endswith(f"exceeds bound {bound}")
+
     def test_workspace_from_file(self, capsys, tmp_path):
         path = tmp_path / "ws.json"
         path.write_text(dumps_workspace(build_bundle("finset")))
