@@ -4,12 +4,10 @@ objects, objects of equivalences, completeness, and univalence of maps."""
 from .elements import Atom, Element, Fam, FinFunction, FinSet, STAR, Tup
 from .fincat import (
     DEFAULT_BOUND,
-    Diagram,
     FiniteCategory,
     LimitCone,
     ResourceBoundError,
     fin_limit,
-    fin_product,
     validate_category,
 )
 from .topos import (

@@ -1,9 +1,8 @@
-"""Finite categories presented by tables, diagrams over them, and limits."""
+"""Finite categories presented by tables, and limits of chains of finite sets."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iproduct
 
 from .elements import Atom, Element, FinFunction, FinSet, RowSet, Tup
 
@@ -111,60 +110,21 @@ def validate_category(C: FiniteCategory) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# builders for common index and shape categories
-
-
-def _close_identities(objects, arrows):
-    """arrows: dict name -> (src_obj, tgt_obj) with no composable non-identity pairs."""
-    objs = FinSet(objects)
-    id_names = {o: Tup((Atom("id"), o)) for o in objs}
-    mor_elems = list(id_names.values()) + [Atom(n) for n in arrows]
-    mors = FinSet(mor_elems)
-    src = {id_names[o]: o for o in objs}
-    tgt = {id_names[o]: o for o in objs}
-    for n, (a, b) in arrows.items():
-        src[Atom(n)] = a
-        tgt[Atom(n)] = b
-    srcf = FinFunction(mors, objs, src)
-    tgtf = FinFunction(mors, objs, tgt)
-    idf = FinFunction(objs, mors, {o: id_names[o] for o in objs})
-    comp = {}
-    for g in mors:
-        for f in mors:
-            if tgtf(f) != srcf(g):
-                continue
-            if f in id_names.values() or idf(srcf(f)) == f:
-                comp[(g, f)] = g
-            elif idf(srcf(g)) == g:
-                comp[(g, f)] = f
-            else:
-                raise ValueError("composable non-identity arrows not supported here")
-    return FiniteCategory(objs, mors, srcf, tgtf, idf, comp)
-
-
-def terminal_category() -> FiniteCategory:
-    return _close_identities([Atom("*")], {})
+# builders for common index categories
 
 
 def discrete_category(names) -> FiniteCategory:
-    return _close_identities([Atom(n) for n in names], {})
+    """Objects Atom(name) whose only arrows are the identities ("id", o)."""
+    objs = FinSet(Atom(n) for n in names)
+    ids = {o: Tup((Atom("id"), o)) for o in objs}
+    mors = FinSet(ids.values())
+    src = FinFunction(mors, objs, {m: o for o, m in ids.items()})
+    idf = FinFunction(objs, mors, ids)
+    return FiniteCategory(objs, mors, src, src, idf, {(m, m): m for m in mors})
 
 
-def zigzag_shape(num_edges: int) -> FiniteCategory:
-    """The wide-pullback shape: edge objects o0,o2,... and shared vertex
-    objects o1,o3,... with one arrow from each edge to each adjacent vertex.
-
-    Arrow a{2k} goes from edge o{2k} to vertex o{2k+1}; arrow a{2k+1} goes
-    from edge o{2k+2} back to vertex o{2k+1}.
-    """
-    if num_edges < 1 or 2 * num_edges - 1 > 9:
-        raise ValueError("zigzag_shape supports 1..5 edges")
-    objects = [Atom(f"o{i}") for i in range(2 * num_edges - 1)]
-    arrows = {}
-    for k in range(num_edges - 1):
-        arrows[f"a{2 * k}"] = (Atom(f"o{2 * k}"), Atom(f"o{2 * k + 1}"))
-        arrows[f"a{2 * k + 1}"] = (Atom(f"o{2 * k + 2}"), Atom(f"o{2 * k + 1}"))
-    return _close_identities(objects, arrows)
+def terminal_category() -> FiniteCategory:
+    return discrete_category(["*"])
 
 
 def monoid_category(elements: list[str], unit: str, mult) -> FiniteCategory:
@@ -211,41 +171,12 @@ def arrow_category() -> FiniteCategory:
 
 
 # ---------------------------------------------------------------------------
-# diagrams and limits
+# limits of chains
 
 
-@dataclass
-class Diagram:
-    """A functor from a shape category to finite sets."""
-
-    shape: FiniteCategory
-    obj: dict
-    mor: dict
-
-
-def validate_diagram(d: Diagram) -> list[str]:
-    report = []
-    for o in d.shape.objects:
-        if o not in d.obj:
-            report.append(f"no set assigned to object {o!r}")
-    for u in d.shape.morphisms:
-        if u not in d.mor:
-            report.append(f"no function assigned to morphism {u!r}")
-    if report:
-        return report
-    for u in d.shape.morphisms:
-        f = d.mor[u]
-        if f.dom != d.obj[d.shape.src(u)] or f.cod != d.obj[d.shape.tgt(u)]:
-            report.append(f"function for {u!r} has wrong endpoints")
-    if report:
-        return report
-    for o in d.shape.objects:
-        if d.mor[d.shape.id_of(o)] != FinFunction.identity(d.obj[o]):
-            report.append(f"identity of {o!r} not sent to identity function")
-    for (g, f), h in d.shape.comp.items():
-        if d.mor[g].compose(d.mor[f]) != d.mor[h]:
-            report.append(f"functoriality fails on ({g!r},{f!r})")
-    return report
+def slot(i: int) -> Atom:
+    """The key of the leg onto slot i of a chain limit."""
+    return Atom(f"o{i}")
 
 
 def _column(f: FinFunction, dom: FinSet, target: FinSet) -> tuple:
@@ -258,13 +189,11 @@ def _column(f: FinFunction, dom: FinSet, target: FinSet) -> tuple:
 @dataclass
 class LimitCone:
     apex: RowSet
-    legs: dict
-    diagram: Diagram
+    legs: dict  # slot(i) -> the projection onto slot i
 
     def mediate(self, dom: FinSet, cone: dict) -> FinFunction:
         """The unique map into the apex commuting with the given cone."""
-        order = self.diagram.shape.objects.elements
-        columns = [_column(cone[o], dom, self.diagram.obj[o]) for o in order]
+        columns = [_column(cone[o], dom, leg.cod) for o, leg in self.legs.items()]
         rows = zip(*columns) if columns else [()] * len(dom)
         where = self.apex.row_index
         idx = tuple(map(where.get, rows))
@@ -274,91 +203,49 @@ class LimitCone:
         return FinFunction.from_idx(dom, self.apex, idx)
 
 
-def _cone_over(rows: list, sets: list) -> tuple[RowSet, list]:
-    """The apex with the given rows over the given sets, and its legs."""
-    apex = RowSet(tuple(rows), tuple(sets))
-    columns = list(zip(*rows)) if rows else [()] * len(sets)
-    return apex, [FinFunction.from_idx(apex, s, col) for s, col in zip(sets, columns)]
+def fin_limit(sets: list, links: list, bound: int = DEFAULT_BOUND) -> LimitCone:
+    """Limit of a chain of finite sets: the tuples over ``sets`` in which
+    each entry after the first agrees with the one before it.
 
+    ``links[j - 1]`` says how slot j depends on slot j - 1:
 
-def fin_product(sets, bound: int = DEFAULT_BOUND):
-    """Product of a sequence of finite sets, with projections."""
-    size = 1
-    for s in sets:
-        size *= len(s)
-    check_bound(size, bound, "fin_product")
-    return _cone_over(list(iproduct(*(range(len(s)) for s in sets))), list(sets))
+    - ``None``: it does not (slot j is a product factor);
+    - ``("fix", f)`` with f: sets[j-1] -> sets[j]: the entry is f of the
+      one before;
+    - ``("preimage", f)`` with f: sets[j] -> sets[j-1]: the entry ranges
+      over the preimage of the one before.
 
-
-def fin_limit(d: Diagram, bound: int = DEFAULT_BOUND) -> LimitCone:
-    """Limit of a finite diagram of finite sets.
-
-    Elements are tuples over the shape objects in canonical order, joined
-    on positions slot by slot: each slot's candidates are filtered by its
-    loop constraints once, a constraint into the slot fixes the candidate,
-    one out of it looks the candidate up in a preimage index, and every
-    other constraint whose endpoints are both assigned is checked on that
-    short list.  Candidates are tried in position order, so the rows come
-    out in lexicographic order, which is the canonical order of the apex.
+    Rows are joined on positions slot by slot, trying candidates in
+    position order, so they come out in lexicographic order, which is the
+    canonical order of the apex.
     """
-    problems = validate_diagram(d)
-    if problems:
-        raise ValueError("non-functorial diagram: " + "; ".join(problems))
-    order = d.shape.objects.elements
-    pos = {o: i for i, o in enumerate(order)}
-    # constraints[(i, j)] with i <= j: list of (u, flip) meaning
-    # mor[u] maps slot i to slot j (flip=False) or j to i (flip=True).
-    constraints = {}
-    for u in d.shape.morphisms:
-        s, t = pos[d.shape.src(u)], pos[d.shape.tgt(u)]
-        if s == t:
-            continue
-        i, j = min(s, t), max(s, t)
-        constraints.setdefault((i, j), []).append((u, s > t))
-    loop_constraints = [
-        u
-        for u in d.shape.morphisms
-        if d.shape.src(u) == d.shape.tgt(u) and not d.shape.is_identity(u)
-    ]
-
+    if len(links) != len(sets[1:]):
+        raise ValueError("a chain needs one link per slot after the first")
     partials = [()]
-    for j, o in enumerate(order):
-        loops = [d.mor[u].idx for u in loop_constraints if pos[d.shape.src(u)] == j]
-        cands = range(len(d.obj[o]))
-        if loops:
-            cands = [x for x in cands if all(f[x] == x for f in loops)]
-        # forward: mor maps slot i to slot j; backward: slot j to slot i
-        forward, backward = [], []
-        for (i, jj), us in constraints.items():
-            if jj == j:
-                for u, flip in us:
-                    (backward if flip else forward).append((i, d.mor[u].idx))
-        # The first constraint picks the candidates for a partial row from
-        # its entry at slot i0: picks[position] lists them as 1-tuples, in
-        # cands order.  The other constraints are checked on that list.
-        if forward:
-            i0, f0 = forward.pop(0)
-            allowed = set(cands)
-            picks = [((x,),) if x in allowed else () for x in f0]
-        elif backward:
-            i0, f0 = backward.pop(0)
-            picks = [[] for _ in range(len(d.obj[order[i0]]))]
-            for x in cands:
-                picks[f0[x]].append((x,))
+    for j, (s, link) in enumerate(zip(sets, [None, *links])):
+        # A free slot takes every entry; otherwise tails[p] lists the
+        # entries, as 1-tuples, that may follow position p of slot j - 1.
+        if link is None:
+            every, tails = [(x,) for x in range(len(s))], None
         else:
-            i0, picks = None, [(x,) for x in cands]
+            kind, f = link
+            if kind == "fix" and (f.dom, f.cod) == (sets[j - 1], s):
+                tails = [((y,),) for y in f.idx]
+            elif kind == "preimage" and (f.dom, f.cod) == (s, sets[j - 1]):
+                tails = [[] for _ in range(len(f.cod))]
+                for x, y in enumerate(f.idx):
+                    tails[y].append((x,))
+            else:
+                raise ValueError(f"the {kind} map at slot {j} has the wrong endpoints")
         new = []
         for part in partials:
-            tails = picks if i0 is None else picks[part[i0]]
-            if forward or backward:
-                tails = [
-                    t
-                    for t in tails
-                    if all(f[part[i]] == t[0] for i, f in forward)
-                    and all(f[t[0]] == part[i] for i, f in backward)
-                ]
-            new.extend([part + t for t in tails])
+            new.extend([part + t for t in (every if tails is None else tails[part[-1]])])
             check_bound(len(new), bound, "fin_limit")
         partials = new
-    apex, legs = _cone_over(partials, [d.obj[o] for o in order])
-    return LimitCone(apex, dict(zip(order, legs)), d)
+    apex = RowSet(tuple(partials), tuple(sets))
+    columns = list(zip(*partials)) if partials else [()] * len(sets)
+    legs = {
+        slot(i): FinFunction.from_idx(apex, s, col)
+        for i, (s, col) in enumerate(zip(sets, columns))
+    }
+    return LimitCone(apex, legs)

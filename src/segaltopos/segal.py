@@ -13,12 +13,11 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .elements import Atom, Element, Fam, FinFunction, STAR, Tup
-from .fincat import FiniteCategory, check_bound, zigzag_shape
+from .fincat import FiniteCategory, check_bound, slot as _o
 from .topos import (
     InternalCheckError,
     NatTrans,
     Presheaf,
-    PsDiagram,
     PsLimitCone,
     SliceMap,
     Topos,
@@ -38,30 +37,16 @@ from .topos import (
 )
 
 
-def _o(i: int) -> Element:
-    return Atom(f"o{i}")
-
-
-def _a(i: int) -> Element:
-    return Atom(f"a{i}")
-
-
 def wide_pullback(
     T: Topos, edges: list[Presheaf], vertices: list[Presheaf], maps: list[NatTrans]
 ) -> PsLimitCone:
     """Limit of edges[0] -> vertices[0] <- edges[1] -> vertices[1] <- ...;
-    maps lists the arrows a0, a1, ... of the zigzag in order."""
-    n = len(edges)
-    shape = zigzag_shape(n)
-    obj = {}
-    for i, e in enumerate(edges):
-        obj[_o(2 * i)] = e
+    maps lists the arrows of the zigzag in order."""
+    sets, links = [edges[0]], []
     for i, v in enumerate(vertices):
-        obj[_o(2 * i + 1)] = v
-    mor = {_a(i): f for i, f in enumerate(maps)}
-    for o in shape.objects:
-        mor[shape.id_of(o)] = NatTrans.identity(obj[o])
-    return ps_limit(T, PsDiagram(shape, obj, mor))
+        sets += [v, edges[i + 1]]
+        links += [("fix", maps[2 * i]), ("preimage", maps[2 * i + 1])]
+    return ps_limit(T, sets, links)
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +488,8 @@ def is_complete(X: TruncatedSimplicialObject, eq: EquivalencesObject | None = No
 
 def is_hoequiv_morphism(X: TruncatedSimplicialObject, f: NatTrans, eq=None) -> bool:
     """Whether f: D -> X1 factors through the object of equivalences."""
+    if f.cod != X.level[1]:
+        raise ValueError("the map does not land in level 1")
     if eq is None:
         eq = hoequiv(X)
     for c, func in f.component.items():

@@ -7,19 +7,17 @@ restricts along X(u): X(d) -> X(c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .elements import Atom, Element, Fam, FinFunction, FinSet, STAR, Tup, pick
+from .elements import Element, Fam, FinFunction, FinSet, STAR, Tup, pick
 from .fincat import (
     DEFAULT_BOUND,
-    Diagram,
     FiniteCategory,
     check_bound,
-    discrete_category,
     fin_limit,
+    slot,
     terminal_category,
     validate_category,
-    zigzag_shape,
 )
 
 
@@ -187,18 +185,10 @@ def yoneda(T: Topos, c: Element) -> Presheaf:
 
 
 @dataclass
-class PsDiagram:
-    shape: FiniteCategory
-    obj: dict
-    mor: dict
-
-
-@dataclass
 class PsLimitCone:
     apex: Presheaf
-    legs: dict
-    diagram: PsDiagram
-    pointwise: dict = field(default_factory=dict)
+    legs: dict  # slot(i) -> the projection onto slot i
+    pointwise: dict  # index object -> its LimitCone
 
     def mediate(self, K: Presheaf, cone: dict) -> NatTrans:
         component = {
@@ -210,22 +200,21 @@ class PsLimitCone:
         return NatTrans(K, self.apex, component)
 
 
-def ps_limit(T: Topos, d: PsDiagram) -> PsLimitCone:
+def ps_limit(T: Topos, sets: list[Presheaf], links: list) -> PsLimitCone:
+    """Pointwise limit of a chain of presheaves; ``links`` are as in
+    ``fin_limit``, with natural transformations as the maps."""
     idx = T.index
     pointwise = {}
     for c in idx.objects:
-        dc = Diagram(
-            d.shape,
-            {o: p.at[c] for o, p in d.obj.items()},
-            {u: f.component[c] for u, f in d.mor.items()},
-        )
-        pointwise[c] = fin_limit(dc, T.bound)
+        links_c = [
+            None if link is None else (link[0], link[1].component[c]) for link in links
+        ]
+        pointwise[c] = fin_limit([X.at[c] for X in sets], links_c, T.bound)
     at = {c: cone.apex for c, cone in pointwise.items()}
-    order = d.shape.objects.elements
     restrict = {}
     for w in idx.morphisms:
         c, dd = idx.src(w), idx.tgt(w)
-        maps = [d.obj[o].restrict[w].idx for o in order]
+        maps = [X.restrict[w].idx for X in sets]
         if c == dd and all(f == tuple(range(len(f))) for f in maps):
             # Every vertex restricts along w as the identity, so the limit
             # does too.
@@ -234,7 +223,7 @@ def ps_limit(T: Topos, d: PsDiagram) -> PsLimitCone:
         # Restrict each row of the limit at dd slot by slot and look the
         # result up among the rows at c.
         rows = at[dd].rows
-        if order:
+        if sets:
             rows = zip(*map(pick, maps, zip(*rows)))
         idx_w = tuple(map(at[c].row_index.get, rows))
         if None in idx_w:
@@ -242,40 +231,26 @@ def ps_limit(T: Topos, d: PsDiagram) -> PsLimitCone:
         restrict[w] = FinFunction.from_idx(at[dd], at[c], idx_w)
     apex = Presheaf(T, at, restrict)
     legs = {
-        o: NatTrans(
-            apex, d.obj[o], {c: pointwise[c].legs[o] for c in idx.objects}
-        )
-        for o in d.shape.objects
+        slot(i): NatTrans(apex, X, {c: pointwise[c].legs[slot(i)] for c in idx.objects})
+        for i, X in enumerate(sets)
     }
-    return PsLimitCone(apex, legs, d, pointwise)
+    return PsLimitCone(apex, legs, pointwise)
 
 
 def ps_product(Xs: list[Presheaf]) -> PsLimitCone:
-    T = Xs[0].topos
-    shape = discrete_category([f"o{i}" for i in range(len(Xs))])
-    obj = {Atom(f"o{i}"): X for i, X in enumerate(Xs)}
-    mor = {shape.id_of(o): NatTrans.identity(obj[o]) for o in shape.objects}
-    return ps_limit(T, PsDiagram(shape, obj, mor))
+    return ps_limit(Xs[0].topos, Xs, [None] * (len(Xs) - 1))
 
 
 def ps_pullback(f: NatTrans, g: NatTrans) -> PsLimitCone:
     """Pullback of the cospan f: X -> Z <- Y :g; legs at o0 (X) and o2 (Y)."""
     if f.cod != g.cod:
         raise ValueError("cospan codomain mismatch")
-    T = f.dom.topos
-    shape = zigzag_shape(2)
-    o0, o1, o2 = Atom("o0"), Atom("o1"), Atom("o2")
-    obj = {o0: f.dom, o1: f.cod, o2: g.dom}
-    mor = {Atom("a0"): f, Atom("a1"): g}
-    for o in shape.objects:
-        mor[shape.id_of(o)] = NatTrans.identity(obj[o])
-    return ps_limit(T, PsDiagram(shape, obj, mor))
+    return ps_limit(f.dom.topos, [f.dom, f.cod, g.dom], [("fix", f), ("preimage", g)])
 
 
 def pairing(prod: PsLimitCone, K: Presheaf, fs: list[NatTrans]) -> NatTrans:
     """Tuple maps K -> X_i into the product cone."""
-    order = prod.diagram.shape.objects.elements
-    return prod.mediate(K, {o: fs[i] for i, o in enumerate(order)})
+    return prod.mediate(K, dict(zip(prod.legs, fs)))
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +535,9 @@ def classify_mono(m: NatTrans) -> NatTrans:
     comparison = pb.mediate(
         m.dom,
         {
-            Atom("o0"): m,
-            Atom("o1"): m.then(chi),
-            Atom("o2"): unique_to_terminal(m.dom),
+            slot(0): m,
+            slot(1): m.then(chi),
+            slot(2): unique_to_terminal(m.dom),
         },
     )
     if not is_iso(comparison):
@@ -600,8 +575,8 @@ def pullback_functor(f: NatTrans, x: SliceMap) -> PullbackResult:
         raise ValueError("slice is not over the codomain of f")
     cone = ps_pullback(x.proj, f)
     return PullbackResult(
-        SliceMap(cone.apex, f.dom, cone.legs[Atom("o2")]),
-        cone.legs[Atom("o0")],
+        SliceMap(cone.apex, f.dom, cone.legs[slot(2)]),
+        cone.legs[slot(0)],
         cone,
     )
 

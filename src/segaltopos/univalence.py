@@ -11,7 +11,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .elements import Atom, Element, Fam, FinFunction, FinSet, Tup
+from .elements import Atom, Fam, FinFunction, FinSet, Tup
+from .fincat import slot as _o
 from .topos import (
     InternalCheckError,
     NatTrans,
@@ -42,10 +43,6 @@ from .segal import (
     nerve_truncation,
     segal_check,
 )
-
-
-def _o(i: int) -> Element:
-    return Atom(f"o{i}")
 
 
 @dataclass
@@ -126,10 +123,7 @@ def _identity_section(p: NatTrans, M: SliceMap, bb) -> NatTrans:
                 raise InternalCheckError("identity family is not a product element")
             table[b] = val
         component[c] = FinFunction(B.at[c], M.total.at[c], table)
-    e = NatTrans(B, M.total, component)
-    if e.validate():
-        raise InternalCheckError("identity section is not natural")
-    return e
+    return NatTrans(B, M.total, component)
 
 
 def _verify_identity_section_unique(p, M, bb, e) -> None:
@@ -198,10 +192,7 @@ def _fiberwise_composition(p: NatTrans, M: SliceMap, cone) -> NatTrans:
                 raise InternalCheckError("composite family is not a product element")
             out.append(val)
         component[c] = FinFunction.from_idx(cone.apex.at[c], families, tuple(out))
-    m = NatTrans(cone.apex, M.total, component)
-    if m.validate():
-        raise InternalCheckError("fiberwise composition is not natural")
-    return m
+    return NatTrans(cone.apex, M.total, component)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +204,6 @@ class UnivalenceReport:
     name: str
     univalent: bool
     mono: bool
-    s0_lift_iso: bool
     carrier_sizes: dict  # index object repr -> carrier cardinality
     level_sizes: dict  # n -> total cardinality of nerve level n
     oracle: bool | None  # fiber oracle verdict, when the topos is FinSet
@@ -235,7 +225,6 @@ def is_univalent(p: NatTrans, name: str = "p", run_oracle: bool = True) -> Univa
         name=name,
         univalent=univalent,
         mono=is_mono(p),
-        s0_lift_iso=is_iso(eq.s0_lift),
         carrier_sizes={repr(c): len(s) for c, s in eq.carrier.at.items()},
         level_sizes={n: nerve.trunc.level[n].total_size() for n in range(4)},
         oracle=oracle,

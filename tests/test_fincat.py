@@ -5,20 +5,17 @@ from hypothesis import given, settings, strategies as st
 
 from segaltopos.elements import Atom, FinFunction, FinSet, Tup, atoms
 from segaltopos.fincat import (
-    Diagram,
     FiniteCategory,
     ResourceBoundError,
     arrow_category,
     discrete_category,
     fin_limit,
-    fin_product,
     group_category,
     monoid_category,
     poset_category,
+    slot,
     terminal_category,
     validate_category,
-    validate_diagram,
-    zigzag_shape,
 )
 from segaltopos.corpus import corpus_categories
 
@@ -67,114 +64,98 @@ class TestValidateCategory:
 
 
 class TestFinProduct:
+    """Products are chains whose slots are all free."""
+
     def test_empty_product_is_terminal(self):
-        apex, projections = fin_product([])
-        assert list(apex) == [Tup(())]
-        assert projections == []
+        cone = fin_limit([], [])
+        assert list(cone.apex) == [Tup(())]
+        assert cone.legs == {}
 
     def test_two_by_one(self):
-        apex, _ = fin_product([atoms("a", "b"), atoms("c")])
-        assert list(apex) == [Tup([Atom("a"), Atom("c")]), Tup([Atom("b"), Atom("c")])]
+        cone = fin_limit([atoms("a", "b"), atoms("c")], [None])
+        assert list(cone.apex) == [Tup([Atom("a"), Atom("c")]), Tup([Atom("b"), Atom("c")])]
 
     def test_projections_total(self):
         sets = [atoms("0", "1"), atoms("0", "1")]
-        apex, projections = fin_product(sets)
-        assert len(apex) == 4
-        for i, proj in enumerate(projections):
-            for e in apex:
-                assert proj(e) == e[i]
+        cone = fin_limit(sets, [None])
+        assert len(cone.apex) == 4
+        for i in range(2):
+            for e in cone.apex:
+                assert cone.legs[slot(i)](e) == e[i]
 
     def test_bound(self):
         with pytest.raises(ResourceBoundError) as exc:
-            fin_product([atoms("a", "b")] * 3, bound=7)
-        assert (exc.value.stage, exc.value.size, exc.value.bound) == ("fin_product", 8, 7)
+            fin_limit([atoms("a", "b")] * 3, [None, None], bound=7)
+        assert (exc.value.stage, exc.value.size, exc.value.bound) == ("fin_limit", 8, 7)
 
 
-def _cospan_diagram(fsets, fns):
-    shape = zigzag_shape(2)
-    obj = {Atom(f"o{i}"): s for i, s in enumerate(fsets)}
-    mor = {Atom("a0"): fns[0], Atom("a1"): fns[1]}
-    for o in shape.objects:
-        mor[shape.id_of(o)] = FinFunction.identity(obj[o])
-    return Diagram(shape, obj, mor)
+def _zigzag(edges, vertices, maps):
+    """The chain edges[0] -> vertices[0] <- edges[1] -> ... of a wide
+    pullback; maps lists its arrows in order."""
+    sets, links = [edges[0]], []
+    for i, v in enumerate(vertices):
+        sets += [v, edges[i + 1]]
+        links += [("fix", maps[2 * i]), ("preimage", maps[2 * i + 1])]
+    return sets, links
 
 
 class TestFinLimit:
     def test_pullback_over_singleton_is_product(self):
         A, B, X = atoms("a", "b"), atoms("c"), atoms("x")
-        d = _cospan_diagram(
-            [A, X, B],
-            [FinFunction.constant(A, X, Atom("x")), FinFunction.constant(B, X, Atom("x"))],
-        )
-        cone = fin_limit(d)
+        to_x = [FinFunction.constant(A, X, Atom("x")), FinFunction.constant(B, X, Atom("x"))]
+        cone = fin_limit(*_zigzag([A, B], [X], to_x))
         assert len(cone.apex) == 2
-
-    def test_equalizer_of_swap_empty(self):
-        # fixed points of the swap, computed as a limit over a loop shape
-        s = atoms("0", "1")
-        shape = terminal_category()
-        o = Atom("*")
-        swap = FinFunction(s, s, {Atom("0"): Atom("1"), Atom("1"): Atom("0")})
-        mors = FinSet(list(shape.morphisms) + [Atom("w")])
-        src = FinFunction(mors, shape.objects, {m: o for m in mors})
-        comp = {}
-        idm = shape.id_of(o)
-        for g in mors:
-            for f in mors:
-                if f == idm:
-                    comp[(g, f)] = g
-                elif g == idm:
-                    comp[(g, f)] = f
-                else:
-                    comp[(g, f)] = idm  # swap is an involution
-        loop = FiniteCategory(shape.objects, mors, src, src, shape.identity, comp)
-        d = Diagram(loop, {o: s}, {idm: FinFunction.identity(s), Atom("w"): swap})
-        assert len(fin_limit(d).apex) == 0
 
     def test_triple_product_via_wide_pullback(self):
         # wide pullback over a singleton vertex set is a plain product
         T1, T0 = atoms("e", "g"), atoms("*")
         to_pt = FinFunction.constant(T1, T0, Atom("*"))
-        shape = zigzag_shape(3)
-        obj, mor = {}, {}
-        for i in range(5):
-            obj[Atom(f"o{i}")] = T1 if i % 2 == 0 else T0
-        for i in range(4):
-            mor[Atom(f"a{i}")] = to_pt
-        for o in shape.objects:
-            mor[shape.id_of(o)] = FinFunction.identity(obj[o])
-        cone = fin_limit(Diagram(shape, obj, mor))
+        cone = fin_limit(*_zigzag([T1] * 3, [T0] * 2, [to_pt] * 4))
         assert len(cone.apex) == 8
+
+    def test_six_edge_wide_pullback(self):
+        # 11 slots: the legs run to o10 and the rows stay in slot order
+        E, V = _numbered(2), _numbered(2)
+        maps = [
+            FinFunction(E, V, {Atom("0"): Atom(str(k % 2)), Atom("1"): Atom(str(k // 2 % 2))})
+            for k in range(10)
+        ]
+        sets, links = _zigzag([E] * 6, [V] * 5, maps)
+        cone = fin_limit(sets, links)
+        assert list(cone.legs) == [slot(i) for i in range(11)]
+        apex, legs = reference_limit(sets, links)
+        assert len(apex) > 0
+        assert cone.apex == apex
+        assert cone.legs == legs
 
     def test_single_object_limit_wraps_input(self):
         s = atoms("a", "b")
-        shape = terminal_category()
-        o = Atom("*")
-        d = Diagram(shape, {o: s}, {shape.id_of(o): FinFunction.identity(s)})
-        cone = fin_limit(d)
+        cone = fin_limit([s], [])
         assert [e[0] for e in cone.apex] == list(s)
 
-    def test_rejects_non_functorial(self):
-        s = atoms("a", "b")
-        shape = terminal_category()
-        o = Atom("*")
-        swap = FinFunction(s, s, {Atom("a"): Atom("b"), Atom("b"): Atom("a")})
-        d = Diagram(shape, {o: s}, {shape.id_of(o): swap})
-        with pytest.raises(ValueError):
-            fin_limit(d)
+    def test_rejects_map_with_wrong_endpoints(self):
+        A, X = atoms("a", "b"), atoms("x")
+        f = FinFunction.constant(A, X, Atom("x"))
+        # f: A -> X fixes a slot X after A, and draws a slot A after X
+        assert len(fin_limit([A, X], [("fix", f)]).apex) == 2
+        assert len(fin_limit([X, A], [("preimage", f)]).apex) == 2
+        for sets, link in [([X, A], ("fix", f)), ([A, X], ("preimage", f)), ([A, A], ("fix", f))]:
+            with pytest.raises(ValueError, match="wrong endpoints"):
+                fin_limit(sets, [link])
+        with pytest.raises(ValueError, match="one link per slot"):
+            fin_limit([A, X], [])
 
     def test_unique_mediating_map(self):
         # every competing cone factors uniquely through the limit
         A, B, X = atoms("a", "b"), atoms("c", "d"), atoms("x", "y")
         f = FinFunction(A, X, {Atom("a"): Atom("x"), Atom("b"): Atom("y")})
         g = FinFunction(B, X, {Atom("c"): Atom("x"), Atom("d"): Atom("x")})
-        d = _cospan_diagram([A, X, B], [f, g])
-        cone = fin_limit(d)
+        cone = fin_limit(*_zigzag([A, B], [X], [f, g]))
         K = atoms("k")
         legs = {
-            Atom("o0"): FinFunction.constant(K, A, Atom("a")),
-            Atom("o1"): FinFunction.constant(K, X, Atom("x")),
-            Atom("o2"): FinFunction.constant(K, B, Atom("c")),
+            slot(0): FinFunction.constant(K, A, Atom("a")),
+            slot(1): FinFunction.constant(K, X, Atom("x")),
+            slot(2): FinFunction.constant(K, B, Atom("c")),
         }
         med = cone.mediate(K, legs)
         for o, leg in legs.items():
@@ -183,7 +164,7 @@ class TestFinLimit:
         others = [
             v
             for v in cone.apex
-            if all(v[i] == legs[o](Atom("k")) for i, o in enumerate([Atom("o0"), Atom("o1"), Atom("o2")]))
+            if all(v[i] == legs[slot(i)](Atom("k")) for i in range(3))
         ]
         assert len(others) == 1
 
@@ -207,12 +188,6 @@ class TestBuilders:
         C = monoid_category(["1", "p"], "1", lambda a, b: "1" if a == b == "1" else "p")
         assert validate_category(C) == []
 
-    def test_zigzag_shapes(self):
-        for n in range(1, 5):
-            shape = zigzag_shape(n)
-            assert validate_category(shape) == []
-            assert len(shape.objects) == 2 * n - 1
-
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 4), st.data())
@@ -228,18 +203,20 @@ def test_random_cyclic_group_tables_validate(n, data):
 # fin_limit against a brute-force reference
 
 
-def reference_limit(d: Diagram):
-    """The product of the slot sets filtered by every morphism of the shape,
-    with its projections."""
-    order = d.shape.objects.elements
-    pos = {o: i for i, o in enumerate(order)}
-    arrows = [(pos[d.shape.src(u)], pos[d.shape.tgt(u)], d.mor[u]) for u in d.shape.morphisms]
+def reference_limit(sets: list, links: list):
+    """The product of the slot sets filtered by every link, with its
+    projections."""
+    arrows = []
+    for j, link in enumerate(links, start=1):
+        if link is not None:
+            kind, f = link
+            arrows.append((j - 1, j, f) if kind == "fix" else (j, j - 1, f))
     apex = FinSet(
         Tup(t)
-        for t in itertools.product(*(d.obj[o].elements for o in order))
+        for t in itertools.product(*(s.elements for s in sets))
         if all(f(t[i]) == t[j] for i, j, f in arrows)
     )
-    legs = {o: FinFunction(apex, d.obj[o], {e: e[i] for e in apex}) for i, o in enumerate(order)}
+    legs = {slot(i): FinFunction(apex, s, {e: e[i] for e in apex}) for i, s in enumerate(sets)}
     return apex, legs
 
 
@@ -251,78 +228,31 @@ def _random_function(draw, dom: FinSet, cod: FinSet) -> FinFunction:
     return FinFunction(dom, cod, {x: draw(st.sampled_from(cod.elements)) for x in dom})
 
 
-def _diagram(shape, obj, arrows):
-    mor = dict(arrows)
-    for o in shape.objects:
-        mor[shape.id_of(o)] = FinFunction.identity(obj[o])
-    return Diagram(shape, obj, mor)
-
-
 @st.composite
-def zigzag_diagrams(draw):
+def zigzag_chains(draw):
     n = draw(st.integers(1, 3))
-    shape = zigzag_shape(n)
-    obj = {
-        Atom(f"o{i}"): _numbered(draw(st.integers(0 if i % 2 == 0 else 1, 3)))
-        for i in range(2 * n - 1)
-    }
-    arrows = {}
-    for k in range(n - 1):
-        vertex = obj[Atom(f"o{2 * k + 1}")]
-        arrows[Atom(f"a{2 * k}")] = _random_function(draw, obj[Atom(f"o{2 * k}")], vertex)
-        arrows[Atom(f"a{2 * k + 1}")] = _random_function(draw, obj[Atom(f"o{2 * k + 2}")], vertex)
-    return _diagram(shape, obj, arrows)
+    edges = [_numbered(draw(st.integers(0, 3))) for _ in range(n)]
+    vertices = [_numbered(draw(st.integers(1, 3))) for _ in range(n - 1)]
+    maps = []
+    for k, v in enumerate(vertices):
+        maps += [_random_function(draw, edges[k], v), _random_function(draw, edges[k + 1], v)]
+    return _zigzag(edges, vertices, maps)
 
 
 @st.composite
-def chain_diagrams(draw):
-    """x ≤ y ≤ z with the names shuffled, so the slot order mixes arrows
-    into and out of a slot and a slot with two constraints."""
-    x, y, z = draw(st.permutations(["a", "b", "c"]))
-    rank = {x: 0, y: 1, z: 2}
-    shape = poset_category(["a", "b", "c"], lambda p, q: rank[p] <= rank[q])
-    sets = {v: _numbered(draw(st.integers(1, 3))) for v in (x, y, z)}
-    f = _random_function(draw, sets[x], sets[y])
-    g = _random_function(draw, sets[y], sets[z])
-    obj = {Atom(v): s for v, s in sets.items()}
-    arrows = {
-        Tup((Atom(x), Atom(y))): f,
-        Tup((Atom(y), Atom(z))): g,
-        Tup((Atom(x), Atom(z))): g.compose(f),
-    }
-    return _diagram(shape, obj, arrows)
-
-
-@st.composite
-def monoid_diagrams(draw):
-    """A set with an idempotent or an involution: one object, one
-    non-identity loop."""
-    s = _numbered(draw(st.integers(0, 4)))
-    xs = list(s)
-    if draw(st.booleans()):
-        shape = monoid_category(["1", "p"], "1", lambda a, b: "1" if a == b == "1" else "p")
-        fixed = set(draw(st.lists(st.sampled_from(xs), min_size=1, unique=True))) if xs else set()
-        table = {x: x if x in fixed else draw(st.sampled_from(sorted(fixed))) for x in xs}
-    else:
-        shape = c2()
-        table = {}
-        rest = draw(st.permutations(xs))
-        while rest:
-            a, *rest = rest
-            b = rest.pop(0) if rest and draw(st.booleans()) else a
-            table[a], table[b] = b, a
-    loop = shape.morphisms.elements[-1]
-    return _diagram(shape, {Atom("*"): s}, {loop: FinFunction(s, s, table)})
+def product_chains(draw):
+    sets = [_numbered(n) for n in draw(st.lists(st.integers(0, 3), max_size=3))]
+    return sets, [None] * len(sets[1:])
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(zigzag_diagrams(), chain_diagrams(), monoid_diagrams()))
-def test_fin_limit_matches_reference(d):
-    cone = fin_limit(d)
+@given(st.one_of(zigzag_chains(), product_chains()))
+def test_fin_limit_matches_reference(chain):
+    cone = fin_limit(*chain)
     # before anything asks for the apex labels
     assert cone.mediate(cone.apex, cone.legs) == FinFunction.identity(cone.apex)
     labels = cone.apex.elements
     assert labels == FinSet(labels).elements
-    apex, legs = reference_limit(d)
+    apex, legs = reference_limit(*chain)
     assert cone.apex == apex
     assert cone.legs == legs

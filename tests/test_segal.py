@@ -5,7 +5,14 @@ import pytest
 
 from segaltopos.elements import Atom, FinFunction, FinSet, STAR
 from segaltopos.fincat import ResourceBoundError
-from segaltopos.corpus import coproduct, corpus_categories, is_gaunt, iso_hom_set, iso_set
+from segaltopos.corpus import (
+    coproduct,
+    corpus_categories,
+    finset_presheaf,
+    is_gaunt,
+    iso_hom_set,
+    iso_set,
+)
 from segaltopos.segal import (
     CategoryObject,
     CategoryObjectError,
@@ -374,6 +381,20 @@ class TestHoequivMorphisms:
             {STAR_OBJ: FinFunction(one.at[STAR_OBJ], cat.C1.at[STAR_OBJ], {STAR: arrow})},
         )
         assert not is_hoequiv_morphism(X, f, eq)
+
+    def test_rejects_a_map_into_another_presheaf(self, corpus_nerves):
+        # both arrows of C2 are isomorphisms, so only the codomain check
+        # tells a map into a foreign 2-element presheaf apart
+        C, cat, X, eq = corpus_nerves["c2"]
+        one = terminal(cat.topos)
+        foreign = finset_presheaf(["x", "y"])
+        f = NatTrans(
+            one,
+            foreign,
+            {STAR_OBJ: FinFunction.constant(one.at[STAR_OBJ], foreign.at[STAR_OBJ], Atom("x"))},
+        )
+        with pytest.raises(ValueError, match="level 1"):
+            is_hoequiv_morphism(X, f, eq)
 
     def test_precomposition_stability(self, corpus_nerves):
         # a lifting morphism still lifts after precomposing with anything

@@ -186,7 +186,7 @@ class TestIsUnivalent:
 
     def test_report_fields(self, finset_sweep):
         p, report = finset_sweep[(0, 1)]
-        assert report.univalent and report.mono and report.s0_lift_iso
+        assert report.univalent and report.mono
         assert report.level_sizes[0] == 2
         assert report.oracle is True
 
@@ -271,6 +271,51 @@ class TestValidateOnce:
         )
         with pytest.raises(InternalCheckError, match="do not form a category object"):
             nerve_of_map(_finset_map((2,)))
+
+    def test_nerve_of_map_validates_e_and_m_once_per_object(self, monkeypatch, bundled_workspaces):
+        # e and m are checked by the category object they are part of, and
+        # again as a degeneracy and a face of its nerve, and nowhere else
+        w = bundled_workspaces["c2"]
+        where = [None]
+        checked = []
+
+        def within(owner, name, label):
+            original = getattr(owner, name)
+
+            def wrapped(*args):
+                where.append(label)
+                try:
+                    return original(*args)
+                finally:
+                    where.pop()
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        within(segal, "validate_category_object", "category object")
+        within(TruncatedSimplicialObject, "validate", "simplicial object")
+        validate = NatTrans.validate
+
+        def recorded(f):
+            checked.append((where[-1], f))
+            return validate(f)
+
+        monkeypatch.setattr(NatTrans, "validate", recorded)
+        nerve = nerve_of_map(w.morphisms[w.maps["free_over_point"]])
+        for f in (nerve.e, nerve.cat.m):
+            assert [label for label, g in checked if g is f] == ["category object", "simplicial object"]
+
+    def test_nerve_of_map_rejects_non_natural_composition(self, monkeypatch, bundled_workspaces):
+        w = bundled_workspaces["c2"]
+        build = univalence._fiberwise_composition
+
+        def corrupted(*args):
+            m = _swap_two_values(build(*args))
+            assert m.validate()
+            return m
+
+        monkeypatch.setattr(univalence, "_fiberwise_composition", corrupted)
+        with pytest.raises(InternalCheckError, match="category object: m: naturality fails"):
+            nerve_of_map(w.morphisms[w.maps["free_over_point"]])
 
     def test_segal_check_rejects_corrupted_face(self):
         X = nerve_of_map(_finset_map((2,))).trunc
