@@ -3,8 +3,9 @@
 Every computed object (limit, section family, sieve) is a set of Element
 terms, its labels, so that equal constructions produce literally equal
 values.  Inside the kernel an element is its position in the sorted set:
-finite functions are tuples of positions and limits are rows of positions,
-whose labels are built only when code that works on labels asks for them.
+finite functions are tuples of positions, and limits (fincat.RowSet) are
+counted and listed column by column, their labels built only when code
+that works on labels asks for them.
 
 Elements are hash-consed: each constructor looks its term up in one
 module-level weak-value table keyed by the already-interned children, so
@@ -181,55 +182,6 @@ class FinSet:
 
     def __repr__(self):
         return f"FinSet({list(self.elements)!r})"
-
-
-class RowSet(FinSet):
-    """A finite set of tuples given by rows of positions: row k lists, for
-    each factor set, the position of the k-th tuple's entry in it.
-
-    Rows are distinct and in lexicographic order.  That order is the
-    canonical order of the tuples' Tup labels, so row k is element k.  The
-    labels and their index are built the first time something asks for
-    them; ``row_index`` maps each row to its position, also on first use.
-    """
-
-    __slots__ = ("rows", "factors", "row_index")
-
-    def __init__(self, rows: tuple, factors: tuple):
-        self.rows = rows
-        self.factors = factors
-
-    def __getattr__(self, name):
-        # Called only while the slot `name` is still empty.
-        if name == "elements":
-            if self.factors:
-                columns = [
-                    pick(f.elements, col) for f, col in zip(self.factors, zip(*self.rows))
-                ]
-                self.elements = tuple(map(Tup, zip(*columns)))
-            else:
-                self.elements = (STAR,) * len(self.rows)
-            return self.elements
-        if name == "index":
-            self.index = dict(zip(self.elements, range(len(self.rows))))
-            return self.index
-        if name == "row_index":
-            self.row_index = dict(zip(self.rows, range(len(self.rows))))
-            return self.row_index
-        raise AttributeError(name)
-
-    def __len__(self):
-        return len(self.rows)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if isinstance(other, RowSet) and len(self.factors) == len(other.factors):
-            if all(a == b for a, b in zip(self.factors, other.factors)):
-                return self.rows == other.rows
-        return FinSet.__eq__(self, other)
-
-    __hash__ = FinSet.__hash__
 
 
 EMPTY = FinSet(())

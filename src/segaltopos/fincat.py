@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, repeat
+from operator import add
 
-from .elements import Atom, Element, FinFunction, FinSet, RowSet, Tup
+from .elements import STAR, Atom, Element, FinFunction, FinSet, Tup, pick
 
 DEFAULT_BOUND = 10**6
 
@@ -179,6 +181,185 @@ def slot(i: int) -> Atom:
     return Atom(f"o{i}")
 
 
+class RowSet(FinSet):
+    """The apex of a chain limit: the tuples over ``factors`` whose entries
+    satisfy ``links`` (as in ``fin_limit``, with position tuples for maps),
+    in lexicographic order.  That is the canonical order of their Tup
+    labels, so the k-th tuple is element k.
+
+    Building it only counts: ``counts[j][x]`` is the number of ways to
+    complete a tuple from entry x at slot j on.  The size, the position of
+    a tuple (the sum over its slots of ``offsets[j][entry]``) and the
+    columns follow from the counts.  The column of slot j, which lists the
+    slot-j entries of all tuples in order, is built the first time it is
+    asked for, as are the labels and their index.
+    """
+
+    __slots__ = (
+        "factors", "links", "counts", "size", "offsets", "positions",
+        "_prefixes", "_columns", "__weakref__",
+    )
+
+    def __init__(self, factors: tuple, links: list):
+        self.factors = factors
+        self.links = links
+        n = len(factors)
+        counts = [None] * n
+        if n:
+            ways = counts[-1] = [1] * len(factors[-1])
+            for j in range(n - 1, 0, -1):
+                link = links[j - 1]
+                if link is None:
+                    ways = [sum(ways)] * len(factors[j - 1])
+                elif link[0] == "fix":
+                    ways = pick(ways, link[1])
+                else:
+                    before = [0] * len(factors[j - 1])
+                    for x, y in enumerate(link[1]):
+                        before[y] += ways[x]
+                    ways = before
+                counts[j - 1] = ways
+        self.counts = counts
+        self.size = sum(counts[0]) if n else 1
+        self._prefixes = [range(len(factors[0]))] if n else []
+        self._columns = [None] * n
+
+    def __getattr__(self, name):
+        # Called only while the slot `name` is still empty.
+        if name == "elements":
+            if self.factors:
+                columns = [pick(f.elements, self.column(j)) for j, f in enumerate(self.factors)]
+                self.elements = tuple(map(Tup, zip(*columns)))
+            else:
+                self.elements = (STAR,) * self.size
+            return self.elements
+        if name == "index":
+            self.index = dict(zip(self.elements, range(self.size)))
+            return self.index
+        if name == "offsets":
+            self.offsets = [self._offsets(j) for j in range(len(self.factors))]
+            return self.offsets
+        if name == "positions":
+            # rank returns these int objects rather than fresh sums, so that
+            # the maps into the set share them.
+            self.positions = tuple(range(self.size))
+            return self.positions
+        raise AttributeError(name)
+
+    def _offsets(self, j: int):
+        """offsets[j][x]: how many tuples agree with one whose slot-j entry
+        is x before slot j and have a smaller entry there; None when that
+        is 0 for every x."""
+        ways = self.counts[j]
+        link = self.links[j - 1] if j else None
+        if link is None:
+            return tuple(accumulate(ways, initial=0))[:-1]
+        if link[0] == "fix":
+            return None
+        # The candidates at slot j are one fiber of the map.
+        run = [0] * len(self.factors[j - 1])
+        offsets = []
+        for x, y in enumerate(link[1]):
+            offsets.append(run[y])
+            run[y] += ways[x]
+        return offsets if any(offsets) else None
+
+    def _prefix(self, j: int):
+        """The slot-j entries of the tuples over slots 0..j that satisfy the
+        links among them, one per such tuple, in lexicographic order."""
+        prefixes = self._prefixes
+        while len(prefixes) <= j:
+            k = len(prefixes)
+            before, link = prefixes[-1], self.links[k - 1]
+            if link is None:
+                here = range(len(self.factors[k]))
+                prefixes.append(tuple(chain.from_iterable(repeat(here, len(before)))))
+            elif link[0] == "fix":
+                prefixes.append(pick(link[1], before))
+            else:
+                fibers = [[] for _ in range(len(self.factors[k - 1]))]
+                for x, y in enumerate(link[1]):
+                    fibers[y].append(x)
+                prefixes.append(tuple(chain.from_iterable(map(fibers.__getitem__, before))))
+        return prefixes[j]
+
+    def column(self, j: int) -> tuple:
+        """The slot-j entry of every tuple, in order: each prefix's last
+        entry repeated once per completion."""
+        col = self._columns[j]
+        if col is None:
+            here = self._prefix(j)
+            if j == len(self.factors) - 1:
+                col = tuple(here)  # a tuple already, unless j is 0
+            else:
+                col = tuple(chain.from_iterable(map(repeat, here, pick(self.counts[j], here))))
+            self._columns[j] = col
+        return col
+
+    def first_outside(self, columns: list):
+        """The first k for which the k-th entries of ``columns``, one
+        column per slot, break a link; None if none does."""
+        bad = None
+        for j, link in enumerate(self.links, start=1):
+            if link is None:
+                continue
+            kind, f = link
+            if kind == "fix":
+                got, want = pick(f, columns[j - 1]), columns[j]
+            else:
+                got, want = pick(f, columns[j]), columns[j - 1]
+            if got != want:
+                k = next(k for k, (a, b) in enumerate(zip(got, want)) if a != b)
+                bad = k if bad is None else min(bad, k)
+        return bad
+
+    def rank(self, columns: list, size: int) -> tuple:
+        """The positions of the ``size`` tuples given by ``columns``, one
+        column per slot; every link must hold on them."""
+        if not columns:
+            return (0,) * size
+        total = None
+        for offsets, col in zip(self.offsets, columns):
+            if offsets is not None:
+                part = pick(offsets, col)
+                total = part if total is None else list(map(add, total, part))
+        return pick(self.positions, total)
+
+    def __len__(self):
+        return self.size
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if isinstance(other, RowSet) and len(self.factors) == len(other.factors):
+            if all(a == b for a, b in zip(self.factors, other.factors)):
+                return self.size == other.size and all(
+                    self.column(j) == other.column(j) for j in range(len(self.factors))
+                )
+        return FinSet.__eq__(self, other)
+
+    __hash__ = FinSet.__hash__
+
+
+class _Projection(FinFunction):
+    """The leg of a chain limit onto one slot: its values are the apex's
+    column of that slot, read when they are first asked for."""
+
+    __slots__ = ("slot",)
+
+    def __init__(self, apex: RowSet, cod: FinSet, j: int):
+        self.dom = apex
+        self.cod = cod
+        self.slot = j
+
+    def __getattr__(self, name):
+        # Called only while the slot `idx` is still empty.
+        if name == "idx":
+            self.idx = self.dom.column(self.slot)
+            return self.idx
+        raise AttributeError(name)
+
+
 def _column(f: FinFunction, dom: FinSet, target: FinSet) -> tuple:
     """The values of f, a map dom -> target, as positions in target."""
     if f.dom != dom or f.cod != target:
@@ -194,13 +375,30 @@ class LimitCone:
     def mediate(self, dom: FinSet, cone: dict) -> FinFunction:
         """The unique map into the apex commuting with the given cone."""
         columns = [_column(cone[o], dom, leg.cod) for o, leg in self.legs.items()]
-        rows = zip(*columns) if columns else [()] * len(dom)
-        where = self.apex.row_index
-        idx = tuple(map(where.get, rows))
-        if None in idx:
-            x = dom.elements[idx.index(None)]
-            raise ValueError(f"cone is not compatible at {x!r}")
-        return FinFunction.from_idx(dom, self.apex, idx)
+        bad = self.apex.first_outside(columns)
+        if bad is not None:
+            raise ValueError(f"cone is not compatible at {dom.elements[bad]!r}")
+        return FinFunction.from_idx(dom, self.apex, self.apex.rank(columns, len(dom)))
+
+
+def _partial_sizes(sets: list, links: list):
+    """For each slot j, how many tuples over slots 0..j satisfy the links
+    among them."""
+    if not sets:
+        return
+    ways = [1] * len(sets[0])  # ways[x]: how many of them end in x
+    yield len(ways)
+    for s, link in zip(sets[1:], links):
+        if link is None:
+            ways = [sum(ways)] * len(s)
+        elif link[0] == "fix":
+            after = [0] * len(s)
+            for y, z in enumerate(link[1]):
+                after[z] += ways[y]
+            ways = after
+        else:
+            ways = pick(ways, link[1])
+        yield sum(ways)
 
 
 def fin_limit(sets: list, links: list, bound: int = DEFAULT_BOUND) -> LimitCone:
@@ -215,37 +413,25 @@ def fin_limit(sets: list, links: list, bound: int = DEFAULT_BOUND) -> LimitCone:
     - ``("preimage", f)`` with f: sets[j] -> sets[j-1]: the entry ranges
       over the preimage of the one before.
 
-    Rows are joined on positions slot by slot, trying candidates in
-    position order, so they come out in lexicographic order, which is the
-    canonical order of the apex.
+    The tuples are counted, not listed: the bound is checked on the number
+    of partial tuples at each slot, and the apex is a RowSet that lists
+    its columns only when something asks for them.
     """
     if len(links) != len(sets[1:]):
         raise ValueError("a chain needs one link per slot after the first")
-    partials = [()]
-    for j, (s, link) in enumerate(zip(sets, [None, *links])):
-        # A free slot takes every entry; otherwise tails[p] lists the
-        # entries, as 1-tuples, that may follow position p of slot j - 1.
-        if link is None:
-            every, tails = [(x,) for x in range(len(s))], None
-        else:
+    positional = []
+    for j, link in enumerate(links, start=1):
+        if link is not None:
             kind, f = link
-            if kind == "fix" and (f.dom, f.cod) == (sets[j - 1], s):
-                tails = [((y,),) for y in f.idx]
-            elif kind == "preimage" and (f.dom, f.cod) == (s, sets[j - 1]):
-                tails = [[] for _ in range(len(f.cod))]
-                for x, y in enumerate(f.idx):
-                    tails[y].append((x,))
+            if kind == "fix" and (f.dom, f.cod) == (sets[j - 1], sets[j]):
+                link = (kind, f.idx)
+            elif kind == "preimage" and (f.dom, f.cod) == (sets[j], sets[j - 1]):
+                link = (kind, f.idx)
             else:
                 raise ValueError(f"the {kind} map at slot {j} has the wrong endpoints")
-        new = []
-        for part in partials:
-            new.extend([part + t for t in (every if tails is None else tails[part[-1]])])
-            check_bound(len(new), bound, "fin_limit")
-        partials = new
-    apex = RowSet(tuple(partials), tuple(sets))
-    columns = list(zip(*partials)) if partials else [()] * len(sets)
-    legs = {
-        slot(i): FinFunction.from_idx(apex, s, col)
-        for i, (s, col) in enumerate(zip(sets, columns))
-    }
+        positional.append(link)
+    for size in _partial_sizes(sets, positional):
+        check_bound(size, bound, "fin_limit")
+    apex = RowSet(tuple(sets), positional)
+    legs = {slot(i): _Projection(apex, s, i) for i, s in enumerate(sets)}
     return LimitCone(apex, legs)

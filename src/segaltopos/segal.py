@@ -224,9 +224,9 @@ def validate_category_object(C: CategoryObject) -> list[str]:
         m = C.m.component[c].idx
         e, src, tgt = C.e.component[c].idx, C.s.component[c].idx, C.t.component[c].idx
         arrows = C.C1.at[c].elements
-        # The composable pairs are rows (f1, x, f2) with x = t(f1) = s(f2);
+        # The composable pairs are tuples (f1, x, f2) with x = t(f1) = s(f2);
         # comp[(f1, f2)] is the position of their composite.
-        comp = dict(zip([(r[0], r[2]) for r in C.composable.apex.at[c].rows], m))
+        comp = dict(zip(zip(pr1.component[c].idx, pr2.component[c].idx), m))
         by_source = {}
         for f in range(len(arrows)):
             by_source.setdefault(src[f], []).append(f)

@@ -217,18 +217,15 @@ def ps_limit(T: Topos, sets: list[Presheaf], links: list) -> PsLimitCone:
         maps = [X.restrict[w].idx for X in sets]
         if c == dd and all(f == tuple(range(len(f))) for f in maps):
             # Every vertex restricts along w as the identity, so the limit
-            # does too.
-            restrict[w] = FinFunction.identity(at[c])
+            # does too; its positions are the ones maps into it share.
+            restrict[w] = FinFunction.from_idx(at[c], at[c], at[c].positions)
             continue
-        # Restrict each row of the limit at dd slot by slot and look the
-        # result up among the rows at c.
-        rows = at[dd].rows
-        if sets:
-            rows = zip(*map(pick, maps, zip(*rows)))
-        idx_w = tuple(map(at[c].row_index.get, rows))
-        if None in idx_w:
+        # Restrict the limit at dd column by column and rank the result
+        # among the tuples at c.
+        columns = [pick(f, at[dd].column(j)) for j, f in enumerate(maps)]
+        if at[c].first_outside(columns) is not None:
             raise InternalCheckError("induced restriction leaves the limit")
-        restrict[w] = FinFunction.from_idx(at[dd], at[c], idx_w)
+        restrict[w] = FinFunction.from_idx(at[dd], at[c], at[c].rank(columns, len(at[dd])))
     apex = Presheaf(T, at, restrict)
     legs = {
         slot(i): NatTrans(apex, X, {c: pointwise[c].legs[slot(i)] for c in idx.objects})

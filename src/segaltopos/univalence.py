@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .elements import Atom, Fam, FinFunction, FinSet, Tup
+from .elements import Atom, Fam, FinFunction, FinSet, Tup, pick
 from .fincat import slot as _o
 from .topos import (
     InternalCheckError,
@@ -157,40 +157,37 @@ def _section_transpose(p: NatTrans, h: NatTrans) -> NatTrans:
 
 
 def _fiberwise_composition(p: NatTrans, M: SliceMap, cone) -> NatTrans:
-    """m on composable pairs of fiberwise maps: chase each fiber element
-    through the first family, then the second."""
+    """m on composable pairs of fiberwise maps, by position.
+
+    The keys of a family over (b, b') at c are the pairs (u: d -> c, e0)
+    with e0 in E(d) over B(u)(b): they depend on the source b only, and
+    the family lists them in that order.  A family is stored as the tuple
+    that sends the position of each key (u, e0) among the keys of b to the
+    position among the keys of b' of (u, e1), e1 being its value there.
+    The composite of a pair is then a gather, looked up by its endpoints
+    and that tuple."""
     E, B = p.dom, p.cod
-    idx = E.topos.index
-    keys = {}
-
-    def key(u, a, b):
-        """The family key of fiber element a at stage u over target point b."""
-        k = keys.get((u, a, b))
-        if k is None:
-            k = keys[(u, a, b)] = Tup((u, Tup((a, b))))
-        return k
-
     component = {}
-    for c in idx.objects:
+    for c in E.topos.index.objects:
+        where = {}  # b -> the position of each key of b
+        for b in B.at[c]:
+            keys = [(u, e0) for u, e0, _ in _section_keys(p, c, (b, b))]
+            where[b] = dict(zip(keys, range(len(keys))))
         families = M.total.at[c]
-        maps = families.elements
+        stored = []  # position in families -> (source, target, tuple)
+        for f in families:
+            b2, fam = f[0], f[1]
+            into = where[b2[1]]
+            stored.append((b2[0], b2[1], tuple([into[(k[0], v[1])] for k, v in fam.entries])))
+        position = dict(zip(stored, range(len(stored))))
         out = []
-        for row in cone.apex.at[c].rows:
-            m1, m2 = maps[row[0]], maps[row[2]]
-            b2_1, fam1 = m1[0], m1[1]
-            b2_2, fam2 = m2[0], m2[1]
-            b2 = Tup((b2_1[0], b2_2[1]))
-            entries = []
-            for u, e0, b_out in _section_keys(p, c, b2):
-                # chase e0 through the first family, then the second
-                mid_b = B.restrict[u](b2_1[1])
-                e_mid = fam1.get(key(u, e0, mid_b))[1]
-                e_out = fam2.get(key(u, e_mid, b_out))[1]
-                entries.append((key(u, e0, b_out), Tup((e0, e_out))))
-            val = families.index.get(Tup((b2, Fam(entries))))
-            if val is None:
+        for i, j in zip(cone.legs[_o(0)].component[c].idx, cone.legs[_o(2)].component[c].idx):
+            b, _, first = stored[i]
+            _, b_out, second = stored[j]
+            k = position.get((b, b_out, pick(second, first)))
+            if k is None:
                 raise InternalCheckError("composite family is not a product element")
-            out.append(val)
+            out.append(k)
         component[c] = FinFunction.from_idx(cone.apex.at[c], families, tuple(out))
     return NatTrans(cone.apex, M.total, component)
 

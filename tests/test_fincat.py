@@ -1,4 +1,8 @@
+import gc
 import itertools
+import random
+import re
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +21,14 @@ from segaltopos.fincat import (
     terminal_category,
     validate_category,
 )
-from segaltopos.corpus import corpus_categories
+from segaltopos.corpus import (
+    c2_topos,
+    corpus_categories,
+    random_coproduct_presheaf,
+    random_map_to,
+    sierpinski_topos,
+)
+from segaltopos.topos import ps_limit, terminal, yoneda
 
 
 def c2() -> FiniteCategory:
@@ -168,6 +179,21 @@ class TestFinLimit:
         ]
         assert len(others) == 1
 
+    def test_incompatible_cone_names_its_first_bad_element(self):
+        # k1 breaks the second link and k2 the first; k1 is named
+        A, B, X = atoms("a", "b"), atoms("c", "d"), atoms("x", "y")
+        f = FinFunction(A, X, {Atom("a"): Atom("x"), Atom("b"): Atom("y")})
+        g = FinFunction(B, X, {Atom("c"): Atom("x"), Atom("d"): Atom("y")})
+        cone = fin_limit(*_zigzag([A, B], [X], [f, g]))
+        K = atoms("k0", "k1", "k2")
+        rows = [("a", "x", "c"), ("a", "x", "d"), ("b", "x", "d")]
+        legs = {
+            slot(i): FinFunction(K, s, {k: Atom(r[i]) for k, r in zip(K, rows)})
+            for i, s in enumerate([A, X, B])
+        }
+        with pytest.raises(ValueError, match=r"^cone is not compatible at Atom\('k1'\)$"):
+            cone.mediate(K, legs)
+
 
 class TestBuilders:
     def test_poset_category(self):
@@ -246,13 +272,94 @@ def product_chains(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(zigzag_chains(), product_chains()))
-def test_fin_limit_matches_reference(chain):
+@given(st.one_of(zigzag_chains(), product_chains()), st.data())
+def test_fin_limit_matches_reference(chain, data):
     cone = fin_limit(*chain)
-    # before anything asks for the apex labels
+    apex, legs = reference_limit(*chain)
+    # the size is counted, before anything lists the tuples
+    assert len(cone.apex) == len(apex)
+    # mediating reference tuples ranks them at their reference positions
+    rows = data.draw(st.lists(st.sampled_from(apex.elements), max_size=6)) if len(apex) else []
+    dom = _numbered(len(rows))
+    med = cone.mediate(dom, _cone_through(chain[0], dom, rows))
+    assert med.idx == tuple(apex.index[r] for r in rows)
+    # a cone with one tuple outside the limit is refused at that tuple
+    outside = [
+        t for t in itertools.product(*(s.elements for s in chain[0])) if Tup(t) not in apex.index
+    ]
+    if outside:
+        at = data.draw(st.integers(0, len(rows)))
+        bad_rows = [*rows[:at], data.draw(st.sampled_from(outside)), *rows[at:]]
+        bad_dom = _numbered(len(bad_rows))
+        with pytest.raises(ValueError, match=rf"^cone is not compatible at {re.escape(repr(bad_dom.elements[at]))}$"):
+            cone.mediate(bad_dom, _cone_through(chain[0], bad_dom, bad_rows))
     assert cone.mediate(cone.apex, cone.legs) == FinFunction.identity(cone.apex)
     labels = cone.apex.elements
     assert labels == FinSet(labels).elements
-    apex, legs = reference_limit(*chain)
     assert cone.apex == apex
     assert cone.legs == legs
+
+
+def _cone_through(sets, dom, rows) -> dict:
+    """The cone from dom whose k-th element goes to the k-th of rows."""
+    return {
+        slot(i): FinFunction(dom, s, {k: r[i] for k, r in zip(dom, rows)})
+        for i, s in enumerate(sets)
+    }
+
+
+def _restriction_by_labels(sets, apex, w):
+    """The limit's restriction along w as a label lookup: restrict each
+    tuple slot by slot and find the result among the tuples at the source
+    of w."""
+    idx = apex.topos.index
+    c, d = idx.src(w), idx.tgt(w)
+    target = apex.at[c]
+    return tuple(
+        target.index[Tup(X.restrict[w](x) for X, x in zip(sets, e.items))]
+        for e in apex.at[d]
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([c2_topos, sierpinski_topos]), st.integers(0, 10**6))
+def test_ps_limit_restrictions_match_label_lookup(topos, seed):
+    T, rng = topos(), random.Random(seed)
+    B = random_coproduct_presheaf(T, rng, 2)[0]
+    if B.total_size() == 0:
+        B = terminal(T)
+    f, g = random_map_to(T, rng, B, 2), random_map_to(T, rng, B, 2)
+    chains = [
+        ([f.dom, B, g.dom], [("fix", f), ("preimage", g)]),
+        ([f.dom, g.dom], [None]),
+        ([g.dom, B, f.dom, B, g.dom], [("fix", g), ("preimage", f), ("fix", f), ("preimage", g)]),
+    ]
+    for sets, links in chains:
+        apex = ps_limit(T, sets, links).apex
+        assert apex.validate() == []
+        for w in T.index.morphisms:
+            assert apex.restrict[w].idx == _restriction_by_labels(sets, apex, w)
+
+
+def test_apex_is_freed_without_the_cycle_collector():
+    # the apex refers to nothing that refers back to it, so it goes as
+    # soon as its cone does, with the cycle collector off
+    A, X = atoms("a", "b", "c"), atoms("x", "y")
+    f = FinFunction(A, X, {Atom("a"): Atom("x"), Atom("b"): Atom("y"), Atom("c"): Atom("x")})
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cone = fin_limit(*_zigzag([A, A], [X], [f, f]))
+        apex = weakref.ref(cone.apex)
+        # list the columns, labels and rank table before letting go
+        assert cone.mediate(cone.apex, cone.legs) == FinFunction.identity(cone.apex)
+        assert len(cone.apex.index) == 5
+        del cone
+        assert apex() is None
+        limit = ps_limit(c2_topos(), [yoneda(c2_topos(), Atom("*"))] * 2, [None])
+        at = weakref.ref(limit.apex.at[Atom("*")])
+        del limit
+        assert at() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -2,9 +2,11 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
-from segaltopos import segal, univalence
-from segaltopos.elements import Atom, FinFunction, Tup
+from segaltopos import fincat, segal, univalence
+from segaltopos.elements import Atom, Fam, FinFunction, Tup
+from segaltopos.fincat import ResourceBoundError
 from segaltopos.corpus import (
     c2_topos,
     finset_function,
@@ -23,6 +25,8 @@ from segaltopos.topos import (
     is_mono,
     ps_pullback,
     subobject_classifier,
+    terminal,
+    unique_to_terminal,
     yoneda,
 )
 from segaltopos.univalence import (
@@ -68,28 +72,148 @@ class TestNerveOfMap:
 
     def test_verdict_builds_no_level3_labels(self, monkeypatch):
         # X3(*) of the (3,)-fiber map has 27**3 = 19 683 elements; a verdict
-        # path that labelled them would call Tup at least that often.
+        # path that labelled them would call Tup at least that often.  The
+        # composition of fiberwise maps builds no label at all.
         p = _finset_map((3,))
-        original = Tup.__new__
-        calls = 0
+        calls = {"Tup": 0, "Fam": 0, "composing": 0}
+        inside = [False]
+        for cls in (Tup, Fam):
+            original = cls.__new__
 
-        def counting(cls, items):
-            nonlocal calls
-            calls += 1
-            return original(cls, items)
+            def counting(cls_, *args, _original=original, _name=cls.__name__):
+                calls[_name] += 1
+                calls["composing"] += inside[0]
+                return _original(cls_, *args)
 
-        monkeypatch.setattr(Tup, "__new__", counting)
+            monkeypatch.setattr(cls, "__new__", counting)
+        compose = univalence._fiberwise_composition
+
+        def composing(*args):
+            inside[0] = True
+            try:
+                return compose(*args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(univalence, "_fiberwise_composition", composing)
         report = is_univalent(p)
         monkeypatch.undo()
         assert report.level_sizes[3] == 19683
         assert report.univalent is False and report.oracle_agrees is True
-        assert 0 < calls < 19683
+        assert 0 < calls["Tup"] < 19683
+        assert calls["composing"] == 0
+
+    def test_verdict_ranks_into_the_large_cones_without_listing_them(self, monkeypatch):
+        # Z(3) and the Segal spine cones are only mediated into, so their
+        # tuples are ranked, never listed.  Of the Eq pullback only the X1
+        # column is read, by the mono check on U; it repeats each point of
+        # X1 by its count, without expanding the X3 slot.
+        listed = []
+        column = fincat.RowSet.column
+
+        def recording(apex, j):
+            listed.append((apex, j))
+            return column(apex, j)
+
+        monkeypatch.setattr(fincat.RowSet, "column", recording)
+        cones = {"spine": [], "z3": [], "eq": []}
+        check, equivalences = univalence.segal_check, univalence.hoequiv
+
+        def checked(X):
+            witness = check(X)
+            cones["spine"] += witness.cones.values()
+            return witness
+
+        def found(X):
+            eq = equivalences(X)
+            cones["z3"].append(eq.z.cone)
+            cones["eq"].append(eq.cone)
+            return eq
+
+        monkeypatch.setattr(univalence, "segal_check", checked)
+        monkeypatch.setattr(univalence, "hoequiv", found)
+        report = is_univalent(_finset_map((3,)))
+        assert report.level_sizes[3] == 19683 and not report.univalent
+        assert len(cones["spine"]) == 2 and len(cones["z3"]) == len(cones["eq"]) == 1
+
+        def slots_listed(cone):
+            apex = cone.pointwise[STAR_OBJ].apex
+            return {j for a, j in listed if a is apex}
+
+        assert [slots_listed(c) for c in cones["spine"] + cones["z3"]] == [set(), set(), set()]
+        assert slots_listed(cones["eq"][0]) == {0}
+        assert len(cones["z3"][0].apex.at[STAR_OBJ]) == 19683
+        # the composable pairs and X3 are listed: their legs are faces
+        assert any(len(a) == 19683 for a, _ in listed)
+
+    def test_bound_is_reached_before_the_triples_are_built(self, bundled_workspaces):
+        # two copies of the free C2-set over the point have 16 777 216
+        # composable triples of fiberwise maps, over the default bound
+        w = bundled_workspaces["c2"]
+        with pytest.raises(ResourceBoundError) as exc:
+            is_univalent(unique_to_terminal(w.presheaves["two_free"]))
+        assert (exc.value.stage, exc.value.size) == ("associativity", 16777216)
 
     def test_source_target_of_unit(self):
         p = _finset_map((0, 2))
         nerve = nerve_of_map(p)
         assert nerve.e.then(nerve.s) == NatTrans.identity(p.cod)
         assert nerve.e.then(nerve.t) == NatTrans.identity(p.cod)
+
+
+def label_chase_composition(p: NatTrans, M, cone) -> NatTrans:
+    """Reference for the composition of fiberwise maps, on labels: chase
+    each fiber element through the first family, then the second, and look
+    the resulting family up among the elements of M."""
+    E, B = p.dom, p.cod
+    idx = E.topos.index
+    component = {}
+    for c in idx.objects:
+        families = M.total.at[c]
+        out = []
+        for pair in cone.apex.at[c]:
+            (b, mid), fam1 = pair[0][0], pair[0][1]
+            (_, b_out), fam2 = pair[2][0], pair[2][1]
+            entries = []
+            for u, e0, b1 in univalence._section_keys(p, c, (b, b_out)):
+                mid_u = B.restrict[u](mid)
+                e_mid = fam1.get(Tup((u, Tup((e0, mid_u)))))[1]
+                e_out = fam2.get(Tup((u, Tup((e_mid, b1)))))[1]
+                entries.append((Tup((u, Tup((e0, b1)))), Tup((e0, e_out))))
+            out.append(families.index[Tup((Tup((b, b_out)), Fam(entries)))])
+        component[c] = FinFunction.from_idx(cone.apex.at[c], families, tuple(out))
+    return NatTrans(cone.apex, M.total, component)
+
+
+def _composition_matches_reference(p: NatTrans) -> None:
+    nerve = nerve_of_map(p)
+    assert nerve.cat.m == label_chase_composition(p, nerve.M, nerve.cat.composable)
+
+
+class TestFiberwiseComposition:
+    """The composition by position against the label chase."""
+
+    @pytest.mark.parametrize("bundle", ["finset", "c2", "sierpinski", "s3"])
+    def test_bundled_maps(self, bundled_workspaces, bundle):
+        w = bundled_workspaces[bundle]
+        assert w.maps
+        for mname in w.maps.values():
+            _composition_matches_reference(w.morphisms[mname])
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from([c2_topos, sierpinski_topos]), st.integers(0, 10**6))
+    def test_random_maps(self, topos, seed):
+        T, rng = topos(), random.Random(seed)
+        B = random_coproduct_presheaf(T, rng, 2)[0]
+        if B.total_size() == 0:
+            B = terminal(T)
+        p = random_map_to(T, rng, B, 2)
+        try:
+            _composition_matches_reference(p)
+        except ResourceBoundError:
+            # two free C2-sets over one point have 16 777 216 composable
+            # triples, past the default bound
+            reject()
 
 
 class TestFiberOracle:
