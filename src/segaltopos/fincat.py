@@ -176,11 +176,6 @@ def arrow_category() -> FiniteCategory:
 # limits of chains
 
 
-def slot(i: int) -> Atom:
-    """The key of the leg onto slot i of a chain limit."""
-    return Atom(f"o{i}")
-
-
 class RowSet(FinSet):
     """The apex of a chain limit: the tuples over ``factors`` whose entries
     satisfy ``links`` (as in ``fin_limit``, with position tuples for maps),
@@ -370,11 +365,26 @@ def _column(f: FinFunction, dom: FinSet, target: FinSet) -> tuple:
 @dataclass
 class LimitCone:
     apex: RowSet
-    legs: dict  # slot(i) -> the projection onto slot i
+    legs: tuple  # legs[i]: the projection onto slot i
 
-    def mediate(self, dom: FinSet, cone: dict) -> FinFunction:
-        """The unique map into the apex commuting with the given cone."""
-        columns = [_column(cone[o], dom, leg.cod) for o, leg in self.legs.items()]
+    def mediate(self, dom: FinSet, maps) -> FinFunction:
+        """The unique map into the apex whose legs onto the slots that no
+        link fixes are ``maps``, in slot order.  The leg onto a fixed slot
+        is its link map after the leg onto the slot before."""
+        fixes = [None] * len(self.legs)  # the link map fixing each slot
+        for j, link in enumerate(self.apex.links, start=1):
+            if link is not None and link[0] == "fix":
+                fixes[j] = link[1]
+        free = fixes.count(None)
+        if len(maps) != free:
+            raise ValueError(f"a cone into this limit takes {free} maps, not {len(maps)}")
+        given = iter(maps)
+        columns = []
+        for leg, fix in zip(self.legs, fixes):
+            if fix is None:
+                columns.append(_column(next(given), dom, leg.cod))
+            else:
+                columns.append(pick(fix, columns[-1]))
         bad = self.apex.first_outside(columns)
         if bad is not None:
             raise ValueError(f"cone is not compatible at {dom.elements[bad]!r}")
@@ -433,5 +443,4 @@ def fin_limit(sets: list, links: list, bound: int = DEFAULT_BOUND) -> LimitCone:
     for size in _partial_sizes(sets, positional):
         check_bound(size, bound, "fin_limit")
     apex = RowSet(tuple(sets), positional)
-    legs = {slot(i): _Projection(apex, s, i) for i, s in enumerate(sets)}
-    return LimitCone(apex, legs)
+    return LimitCone(apex, tuple(_Projection(apex, s, i) for i, s in enumerate(sets)))

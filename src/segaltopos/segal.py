@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .elements import Atom, Element, Fam, FinFunction, STAR, Tup
-from .fincat import FiniteCategory, check_bound, slot as _o
+from .fincat import FiniteCategory, check_bound
 from .topos import (
     InternalCheckError,
     NatTrans,
@@ -28,7 +28,6 @@ from .topos import (
     is_iso,
     is_mono,
     nat_inverse,
-    pairing,
     ps_limit,
     ps_product,
     ps_pullback,
@@ -195,8 +194,10 @@ class CategoryObject:
             raise CategoryObjectError(problems)
 
 
-def composable_pairs(T: Topos, C0, C1, s, t) -> PsLimitCone:
-    return wide_pullback(T, [C1, C1], [C0], [t, s])
+def composable_pairs(T: Topos, C0, C1, s, t, n: int) -> PsLimitCone:
+    """The chains of n composable arrows, C1 ->t C0 <-s C1 ->t ... <-s C1;
+    a chain (f1, x1, f2, ...) is given by its arrows f1, f2, ..."""
+    return wide_pullback(T, [C1] * n, [C0] * (n - 1), [t, s] * (n - 1))
 
 
 def validate_category_object(C: CategoryObject) -> list[str]:
@@ -210,8 +211,8 @@ def validate_category_object(C: CategoryObject) -> list[str]:
         report.append("s after e is not the identity")
     if C.e.then(C.t) != ident0:
         report.append("t after e is not the identity")
-    pr1 = C.composable.legs[_o(0)]
-    pr2 = C.composable.legs[_o(2)]
+    pr1 = C.composable.legs[0]
+    pr2 = C.composable.legs[2]
     if C.m.then(C.s) != pr1.then(C.s):
         report.append("source of a composite differs from source of the first factor")
     if C.m.then(C.t) != pr2.then(C.t):
@@ -256,7 +257,7 @@ def category_object_from_finite_category(C: FiniteCategory) -> CategoryObject:
     s = NatTrans(obj1, obj0, {star: C.src})
     t = NatTrans(obj1, obj0, {star: C.tgt})
     e = NatTrans(obj0, obj1, {star: C.identity})
-    cone = composable_pairs(T, obj0, obj1, s, t)
+    cone = composable_pairs(T, obj0, obj1, s, t, 2)
     table = {p: C.comp[(p[2], p[0])] for p in cone.apex.at[star]}
     m = NatTrans(cone.apex, obj1, {star: FinFunction(cone.apex.at[star], C.morphisms, table)})
     return CategoryObject(T, obj0, obj1, s, t, e, cone, m)
@@ -267,18 +268,14 @@ def nerve_truncation(C: CategoryObject) -> TruncatedSimplicialObject:
     or 3 is the mediating map into the limit cone of that level."""
     T = C.topos
     X2cone = C.composable
-    X3cone = wide_pullback(T, [C.C1, C.C1, C.C1], [C.C0, C.C0], [C.t, C.s, C.t, C.s])
+    X3cone = composable_pairs(T, C.C0, C.C1, C.s, C.t, 3)
     X = {0: C.C0, 1: C.C1, 2: X2cone.apex, 3: X3cone.apex}
-    x2 = [X2cone.legs[_o(i)] for i in range(3)]  # (f1, middle, f2)
-    x3 = [X3cone.legs[_o(i)] for i in range(5)]  # (f1, x1, f2, x2, f3)
+    x2 = X2cone.legs  # (f1, middle, f2)
+    x3 = X3cone.legs  # (f1, x1, f2, x2, f3)
     ident1 = NatTrans.identity(C.C1)
     e_of_s, e_of_t = C.s.then(C.e), C.t.then(C.e)
-
-    def into(cone, dom, legs) -> NatTrans:
-        return cone.mediate(dom, {_o(i): f for i, f in enumerate(legs)})
-
-    first_two = into(X2cone, X[3], x3[:3])
-    last_two = into(X2cone, X[3], x3[2:])
+    first_two = X2cone.mediate(X[3], [x3[0], x3[2]])
+    last_two = X2cone.mediate(X[3], [x3[2], x3[4]])
     face = {
         (1, 0): C.t,
         (1, 1): C.s,
@@ -286,17 +283,17 @@ def nerve_truncation(C: CategoryObject) -> TruncatedSimplicialObject:
         (2, 1): C.m,
         (2, 2): x2[0],
         (3, 0): last_two,
-        (3, 1): into(X2cone, X[3], [first_two.then(C.m), x3[3], x3[4]]),
-        (3, 2): into(X2cone, X[3], [x3[0], x3[1], last_two.then(C.m)]),
+        (3, 1): X2cone.mediate(X[3], [first_two.then(C.m), x3[4]]),
+        (3, 2): X2cone.mediate(X[3], [x3[0], last_two.then(C.m)]),
         (3, 3): first_two,
     }
     degen = {
         (0, 0): C.e,
-        (1, 0): into(X2cone, X[1], [e_of_s, C.s, ident1]),
-        (1, 1): into(X2cone, X[1], [ident1, C.t, e_of_t]),
-        (2, 0): into(X3cone, X[2], [x2[0].then(e_of_s), x2[0].then(C.s), *x2]),
-        (2, 1): into(X3cone, X[2], [x2[0], x2[1], x2[1].then(C.e), x2[1], x2[2]]),
-        (2, 2): into(X3cone, X[2], [*x2, x2[2].then(C.t), x2[2].then(e_of_t)]),
+        (1, 0): X2cone.mediate(X[1], [e_of_s, ident1]),
+        (1, 1): X2cone.mediate(X[1], [ident1, e_of_t]),
+        (2, 0): X3cone.mediate(X[2], [x2[0].then(e_of_s), x2[0], x2[2]]),
+        (2, 1): X3cone.mediate(X[2], [x2[0], x2[1].then(C.e), x2[2]]),
+        (2, 2): X3cone.mediate(X[2], [x2[0], x2[2], x2[2].then(e_of_t)]),
     }
     return TruncatedSimplicialObject(T, X, face, degen)
 
@@ -313,23 +310,11 @@ class SegalWitness:
 
 
 def _spine_cone(X: TruncatedSimplicialObject, n: int) -> PsLimitCone:
-    T = X.topos
-    maps = []
-    for k in range(n - 1):
-        maps.append(X.target)
-        maps.append(X.source)
-    return wide_pullback(T, [X.level[1]] * n, [X.level[0]] * (n - 1), maps)
+    return composable_pairs(X.topos, X.level[0], X.level[1], X.source, X.target, n)
 
 
 def _spine_comparison(X, n, cone) -> NatTrans:
-    edges = X.spine_maps(n)
-    verts = X.vertex_maps(n)
-    legs = {}
-    for k in range(n):
-        legs[_o(2 * k)] = edges[k]
-    for k in range(n - 1):
-        legs[_o(2 * k + 1)] = verts[k + 1]
-    return cone.mediate(X.level[n], legs)
+    return cone.mediate(X.level[n], X.spine_maps(n))
 
 
 def segal_check(X: TruncatedSimplicialObject) -> SegalWitness:
@@ -385,27 +370,9 @@ def z3(X: TruncatedSimplicialObject) -> Z3Result:
     a = d[(3, 3)].then(d[(2, 1)])  # composite of the first two chains
     b = d[(3, 3)].then(d[(2, 0)])  # the middle one-chain
     c = d[(3, 0)].then(d[(2, 1)])  # composite of the last two chains
-    from_X3 = cone.mediate(
-        X.level[3],
-        {
-            _o(0): a,
-            _o(1): b.then(t),
-            _o(2): b,
-            _o(3): b.then(s),
-            _o(4): c,
-        },
-    )
+    from_X3 = cone.mediate(X.level[3], [a, b, c])
     s0 = X.degen[(0, 0)]
-    from_X1 = cone.mediate(
-        X.level[1],
-        {
-            _o(0): t.then(s0),
-            _o(1): t,
-            _o(2): NatTrans.identity(X.level[1]),
-            _o(3): s,
-            _o(4): s.then(s0),
-        },
-    )
+    from_X1 = cone.mediate(X.level[1], [t.then(s0), NatTrans.identity(X.level[1]), s.then(s0)])
     return Z3Result(cone.apex, cone, from_X3, from_X1)
 
 
@@ -430,17 +397,10 @@ def total_degeneracy(X: TruncatedSimplicialObject, n: int) -> NatTrans:
 def hoequiv(X: TruncatedSimplicialObject) -> EquivalencesObject:
     z = z3(X)
     cone = ps_pullback(z.from_X1, z.from_X3)
-    U = cone.legs[_o(0)]
-    to_X3 = cone.legs[_o(2)]
+    U = cone.legs[0]
+    to_X3 = cone.legs[2]
     s0 = X.degen[(0, 0)]
-    s0_lift = cone.mediate(
-        X.level[0],
-        {
-            _o(0): s0,
-            _o(1): s0.then(z.from_X1),
-            _o(2): total_degeneracy(X, 3),
-        },
-    )
+    s0_lift = cone.mediate(X.level[0], [s0, total_degeneracy(X, 3)])
     if not is_mono(U):
         raise InternalCheckError("projection from the object of equivalences is not mono")
     if s0_lift.then(U) != s0:
@@ -518,10 +478,10 @@ class MappingObject:
 def _pulled_level(X, D, points, n):
     """Pullback of level[n] along (x0..xn): D -> X0^(n+1)."""
     prod = ps_product([X.level[0]] * (n + 1))
-    vertex = pairing(prod, X.level[n], X.vertex_maps(n))
-    pts = pairing(prod, D, points)
+    vertex = prod.mediate(X.level[n], X.vertex_maps(n))
+    pts = prod.mediate(D, points)
     cone = ps_pullback(vertex, pts)
-    return cone, SliceMap(cone.apex, D, cone.legs[_o(2)])
+    return cone, SliceMap(cone.apex, D, cone.legs[2])
 
 
 def mapping_object(
@@ -541,18 +501,8 @@ def mapping_object(
 
 def _edge_slice_map(src: MappingObject, k: int, binary: MappingObject) -> NatTrans:
     """Slice morphism over D induced by the k-th spine edge."""
-    X, D = src.X, src.context
-    edge = src.cone.legs[_o(0)].then(X.spine_maps(src.n)[k])
-    prod2 = ps_product([X.level[0]] * 2)
-    pts2 = pairing(prod2, D, [src.points[k], src.points[k + 1]])
-    return binary.cone.mediate(
-        src.cone.apex,
-        {
-            _o(0): edge,
-            _o(1): src.pulled.proj.then(pts2),
-            _o(2): src.pulled.proj,
-        },
-    )
+    edge = src.cone.legs[0].then(src.X.spine_maps(src.n)[k])
+    return binary.cone.mediate(src.cone.apex, [edge, src.pulled.proj])
 
 
 def binary_factors(src: MappingObject) -> list[MappingObject]:
@@ -574,7 +524,7 @@ def binary_decomposition(src: MappingObject, factors=None):
         h = _edge_slice_map(src, k, b)
         comps.append(dependent_product_map(unique, src.pi, b.pi, h))
     prod = ps_product([b.obj for b in factors])
-    return pairing(prod, src.obj, comps)
+    return prod.mediate(src.obj, comps)
 
 
 def section_element(pi: SliceMap, f: NatTrans, sigma: NatTrans, c: Element) -> Element:
@@ -598,14 +548,7 @@ def section_element(pi: SliceMap, f: NatTrans, sigma: NatTrans, c: Element) -> E
 def identity_morphism(X: TruncatedSimplicialObject, D: Presheaf, x: NatTrans) -> NatTrans:
     """The global element of map(x, x) given by the degeneracy at x."""
     mp = mapping_object(X, D, [x, x])
-    sigma = mp.cone.mediate(
-        D,
-        {
-            _o(0): x.then(X.degen[(0, 0)]),
-            _o(1): pairing(ps_product([X.level[0]] * 2), D, [x, x]),
-            _o(2): NatTrans.identity(D),
-        },
-    )
+    sigma = mp.cone.mediate(D, [x.then(X.degen[(0, 0)]), NatTrans.identity(D)])
     one = terminal(X.topos)
     component = {
         c: FinFunction.constant(
@@ -640,17 +583,8 @@ def composition_data(X, D, x, y, z) -> CompositionData:
         raise InternalCheckError("two-chain comparison is not invertible")
     prod = ps_product([map_xy.obj, map_yz.obj])
     # the inner face sends a two-chain to its composite one-chain
-    inner = ternary.cone.legs[_o(0)].then(X.face[(2, 1)])
-    prod2 = ps_product([X.level[0]] * 2)
-    pts2 = pairing(prod2, D, [x, z])
-    h = map_xz.cone.mediate(
-        ternary.cone.apex,
-        {
-            _o(0): inner,
-            _o(1): ternary.pulled.proj.then(pts2),
-            _o(2): ternary.pulled.proj,
-        },
-    )
+    inner = ternary.cone.legs[0].then(X.face[(2, 1)])
+    h = map_xz.cone.mediate(ternary.cone.apex, [inner, ternary.pulled.proj])
     unique = unique_to_terminal(D)
     to_xz = dependent_product_map(unique, ternary.pi, map_xz.pi, h)
     return CompositionData(
@@ -672,21 +606,14 @@ def hoequiv_object(X, D, x, y, eq=None):
     if eq is None:
         eq = hoequiv(X)
     prod2 = ps_product([X.level[0]] * 2)
-    st = pairing(prod2, eq.carrier, [eq.U.then(X.source), eq.U.then(X.target)])
-    pts = pairing(prod2, D, [x, y])
+    st = prod2.mediate(eq.carrier, [eq.U.then(X.source), eq.U.then(X.target)])
+    pts = prod2.mediate(D, [x, y])
     cone = ps_pullback(st, pts)
-    pulled = SliceMap(cone.apex, D, cone.legs[_o(2)])
+    pulled = SliceMap(cone.apex, D, cone.legs[2])
     unique = unique_to_terminal(D)
     pi = dependent_product(unique, pulled)
     mp = mapping_object(X, D, [x, y])
-    h = mp.cone.mediate(
-        cone.apex,
-        {
-            _o(0): cone.legs[_o(0)].then(eq.U),
-            _o(1): pulled.proj.then(pts),
-            _o(2): pulled.proj,
-        },
-    )
+    h = mp.cone.mediate(cone.apex, [cone.legs[0].then(eq.U), pulled.proj])
     comparison = dependent_product_map(unique, pi, mp.pi, h)
     if not is_mono(comparison):
         raise InternalCheckError("equivalence object does not embed into the mapping object")
@@ -701,14 +628,12 @@ def is_final_object(X: TruncatedSimplicialObject, f: NatTrans) -> bool:
     """f: terminal -> X0 is final when the object of arrows into f projects
     isomorphically to X0 by the source."""
     prod2 = ps_product([X.level[0]] * 2)
-    st = pairing(prod2, X.level[1], [X.source, X.target])
-    idf = pairing(
-        prod2,
-        X.level[0],
-        [NatTrans.identity(X.level[0]), unique_to_terminal(X.level[0]).then(f)],
+    st = prod2.mediate(X.level[1], [X.source, X.target])
+    idf = prod2.mediate(
+        X.level[0], [NatTrans.identity(X.level[0]), unique_to_terminal(X.level[0]).then(f)]
     )
     cone = ps_pullback(st, idf)
-    return is_iso(cone.legs[_o(2)])
+    return is_iso(cone.legs[2])
 
 
 # ---------------------------------------------------------------------------
@@ -750,14 +675,8 @@ def segal_map_from_nerves(F0: NatTrans, F1: NatTrans, W, V) -> SegalMap:
     for n in (2, 3):
         cone = _spine_cone(V, n)
         cmp_v = _spine_comparison(V, n, cone)
-        legs = {}
-        edges_w = W.spine_maps(n)
-        verts_w = W.vertex_maps(n)
-        for k in range(n):
-            legs[_o(2 * k)] = edges_w[k].then(F1)
-        for k in range(n - 1):
-            legs[_o(2 * k + 1)] = verts_w[k + 1].then(F0)
-        comps[n] = cone.mediate(W.level[n], legs).then(nat_inverse(cmp_v))
+        edges = [e.then(F1) for e in W.spine_maps(n)]
+        comps[n] = cone.mediate(W.level[n], edges).then(nat_inverse(cmp_v))
     out = SegalMap(W, V, comps)
     problems = out.validate()
     if problems:
@@ -768,23 +687,12 @@ def segal_map_from_nerves(F0: NatTrans, F1: NatTrans, W, V) -> SegalMap:
 def is_fully_faithful(F: SegalMap) -> bool:
     W, V = F.dom, F.cod
     prod_v = ps_product([V.level[0]] * 2)
-    st_v = pairing(prod_v, V.level[1], [V.source, V.target])
+    st_v = prod_v.mediate(V.level[1], [V.source, V.target])
     prod_w = ps_product([W.level[0]] * 2)
-    f00 = pairing(
-        prod_v,
-        prod_w.apex,
-        [prod_w.legs[_o(0)].then(F.component[0]), prod_w.legs[_o(1)].then(F.component[0])],
-    )
+    f00 = prod_v.mediate(prod_w.apex, [leg.then(F.component[0]) for leg in prod_w.legs])
     cone = ps_pullback(st_v, f00)
-    st_w = pairing(prod_w, W.level[1], [W.source, W.target])
-    comparison = cone.mediate(
-        W.level[1],
-        {
-            _o(0): F.component[1],
-            _o(1): F.component[1].then(st_v),
-            _o(2): st_w,
-        },
-    )
+    st_w = prod_w.mediate(W.level[1], [W.source, W.target])
+    comparison = cone.mediate(W.level[1], [F.component[1], st_w])
     return is_iso(comparison)
 
 
@@ -795,7 +703,7 @@ def is_essentially_surjective(F: SegalMap, eq=None) -> bool:
     if eq is None:
         eq = hoequiv(V)
     cone = ps_pullback(F.component[0], eq.U.then(V.source))
-    to_v0 = cone.legs[_o(2)].then(eq.U).then(V.target)
+    to_v0 = cone.legs[2].then(eq.U).then(V.target)
     ident = NatTrans.identity(V.level[0])
     for _ in enumerate_nat_trans(V.level[0], cone.apex, over=(ident, to_v0)):
         return True

@@ -15,7 +15,6 @@ from .fincat import (
     FiniteCategory,
     check_bound,
     fin_limit,
-    slot,
     terminal_category,
     validate_category,
 )
@@ -187,14 +186,13 @@ def yoneda(T: Topos, c: Element) -> Presheaf:
 @dataclass
 class PsLimitCone:
     apex: Presheaf
-    legs: dict  # slot(i) -> the projection onto slot i
+    legs: tuple  # legs[i]: the projection onto slot i
     pointwise: dict  # index object -> its LimitCone
 
-    def mediate(self, K: Presheaf, cone: dict) -> NatTrans:
+    def mediate(self, K: Presheaf, maps: list[NatTrans]) -> NatTrans:
+        """As ``LimitCone.mediate``, at every index object."""
         component = {
-            c: self.pointwise[c].mediate(
-                K.at[c], {o: f.component[c] for o, f in cone.items()}
-            )
+            c: self.pointwise[c].mediate(K.at[c], [f.component[c] for f in maps])
             for c in K.topos.index.objects
         }
         return NatTrans(K, self.apex, component)
@@ -227,10 +225,10 @@ def ps_limit(T: Topos, sets: list[Presheaf], links: list) -> PsLimitCone:
             raise InternalCheckError("induced restriction leaves the limit")
         restrict[w] = FinFunction.from_idx(at[dd], at[c], at[c].rank(columns, len(at[dd])))
     apex = Presheaf(T, at, restrict)
-    legs = {
-        slot(i): NatTrans(apex, X, {c: pointwise[c].legs[slot(i)] for c in idx.objects})
+    legs = tuple(
+        NatTrans(apex, X, {c: pointwise[c].legs[i] for c in idx.objects})
         for i, X in enumerate(sets)
-    }
+    )
     return PsLimitCone(apex, legs, pointwise)
 
 
@@ -239,15 +237,10 @@ def ps_product(Xs: list[Presheaf]) -> PsLimitCone:
 
 
 def ps_pullback(f: NatTrans, g: NatTrans) -> PsLimitCone:
-    """Pullback of the cospan f: X -> Z <- Y :g; legs at o0 (X) and o2 (Y)."""
+    """Pullback of the cospan f: X -> Z <- Y :g; legs 0 (X) and 2 (Y)."""
     if f.cod != g.cod:
         raise ValueError("cospan codomain mismatch")
     return ps_limit(f.dom.topos, [f.dom, f.cod, g.dom], [("fix", f), ("preimage", g)])
-
-
-def pairing(prod: PsLimitCone, K: Presheaf, fs: list[NatTrans]) -> NatTrans:
-    """Tuple maps K -> X_i into the product cone."""
-    return prod.mediate(K, dict(zip(prod.legs, fs)))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +267,7 @@ def is_minus1_truncated(X: Presheaf) -> bool:
     """
     via_terminal = is_mono(unique_to_terminal(X))
     prod = ps_product([X, X])
-    diag = pairing(prod, X, [NatTrans.identity(X), NatTrans.identity(X)])
+    diag = prod.mediate(X, [NatTrans.identity(X), NatTrans.identity(X)])
     via_diagonal = is_iso(diag)
     if via_terminal != via_diagonal:
         raise InternalCheckError("(-1)-truncation criteria disagree")
@@ -529,14 +522,7 @@ def classify_mono(m: NatTrans) -> NatTrans:
     if chi.validate():
         raise InternalCheckError("characteristic map is not natural")
     pb = ps_pullback(chi, true_arrow)
-    comparison = pb.mediate(
-        m.dom,
-        {
-            slot(0): m,
-            slot(1): m.then(chi),
-            slot(2): unique_to_terminal(m.dom),
-        },
-    )
+    comparison = pb.mediate(m.dom, [m, unique_to_terminal(m.dom)])
     if not is_iso(comparison):
         raise InternalCheckError("classified subobject does not reproduce the mono")
     return chi
@@ -572,8 +558,8 @@ def pullback_functor(f: NatTrans, x: SliceMap) -> PullbackResult:
         raise ValueError("slice is not over the codomain of f")
     cone = ps_pullback(x.proj, f)
     return PullbackResult(
-        SliceMap(cone.apex, f.dom, cone.legs[slot(2)]),
-        cone.legs[slot(0)],
+        SliceMap(cone.apex, f.dom, cone.legs[2]),
+        cone.legs[0],
         cone,
     )
 

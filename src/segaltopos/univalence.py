@@ -12,7 +12,6 @@ import time
 from dataclasses import dataclass
 
 from .elements import Atom, Fam, FinFunction, FinSet, Tup, pick
-from .fincat import slot as _o
 from .topos import (
     InternalCheckError,
     NatTrans,
@@ -26,7 +25,6 @@ from .topos import (
     finset_topos,
     is_iso,
     is_mono,
-    pairing,
     ps_product,
     ps_pullback,
     slice_exponential,
@@ -64,18 +62,14 @@ def nerve_of_map(p: NatTrans) -> NerveOfMap:
     ee = ps_product([E, E])
     eb = ps_product([E, B])
     bb = ps_product([B, B])
-    proj = pairing(
-        eb, ee.apex, [ee.legs[_o(0)], ee.legs[_o(1)].then(p)]
-    )
-    p_times_id = pairing(
-        bb, eb.apex, [eb.legs[_o(0)].then(p), eb.legs[_o(1)]]
-    )
+    proj = eb.mediate(ee.apex, [ee.legs[0], ee.legs[1].then(p)])
+    p_times_id = bb.mediate(eb.apex, [eb.legs[0].then(p), eb.legs[1]])
     M = dependent_product(p_times_id, SliceMap(ee.apex, eb.apex, proj))
-    s = M.proj.then(bb.legs[_o(0)])
-    t = M.proj.then(bb.legs[_o(1)])
+    s = M.proj.then(bb.legs[0])
+    t = M.proj.then(bb.legs[1])
     e = _identity_section(p, M, bb)
     _verify_identity_section_unique(p, M, bb, e)
-    cone = composable_pairs(T, B, M.total, s, t)
+    cone = composable_pairs(T, B, M.total, s, t, 2)
     m = _fiberwise_composition(p, M, cone)
     try:
         cat = CategoryObject(T, B, M.total, s, t, e, cone, m)
@@ -132,7 +126,7 @@ def _verify_identity_section_unique(p, M, bb, e) -> None:
     E, B = p.dom, p.cod
     T = E.topos
     idx = T.index
-    diag = pairing(bb, B, [NatTrans.identity(B), NatTrans.identity(B)])
+    diag = bb.mediate(B, [NatTrans.identity(B), NatTrans.identity(B)])
     found = []
     for cand in enumerate_nat_trans(B, M.total, over=(diag, M.proj)):
         if _section_transpose(p, cand) == NatTrans.identity(E):
@@ -181,7 +175,7 @@ def _fiberwise_composition(p: NatTrans, M: SliceMap, cone) -> NatTrans:
             stored.append((b2[0], b2[1], tuple([into[(k[0], v[1])] for k, v in fam.entries])))
         position = dict(zip(stored, range(len(stored))))
         out = []
-        for i, j in zip(cone.legs[_o(0)].component[c].idx, cone.legs[_o(2)].component[c].idx):
+        for i, j in zip(cone.legs[0].component[c].idx, cone.legs[2].component[c].idx):
             b, _, first = stored[i]
             _, b_out, second = stored[j]
             k = position.get((b, b_out, pick(second, first)))
@@ -362,10 +356,7 @@ def is_pullback_square(sq: PullbackSquareMorphism) -> bool:
     if sq.p2.then(sq.f_B) != sq.f_E.then(sq.p1):
         return False
     cone = ps_pullback(sq.p1, sq.f_B)
-    comparison = cone.mediate(
-        sq.p2.dom,
-        {_o(0): sq.f_E, _o(1): sq.f_E.then(sq.p1), _o(2): sq.p2},
-    )
+    comparison = cone.mediate(sq.p2.dom, [sq.f_E, sq.p2])
     return is_iso(comparison)
 
 
@@ -419,7 +410,7 @@ def check_universal_mono_univalent(T: Topos) -> UniversalMonoVerdict:
     report = is_univalent(true_arrow, name="true", run_oracle=True)
     nerve = nerve_of_map(true_arrow)
     bb = ps_product([omega, omega])
-    st = pairing(bb, nerve.M.total, [nerve.s, nerve.t])
+    st = bb.mediate(nerve.M.total, [nerve.s, nerve.t])
     return UniversalMonoVerdict(report.univalent, is_mono(st))
 
 
@@ -440,12 +431,8 @@ def check_alternative_construction(p: NatTrans) -> bool:
     bb = ps_product([B, B])
     eb = ps_product([E, B])
     be = ps_product([B, E])
-    g = SliceMap(
-        eb.apex, bb.apex, pairing(bb, eb.apex, [eb.legs[_o(0)].then(p), eb.legs[_o(1)]])
-    )
-    f = SliceMap(
-        be.apex, bb.apex, pairing(bb, be.apex, [be.legs[_o(0)], be.legs[_o(1)].then(p)])
-    )
+    g = SliceMap(eb.apex, bb.apex, bb.mediate(eb.apex, [eb.legs[0].then(p), eb.legs[1]]))
+    f = SliceMap(be.apex, bb.apex, bb.mediate(be.apex, [be.legs[0], be.legs[1].then(p)]))
     alt = slice_exponential(g, f)
     M = nerve_of_map(p).M
     for c in bb.apex.topos.index.objects:

@@ -315,7 +315,7 @@ def decode_workspace(data: dict) -> Workspace:
             raise WorkspaceError(f"{where}: unresolved {exc}") from exc
         if not (s.dom == t.dom == e.cod == C1 and s.cod == t.cod == e.dom == C0):
             raise WorkspaceError(f"{where}: s, t or e has the wrong endpoints")
-        cone = composable_pairs(T, C0, C1, s, t)
+        cone = composable_pairs(T, C0, C1, s, t, 2)
         m = decode_nat_trans(cone.apex, C1, _field(entry, "m", dict, where))
         try:
             C = CategoryObject(T, C0, C1, s, t, e, cone, m)

@@ -323,7 +323,7 @@ def _random_squares(T, p1, rng, count):
         f_B = random_map_to(T, rng, p1.cod, 2)
         cone = ps_pullback(p1, f_B)
         sq = PullbackSquareMorphism(
-            cone.legs[Atom("o2")], p1, cone.legs[Atom("o0")], f_B
+            cone.legs[2], p1, cone.legs[0], f_B
         )
         verdicts.append(check_uni_iff_mono(sq))
     return verdicts

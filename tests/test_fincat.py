@@ -17,7 +17,6 @@ from segaltopos.fincat import (
     group_category,
     monoid_category,
     poset_category,
-    slot,
     terminal_category,
     validate_category,
 )
@@ -80,7 +79,7 @@ class TestFinProduct:
     def test_empty_product_is_terminal(self):
         cone = fin_limit([], [])
         assert list(cone.apex) == [Tup(())]
-        assert cone.legs == {}
+        assert cone.legs == ()
 
     def test_two_by_one(self):
         cone = fin_limit([atoms("a", "b"), atoms("c")], [None])
@@ -92,7 +91,7 @@ class TestFinProduct:
         assert len(cone.apex) == 4
         for i in range(2):
             for e in cone.apex:
-                assert cone.legs[slot(i)](e) == e[i]
+                assert cone.legs[i](e) == e[i]
 
     def test_bound(self):
         with pytest.raises(ResourceBoundError) as exc:
@@ -125,7 +124,7 @@ class TestFinLimit:
         assert len(cone.apex) == 8
 
     def test_six_edge_wide_pullback(self):
-        # 11 slots: the legs run to o10 and the rows stay in slot order
+        # 11 slots, one leg each, and the rows stay in slot order
         E, V = _numbered(2), _numbered(2)
         maps = [
             FinFunction(E, V, {Atom("0"): Atom(str(k % 2)), Atom("1"): Atom(str(k // 2 % 2))})
@@ -133,7 +132,7 @@ class TestFinLimit:
         ]
         sets, links = _zigzag([E] * 6, [V] * 5, maps)
         cone = fin_limit(sets, links)
-        assert list(cone.legs) == [slot(i) for i in range(11)]
+        assert len(cone.legs) == 11
         apex, legs = reference_limit(sets, links)
         assert len(apex) > 0
         assert cone.apex == apex
@@ -163,36 +162,53 @@ class TestFinLimit:
         g = FinFunction(B, X, {Atom("c"): Atom("x"), Atom("d"): Atom("x")})
         cone = fin_limit(*_zigzag([A, B], [X], [f, g]))
         K = atoms("k")
-        legs = {
-            slot(0): FinFunction.constant(K, A, Atom("a")),
-            slot(1): FinFunction.constant(K, X, Atom("x")),
-            slot(2): FinFunction.constant(K, B, Atom("c")),
-        }
-        med = cone.mediate(K, legs)
-        for o, leg in legs.items():
-            assert cone.legs[o].compose(med) == leg
+        # the cone gives the legs onto A and B; the leg onto X is f after the one onto A
+        legs = [
+            FinFunction.constant(K, A, Atom("a")),
+            FinFunction.constant(K, X, Atom("x")),
+            FinFunction.constant(K, B, Atom("c")),
+        ]
+        med = cone.mediate(K, [legs[0], legs[2]])
+        for i, leg in enumerate(legs):
+            assert cone.legs[i].compose(med) == leg
         # uniqueness: no other map into the apex commutes with all legs
         others = [
             v
             for v in cone.apex
-            if all(v[i] == legs[slot(i)](Atom("k")) for i in range(3))
+            if all(v[i] == legs[i](Atom("k")) for i in range(3))
         ]
         assert len(others) == 1
 
+    def test_mediate_takes_one_map_per_unfixed_slot(self):
+        A, B, X = atoms("a", "b"), atoms("c", "d"), atoms("x")
+        to_x = [FinFunction.constant(A, X, Atom("x")), FinFunction.constant(B, X, Atom("x"))]
+        cone = fin_limit(*_zigzag([A, B], [X], to_x))
+        K = atoms("k")
+        a = FinFunction.constant(K, A, Atom("a"))
+        x = FinFunction.constant(K, X, Atom("x"))
+        c = FinFunction.constant(K, B, Atom("c"))
+        assert cone.mediate(K, [a, c])(Atom("k")) == Tup([Atom("a"), Atom("x"), Atom("c")])
+        for maps in ([a], [a, x, c]):
+            with pytest.raises(ValueError, match=rf"^a cone into this limit takes 2 maps, not {len(maps)}$"):
+                cone.mediate(K, maps)
+
     def test_incompatible_cone_names_its_first_bad_element(self):
-        # k1 breaks the second link and k2 the first; k1 is named
-        A, B, X = atoms("a", "b"), atoms("c", "d"), atoms("x", "y")
+        # A ->f X <-g B ->h Y <-k C; the cone gives the legs onto A, B and C.
+        # k1 breaks the link through Y and k2 the one through X; k1 is named
+        A, X, B, Y, C = (atoms(*pair) for pair in ("ab", "xy", "cd", "uv", "pq"))
         f = FinFunction(A, X, {Atom("a"): Atom("x"), Atom("b"): Atom("y")})
         g = FinFunction(B, X, {Atom("c"): Atom("x"), Atom("d"): Atom("y")})
-        cone = fin_limit(*_zigzag([A, B], [X], [f, g]))
+        h = FinFunction(B, Y, {Atom("c"): Atom("u"), Atom("d"): Atom("v")})
+        k = FinFunction(C, Y, {Atom("p"): Atom("u"), Atom("q"): Atom("v")})
+        cone = fin_limit(*_zigzag([A, B, C], [X, Y], [f, g, h, k]))
         K = atoms("k0", "k1", "k2")
-        rows = [("a", "x", "c"), ("a", "x", "d"), ("b", "x", "d")]
-        legs = {
-            slot(i): FinFunction(K, s, {k: Atom(r[i]) for k, r in zip(K, rows)})
-            for i, s in enumerate([A, X, B])
-        }
+        rows = [("a", "c", "p"), ("a", "c", "q"), ("b", "c", "p")]
+        maps = [
+            FinFunction(K, s, {key: Atom(r[i]) for key, r in zip(K, rows)})
+            for i, s in enumerate([A, B, C])
+        ]
         with pytest.raises(ValueError, match=r"^cone is not compatible at Atom\('k1'\)$"):
-            cone.mediate(K, legs)
+            cone.mediate(K, maps)
 
 
 class TestBuilders:
@@ -242,7 +258,7 @@ def reference_limit(sets: list, links: list):
         for t in itertools.product(*(s.elements for s in sets))
         if all(f(t[i]) == t[j] for i, j, f in arrows)
     )
-    legs = {slot(i): FinFunction(apex, s, {e: e[i] for e in apex}) for i, s in enumerate(sets)}
+    legs = tuple(FinFunction(apex, s, {e: e[i] for e in apex}) for i, s in enumerate(sets))
     return apex, legs
 
 
@@ -274,38 +290,53 @@ def product_chains(draw):
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(zigzag_chains(), product_chains()), st.data())
 def test_fin_limit_matches_reference(chain, data):
-    cone = fin_limit(*chain)
-    apex, legs = reference_limit(*chain)
+    sets, links = chain
+    cone = fin_limit(sets, links)
+    apex, legs = reference_limit(sets, links)
+    free = _unfixed_slots(sets, links)
     # the size is counted, before anything lists the tuples
     assert len(cone.apex) == len(apex)
-    # mediating reference tuples ranks them at their reference positions
+    # mediating reference tuples, given by their entries at the unfixed
+    # slots, ranks them at their reference positions, and every leg of
+    # the mediated map, onto a fixed slot too, reads their entries there
     rows = data.draw(st.lists(st.sampled_from(apex.elements), max_size=6)) if len(apex) else []
     dom = _numbered(len(rows))
-    med = cone.mediate(dom, _cone_through(chain[0], dom, rows))
+    med = cone.mediate(dom, _cone_through(sets, free, dom, rows))
     assert med.idx == tuple(apex.index[r] for r in rows)
-    # a cone with one tuple outside the limit is refused at that tuple
+    for leg, want in zip(cone.legs, _cone_through(sets, range(len(sets)), dom, rows)):
+        assert leg.compose(med) == want
+    # a cone whose entries at the unfixed slots match no tuple of the
+    # limit is refused at that element
+    inside = {tuple(r[i] for i in free) for r in apex}
     outside = [
-        t for t in itertools.product(*(s.elements for s in chain[0])) if Tup(t) not in apex.index
+        t
+        for t in itertools.product(*(s.elements for s in sets))
+        if tuple(t[i] for i in free) not in inside
     ]
     if outside:
         at = data.draw(st.integers(0, len(rows)))
         bad_rows = [*rows[:at], data.draw(st.sampled_from(outside)), *rows[at:]]
         bad_dom = _numbered(len(bad_rows))
         with pytest.raises(ValueError, match=rf"^cone is not compatible at {re.escape(repr(bad_dom.elements[at]))}$"):
-            cone.mediate(bad_dom, _cone_through(chain[0], bad_dom, bad_rows))
-    assert cone.mediate(cone.apex, cone.legs) == FinFunction.identity(cone.apex)
+            cone.mediate(bad_dom, _cone_through(sets, free, bad_dom, bad_rows))
+    own_legs = [cone.legs[i] for i in free]
+    assert cone.mediate(cone.apex, own_legs) == FinFunction.identity(cone.apex)
     labels = cone.apex.elements
     assert labels == FinSet(labels).elements
     assert cone.apex == apex
     assert cone.legs == legs
 
 
-def _cone_through(sets, dom, rows) -> dict:
-    """The cone from dom whose k-th element goes to the k-th of rows."""
-    return {
-        slot(i): FinFunction(dom, s, {k: r[i] for k, r in zip(dom, rows)})
-        for i, s in enumerate(sets)
-    }
+def _unfixed_slots(sets, links) -> list:
+    """The slots of a chain that no link fixes."""
+    fixed = {j for j, link in enumerate(links, start=1) if link is not None and link[0] == "fix"}
+    return [j for j in range(len(sets)) if j not in fixed]
+
+
+def _cone_through(sets, slots, dom, rows) -> list:
+    """The maps from dom onto the given slots whose k-th element goes to
+    the entries there of the k-th of rows."""
+    return [FinFunction(dom, sets[i], {k: r[i] for k, r in zip(dom, rows)}) for i in slots]
 
 
 def _restriction_by_labels(sets, apex, w):
@@ -352,7 +383,7 @@ def test_apex_is_freed_without_the_cycle_collector():
         cone = fin_limit(*_zigzag([A, A], [X], [f, f]))
         apex = weakref.ref(cone.apex)
         # list the columns, labels and rank table before letting go
-        assert cone.mediate(cone.apex, cone.legs) == FinFunction.identity(cone.apex)
+        assert cone.mediate(cone.apex, [cone.legs[0], cone.legs[2]]) == FinFunction.identity(cone.apex)
         assert len(cone.apex.index) == 5
         del cone
         assert apex() is None

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from segaltopos.elements import Atom, FinFunction, FinSet, STAR
+from segaltopos.elements import Atom, FinFunction, FinSet, STAR, Tup
 from segaltopos.fincat import ResourceBoundError
 from segaltopos.corpus import (
     coproduct,
@@ -48,7 +48,7 @@ from segaltopos.topos import (
     is_mono,
     terminal,
 )
-from segaltopos.univalence import nerve_of_map
+from segaltopos.univalence import _finset_map, nerve_of_map
 
 STAR_OBJ = Atom("*")
 
@@ -124,6 +124,55 @@ class TestNerveTruncation:
         assert validate_category_object(replace(cat, topos=finset_topos(8))) == []
         with pytest.raises(ResourceBoundError):
             validate_category_object(replace(cat, topos=finset_topos(7)))
+
+
+def _nerve_by_formulas(cat, c):
+    """The faces and degeneracies of the nerve of cat at the index object c,
+    on labels: a two-chain is (f1, x, f2), a three-chain (f1, x1, f2, x2,
+    f3), and m(f1, f2) is "f2 after f1"."""
+    s, t, e = (f.component[c] for f in (cat.s, cat.t, cat.e))
+
+    def m(f1, f2):
+        return cat.m.component[c](Tup((f1, t(f1), f2)))
+
+    face = {
+        (1, 0): t,
+        (1, 1): s,
+        (2, 0): lambda p: p[2],
+        (2, 1): lambda p: m(p[0], p[2]),
+        (2, 2): lambda p: p[0],
+        (3, 0): lambda q: Tup(q[2:]),
+        (3, 1): lambda q: Tup((m(q[0], q[2]), q[3], q[4])),
+        (3, 2): lambda q: Tup((q[0], q[1], m(q[2], q[4]))),
+        (3, 3): lambda q: Tup(q[:3]),
+    }
+    degen = {
+        (0, 0): e,
+        (1, 0): lambda f: Tup((e(s(f)), s(f), f)),
+        (1, 1): lambda f: Tup((f, t(f), e(t(f)))),
+        (2, 0): lambda p: Tup((e(s(p[0])), s(p[0]), *p.items)),
+        (2, 1): lambda p: Tup((p[0], p[1], e(p[1]), p[1], p[2])),
+        (2, 2): lambda p: Tup((*p.items, t(p[2]), e(t(p[2])))),
+    }
+    return face, degen
+
+
+@pytest.mark.parametrize("source", ["c2", "chain2", "walking_iso", "fibers (2,)"])
+def test_nerve_faces_and_degeneracies_follow_their_formulas(source):
+    if source == "fibers (2,)":
+        nerve_of_p = nerve_of_map(_finset_map((2,)))
+        cat, X = nerve_of_p.cat, nerve_of_p.trunc
+    else:
+        _, cat, X = nerve(source)
+    for c in X.topos.index.objects:
+        face, degen = _nerve_by_formulas(cat, c)
+        for maps, formulas in ((X.face, face), (X.degen, degen)):
+            assert maps.keys() == formulas.keys()
+            for key, f in maps.items():
+                g = f.component[c]
+                assert len(g.dom) > 0
+                for chain in g.dom:
+                    assert g(chain) == formulas[key](chain), (key, chain)
 
 
 def _singleton_index_presheaf(T, s):

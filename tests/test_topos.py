@@ -33,7 +33,6 @@ from segaltopos.topos import (
     is_iso,
     is_minus1_truncated,
     is_mono,
-    pairing,
     ps_product,
     ps_pullback,
     pullback_functor,
@@ -93,14 +92,7 @@ class TestPointwiseLimits:
         cone = ps_pullback(f, NatTrans.identity(Y))
         assert cone.apex.total_size() == X.total_size()
         assert is_iso(
-            cone.mediate(
-                X,
-                {
-                    Atom("o0"): NatTrans.identity(X),
-                    Atom("o1"): f,
-                    Atom("o2"): f,
-                },
-            )
+            cone.mediate(X, [NatTrans.identity(X), f])
         )
 
     def test_restrictions_are_induced(self):
@@ -108,7 +100,7 @@ class TestPointwiseLimits:
         X = yoneda(T, STAR_OBJ)
         prod = ps_product([X, X])
         assert prod.apex.validate() == []
-        for leg in prod.legs.values():
+        for leg in prod.legs:
             assert leg.validate() == []
 
     def test_restrictions_over_c2_by_hand(self):
@@ -254,7 +246,7 @@ class TestExponential:
         prod = ps_product([A, F])
         for h in enumerate_nat_trans(prod.apex, G):
             tr = exp_transpose(expo, A, h)
-            paired = pairing(expo.ev_product, prod.apex, [prod.legs[Atom("o0")].then(tr), prod.legs[Atom("o1")]])
+            paired = expo.ev_product.mediate(prod.apex, [prod.legs[0].then(tr), prod.legs[1]])
             assert paired.then(expo.ev) == h
 
 

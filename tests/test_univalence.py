@@ -505,8 +505,8 @@ class TestPullbackSquares:
 
     def _pulled_square(self, p1, f_B):
         cone = ps_pullback(p1, f_B)
-        p2 = cone.legs[Atom("o2")]
-        f_E = cone.legs[Atom("o0")]
+        p2 = cone.legs[2]
+        f_E = cone.legs[0]
         return PullbackSquareMorphism(p2, p1, f_E, f_B)
 
     def test_uni_iff_mono_examples(self):
