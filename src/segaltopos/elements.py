@@ -135,6 +135,10 @@ STAR = Tup(())
 _sort_key = attrgetter("_key")
 
 
+# The most labels the repr of a set or function shows.
+_SHOWN = 3
+
+
 def pick(seq, positions) -> tuple:
     """The tuple (seq[p] for p in positions)."""
     if len(positions) > 1:
@@ -181,7 +185,8 @@ class FinSet:
         return hash(self.elements)
 
     def __repr__(self):
-        return f"FinSet({list(self.elements)!r})"
+        shown = ", ".join(map(repr, self.elements[:_SHOWN]))
+        return f"FinSet({len(self)}: [{shown}{', ...' if len(self) > _SHOWN else ''}])"
 
 
 EMPTY = FinSet(())
@@ -250,7 +255,10 @@ class FinFunction:
         return hash((self.dom, self.cod, self.idx))
 
     def __repr__(self):
-        return f"FinFunction({self.dom!r}, {self.cod!r}, {self.table!r})"
+        # The table only when it is short: for a large domain it would list,
+        # or for a limit build, every label.
+        table = f", {self.table!r}" if len(self.dom) <= _SHOWN else ""
+        return f"FinFunction({self.dom!r} -> {self.cod!r}{table})"
 
     @staticmethod
     def identity(s: FinSet) -> "FinFunction":

@@ -323,6 +323,11 @@ class RowSet(FinSet):
     def __len__(self):
         return self.size
 
+    def __repr__(self):
+        # Counted, so it lists no label.
+        sizes = ", ".join(str(len(f)) for f in self.factors)
+        return f"RowSet({self.size} rows over factors of sizes ({sizes}))"
+
     def __eq__(self, other):
         if self is other:
             return True

@@ -12,9 +12,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .elements import Atom, Element, Fam, FinFunction, STAR, Tup
+from .elements import Atom, Element, FinFunction, STAR, Tup
 from .fincat import FiniteCategory, check_bound
 from .topos import (
+    DependentProduct,
     InternalCheckError,
     NatTrans,
     Presheaf,
@@ -466,13 +467,15 @@ def is_hoequiv_morphism(X: TruncatedSimplicialObject, f: NatTrans, eq=None) -> b
 @dataclass
 class MappingObject:
     obj: Presheaf  # the mapping object itself (over the terminal)
-    pi: SliceMap  # dependent product over the terminal; pi.total == obj
+    pi: DependentProduct  # dependent product over the terminal; pi.total == obj
     pulled: SliceMap  # (x0..xn)^* level[n] over the context D
     cone: PsLimitCone  # the pullback defining pulled
     context: Presheaf
     points: list
     X: TruncatedSimplicialObject
     n: int
+    factors: list  # the n consecutive binary mapping objects, for n >= 2
+    split: NatTrans | None  # obj -> the product of the factors' objects, iso
 
 
 def _pulled_level(X, D, points, n):
@@ -484,17 +487,19 @@ def _pulled_level(X, D, points, n):
     return cone, SliceMap(cone.apex, D, cone.legs[2])
 
 
-def mapping_object(
-    X: TruncatedSimplicialObject, D: Presheaf, points: list, check_binary: bool = True
-) -> MappingObject:
+def mapping_object(X: TruncatedSimplicialObject, D: Presheaf, points: list) -> MappingObject:
+    """map(x0, .., xn) over the context D.  For n >= 2 it comes with its
+    binary factors map(x_k, x_k+1) and the split into them, checked iso."""
     n = len(points) - 1
     if not 1 <= n <= 3:
         raise ValueError("mapping objects take 2..4 points")
     cone, pulled = _pulled_level(X, D, points, n)
     pi = dependent_product(unique_to_terminal(D), pulled)
-    out = MappingObject(pi.total, pi, pulled, cone, D, list(points), X, n)
-    if check_binary and n >= 2:
-        if not is_iso(binary_decomposition(out)):
+    out = MappingObject(pi.total, pi, pulled, cone, D, list(points), X, n, [], None)
+    if n >= 2:
+        out.factors = [mapping_object(X, D, points[k : k + 2]) for k in range(n)]
+        out.split = binary_decomposition(out, out.factors)
+        if not is_iso(out.split):
             raise InternalCheckError("mapping object does not split into binary factors")
     return out
 
@@ -505,58 +510,31 @@ def _edge_slice_map(src: MappingObject, k: int, binary: MappingObject) -> NatTra
     return binary.cone.mediate(src.cone.apex, [edge, src.pulled.proj])
 
 
-def binary_factors(src: MappingObject) -> list[MappingObject]:
-    X, D = src.X, src.context
-    return [
-        mapping_object(X, D, [src.points[k], src.points[k + 1]], check_binary=False)
-        for k in range(src.n)
-    ]
-
-
-def binary_decomposition(src: MappingObject, factors=None):
+def binary_decomposition(src: MappingObject, factors: list) -> NatTrans:
     """The canonical map from an n-ary mapping object to the product of its
     consecutive binary mapping objects."""
-    if factors is None:
-        factors = binary_factors(src)
-    unique = unique_to_terminal(src.context)
-    comps = []
-    for k, b in enumerate(factors):
-        h = _edge_slice_map(src, k, b)
-        comps.append(dependent_product_map(unique, src.pi, b.pi, h))
+    comps = [
+        dependent_product_map(src.pi, b.pi, _edge_slice_map(src, k, b))
+        for k, b in enumerate(factors)
+    ]
     prod = ps_product([b.obj for b in factors])
     return prod.mediate(src.obj, comps)
 
 
-def section_element(pi: SliceMap, f: NatTrans, sigma: NatTrans, c: Element) -> Element:
-    """The element of the dependent product of sigma: a section of the
-    slice (total over f.dom) — specialised to f = D -> terminal."""
-    D = f.dom
-    idx = D.topos.index
-    entries = []
-    for d in idx.objects:
-        for u in idx.morphisms:
-            if idx.src(u) != d or idx.tgt(u) != c:
-                continue
-            for a in D.at[d]:
-                entries.append((Tup((u, a)), sigma.component[d](a)))
-    out = Tup((STAR, Fam(entries)))
-    if out not in pi.total.at[c]:
-        raise InternalCheckError("section does not define a product element")
-    return out
-
-
 def identity_morphism(X: TruncatedSimplicialObject, D: Presheaf, x: NatTrans) -> NatTrans:
-    """The global element of map(x, x) given by the degeneracy at x."""
+    """The global element of map(x, x) given by the degeneracy at x: the
+    section sending each key (u: d -> c, a in D(d)) to sigma(a)."""
     mp = mapping_object(X, D, [x, x])
     sigma = mp.cone.mediate(D, [x.then(X.degen[(0, 0)]), NatTrans.identity(D)])
+    idx = X.topos.index
     one = terminal(X.topos)
     component = {
         c: FinFunction.constant(
             one.at[c],
             mp.obj.at[c],
-            section_element(mp.pi, unique_to_terminal(D), sigma, c),
+            mp.pi.section(c, STAR, lambda k: sigma.component[idx.src(k[0])](k[1])),
         )
-        for c in X.topos.index.objects
+        for c in idx.objects
     }
     return NatTrans(one, mp.obj, component)
 
@@ -567,29 +545,19 @@ class CompositionData:
     map_yz: MappingObject
     map_xz: MappingObject
     ternary: MappingObject
-    split: NatTrans  # ternary.obj -> map_xy.obj x map_yz.obj, iso
-    split_inverse: NatTrans
+    split_inverse: NatTrans  # of ternary.split
     to_xz: NatTrans  # ternary.obj -> map_xz.obj, via the inner face
-    prod: PsLimitCone
 
 
 def composition_data(X, D, x, y, z) -> CompositionData:
-    ternary = mapping_object(X, D, [x, y, z], check_binary=False)
-    map_xy = mapping_object(X, D, [x, y])
-    map_yz = mapping_object(X, D, [y, z])
+    ternary = mapping_object(X, D, [x, y, z])
+    map_xy, map_yz = ternary.factors
     map_xz = mapping_object(X, D, [x, z])
-    split = binary_decomposition(ternary, [map_xy, map_yz])
-    if not is_iso(split):
-        raise InternalCheckError("two-chain comparison is not invertible")
-    prod = ps_product([map_xy.obj, map_yz.obj])
     # the inner face sends a two-chain to its composite one-chain
     inner = ternary.cone.legs[0].then(X.face[(2, 1)])
     h = map_xz.cone.mediate(ternary.cone.apex, [inner, ternary.pulled.proj])
-    unique = unique_to_terminal(D)
-    to_xz = dependent_product_map(unique, ternary.pi, map_xz.pi, h)
-    return CompositionData(
-        map_xy, map_yz, map_xz, ternary, split, nat_inverse(split), to_xz, prod
-    )
+    to_xz = dependent_product_map(ternary.pi, map_xz.pi, h)
+    return CompositionData(map_xy, map_yz, map_xz, ternary, nat_inverse(ternary.split), to_xz)
 
 
 def compose(data: CompositionData, c: Element, f: Element, g: Element) -> Element:
@@ -610,11 +578,10 @@ def hoequiv_object(X, D, x, y, eq=None):
     pts = prod2.mediate(D, [x, y])
     cone = ps_pullback(st, pts)
     pulled = SliceMap(cone.apex, D, cone.legs[2])
-    unique = unique_to_terminal(D)
-    pi = dependent_product(unique, pulled)
+    pi = dependent_product(unique_to_terminal(D), pulled)
     mp = mapping_object(X, D, [x, y])
     h = mp.cone.mediate(cone.apex, [cone.legs[0].then(eq.U), pulled.proj])
-    comparison = dependent_product_map(unique, pi, mp.pi, h)
+    comparison = dependent_product_map(pi, mp.pi, h)
     if not is_mono(comparison):
         raise InternalCheckError("equivalence object does not embed into the mapping object")
     return pi.total, comparison

@@ -80,6 +80,10 @@ class Presheaf:
             and self.restrict == other.restrict
         )
 
+    def __repr__(self):
+        # Sizes only: the sets may be large limits whose labels are unbuilt.
+        return f"Presheaf(sizes {({c: len(s) for c, s in self.at.items()})!r})"
+
     def total_size(self) -> int:
         return sum(len(s) for s in self.at.values())
 
@@ -121,6 +125,9 @@ class NatTrans:
             and self.cod == other.cod
             and self.component == other.component
         )
+
+    def __repr__(self):
+        return f"NatTrans({self.dom!r} -> {self.cod!r})"
 
     def then(self, other: "NatTrans") -> "NatTrans":
         """other after self."""
@@ -354,93 +361,6 @@ def global_elements(X: Presheaf) -> list[NatTrans]:
 
 
 # ---------------------------------------------------------------------------
-# exponentials
-
-
-@dataclass
-class ExponentialObject:
-    obj: Presheaf
-    base: Presheaf  # F in G^F
-    target: Presheaf  # G
-    ev_product: PsLimitCone  # product of obj and base
-    ev: NatTrans  # ev_product.apex -> target
-
-
-def exponential(T: Topos, F: Presheaf, G: Presheaf) -> ExponentialObject:
-    """Internal hom G^F computed by the Yoneda formula: the value at c is
-    the set of natural families from y(c) x F to G, flattened into Fam
-    terms keyed by (u, x)."""
-    idx = T.index
-    at = {}
-    for c in idx.objects:
-        yc = yoneda(T, c)
-        prod = ps_product([yc, F])
-        fams = []
-        for t in enumerate_nat_trans(prod.apex, G, limit=T.bound):
-            entries = []
-            for d in idx.objects:
-                for e in prod.apex.at[d]:
-                    entries.append((e, t.component[d](e)))
-            fams.append(Fam(entries))
-        check_bound(len(fams), T.bound, "exponential")
-        at[c] = FinSet(fams)
-    restrict = {}
-    for w in idx.morphisms:
-        c1, c2 = idx.src(w), idx.tgt(w)  # w: c1 -> c2
-        table = {}
-        for fam in at[c2]:
-            entries = []
-            for d in idx.objects:
-                for u in idx.morphisms:
-                    if idx.src(u) != d or idx.tgt(u) != c1:
-                        continue
-                    wu = idx.comp[(w, u)]
-                    for x in F.at[d]:
-                        key = Tup((u, x))
-                        entries.append((key, fam.get(Tup((wu, x)))))
-            table[fam] = Fam(entries)
-        restrict[w] = FinFunction(at[c2], at[c1], table)
-    obj = Presheaf(T, at, restrict)
-    prod = ps_product([obj, F])
-    ev_component = {}
-    for c in idx.objects:
-        idc = idx.id_of(c)
-        table = {}
-        for e in prod.apex.at[c]:
-            fam, x = e[0], e[1]
-            table[e] = fam.get(Tup((idc, x)))
-        ev_component[c] = FinFunction(prod.apex.at[c], G.at[c], table)
-    ev = NatTrans(prod.apex, G, ev_component)
-    if ev.validate():
-        raise InternalCheckError("evaluation map is not natural")
-    return ExponentialObject(obj, F, G, prod, ev)
-
-
-def exp_transpose(expo: ExponentialObject, A: Presheaf, h: NatTrans) -> NatTrans:
-    """Transpose A x F -> G to A -> G^F; h.dom must be ps_product([A, F]).apex."""
-    T = A.topos
-    idx = T.index
-    component = {}
-    for c in idx.objects:
-        table = {}
-        for a in A.at[c]:
-            entries = []
-            for d in idx.objects:
-                for u in idx.morphisms:
-                    if idx.src(u) != d or idx.tgt(u) != c:
-                        continue
-                    ad = A.restrict[u](a)
-                    for x in expo.base.at[d]:
-                        entries.append((Tup((u, x)), h.component[d](Tup((ad, x)))))
-            fam = Fam(entries)
-            if fam not in expo.obj.at[c]:
-                raise InternalCheckError("transpose left the exponential")
-            table[a] = fam
-        component[c] = FinFunction(A.at[c], expo.obj.at[c], table)
-    return NatTrans(A, expo.obj, component)
-
-
-# ---------------------------------------------------------------------------
 # subobject classifier
 
 
@@ -596,15 +516,34 @@ def comma_presheaf(f: NatTrans, c: Element, b: Element) -> tuple[Presheaf, NatTr
     return L, pr
 
 
-def _section_family(T: Topos, L: Presheaf, t: NatTrans) -> Fam:
-    entries = []
-    for d in T.index.objects:
-        for k in L.at[d]:
-            entries.append((k, t.component[d](k)))
-    return Fam(entries)
+@dataclass
+class DependentProduct(SliceMap):
+    """Pi_f x, a slice over f.cod.  Its element over b at c is a section of x
+    over the fan of b at c (``comma_presheaf``), labelled Tup((b, Fam)): the
+    family sends each key (u: d -> c, a) of the fan to a point of x.total(d)
+    over a.  Only this class and ``dependent_product`` build or read these
+    labels."""
+
+    fans: dict  # (c, b) -> the keys of the fan of b at c, in entry order
+
+    def keys(self, c: Element, b: Element) -> tuple:
+        return self.fans[(c, b)]
+
+    def section(self, c: Element, b: Element, value) -> Element:
+        """The element over b at c whose family sends each key k to
+        value(k); it must be a natural section."""
+        e = Tup((b, Fam((k, value(k)) for k in self.fans[(c, b)])))
+        if e not in self.total.at[c]:
+            raise InternalCheckError(f"section over {b!r} at {c!r} is not in the dependent product")
+        return e
+
+    @staticmethod
+    def value(e: Element, key: Element) -> Element:
+        """The entry of the element e at one key of its fan."""
+        return e[1].get(key)
 
 
-def dependent_product(f: NatTrans, x: SliceMap) -> SliceMap:
+def dependent_product(f: NatTrans, x: SliceMap) -> DependentProduct:
     """Right adjoint to base change along f, computed by enumerating natural
     section families over the fan of generalized elements."""
     if x.base != f.dom:
@@ -612,70 +551,107 @@ def dependent_product(f: NatTrans, x: SliceMap) -> SliceMap:
     T = f.dom.topos
     idx = T.index
     B = f.cod
-    at = {}
-    commas = {}
+    at, fans = {}, {}
     for c in idx.objects:
         elems = []
         for b in B.at[c]:
             L, pr = comma_presheaf(f, c, b)
-            commas[(c, b)] = (L, pr)
+            fans[(c, b)] = FinSet(k for d in idx.objects for k in L.at[d]).elements
             for t in enumerate_nat_trans(L, x.total, over=(pr, x.proj), limit=T.bound):
-                elems.append(Tup((b, _section_family(T, L, t))))
+                fam = Fam((k, t.component[d](k)) for d in idx.objects for k in L.at[d])
+                elems.append(Tup((b, fam)))
         check_bound(len(elems), T.bound, "dependent_product")
         at[c] = FinSet(elems)
-    restrict = {}
-    for w in idx.morphisms:
-        c1, c2 = idx.src(w), idx.tgt(w)
-        table = {}
-        for e in at[c2]:
-            b, fam = e[0], e[1]
-            b1 = B.restrict[w](b)
-            L1, _ = commas[(c1, b1)]
-            entries = []
-            for d in idx.objects:
-                for k in L1.at[d]:
-                    entries.append((k, fam.get(Tup((idx.comp[(w, k[0])], k[1])))))
-            val = Tup((b1, Fam(entries)))
-            if val not in at[c1]:
-                raise InternalCheckError("section restriction left the dependent product")
-            table[e] = val
-        restrict[w] = FinFunction(at[c2], at[c1], table)
-    total = Presheaf(T, at, restrict)
+    total = Presheaf(T, at, {})
     proj = NatTrans(
         total,
         B,
         {c: FinFunction(at[c], B.at[c], {e: e[0] for e in at[c]}) for c in idx.objects},
     )
-    return SliceMap(total, B, proj)
+    pi = DependentProduct(total, B, proj, fans)
+    # A section restricts along w: c1 -> c2 by precomposing its keys with w.
+    for w in idx.morphisms:
+        c1, c2 = idx.src(w), idx.tgt(w)
+        table = {
+            e: pi.section(
+                c1,
+                B.restrict[w](e[0]),
+                lambda k: pi.value(e, Tup((idx.comp[(w, k[0])], k[1]))),
+            )
+            for e in at[c2]
+        }
+        total.restrict[w] = FinFunction(at[c2], at[c1], table)
+    return pi
 
 
-def dependent_product_map(
-    f: NatTrans, pix: SliceMap, piy: SliceMap, h: NatTrans
-) -> NatTrans:
-    """Functorial action of the dependent product along f on a slice
-    morphism h over f.dom; pix and piy are the computed products of its
-    domain and codomain slices."""
-    T = f.dom.topos
-    idx = T.index
+def dependent_product_map(pix: DependentProduct, piy: DependentProduct, h: NatTrans) -> NatTrans:
+    """Functorial action of a dependent product on a slice morphism h;
+    pix and piy are the products, along one map, of its domain and
+    codomain slices."""
+    idx = h.dom.topos.index
     component = {}
     for c in idx.objects:
-        table = {}
-        for e in pix.total.at[c]:
-            b, fam = e[0], e[1]
-            entries = [
-                (k, h.component[idx.src(k[0])](v)) for k, v in fam.entries
-            ]
-            val = Tup((b, Fam(entries)))
-            if val not in piy.total.at[c]:
-                raise InternalCheckError("mapped section left the dependent product")
-            table[e] = val
+        table = {
+            e: piy.section(c, b, lambda k: h.component[idx.src(k[0])](pix.value(e, k)))
+            for e, b in pix.proj.component[c].table.items()
+        }
         component[c] = FinFunction(pix.total.at[c], piy.total.at[c], table)
     return NatTrans(pix.total, piy.total, component)
 
 
-def slice_exponential(g: SliceMap, f: SliceMap) -> SliceMap:
+def slice_exponential(g: SliceMap, f: SliceMap) -> DependentProduct:
     """Internal hom in the slice over the common base: Pi_g of g* f."""
     if g.base != f.base:
         raise ValueError("slices are not over the same base")
     pulled = pullback_functor(g.proj, f)
     return dependent_product(g.proj, pulled.slice)
+
+
+# ---------------------------------------------------------------------------
+# exponentials
+
+
+@dataclass
+class ExponentialObject:
+    obj: Presheaf  # G^F
+    pi: DependentProduct  # G^F as a slice over the terminal; pi.total == obj
+    ev_product: PsLimitCone  # product of G^F and F
+    ev: NatTrans  # ev_product.apex -> G
+
+
+def exponential(T: Topos, F: Presheaf, G: Presheaf) -> ExponentialObject:
+    """Internal hom G^F: the dependent product of F x G -> F along F -> 1.
+    At c it sends each key (u: d -> c, x in F(d)) to a point (x, g) of
+    F x G; evaluation reads g at (id_c, x)."""
+    idx = T.index
+    FG = ps_product([F, G])
+    pi = dependent_product(unique_to_terminal(F), SliceMap(FG.apex, F, FG.legs[0]))
+    prod = ps_product([pi.total, F])
+    ev_component = {}
+    for c in idx.objects:
+        idc, to_G = idx.id_of(c), FG.legs[1].component[c]
+        table = {e: to_G(pi.value(e[0], Tup((idc, e[1])))) for e in prod.apex.at[c]}
+        ev_component[c] = FinFunction(prod.apex.at[c], G.at[c], table)
+    ev = NatTrans(prod.apex, G, ev_component)
+    if ev.validate():
+        raise InternalCheckError("evaluation map is not natural")
+    return ExponentialObject(pi.total, pi, prod, ev)
+
+
+def exp_transpose(expo: ExponentialObject, A: Presheaf, h: NatTrans) -> NatTrans:
+    """Transpose A x F -> G to A -> G^F; h.dom must be ps_product([A, F]).apex.
+    The transpose of a sends the key (u, x) to (x, h(A(u)(a), x))."""
+    idx = A.topos.index
+    pi = expo.pi
+    component = {}
+    for c in idx.objects:
+        table = {
+            a: pi.section(
+                c,
+                STAR,
+                lambda k: Tup((k[1], h.component[idx.src(k[0])](Tup((A.restrict[k[0]](a), k[1]))))),
+            )
+            for a in A.at[c]
+        }
+        component[c] = FinFunction(A.at[c], pi.total.at[c], table)
+    return NatTrans(A, pi.total, component)

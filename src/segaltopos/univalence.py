@@ -11,8 +11,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .elements import Atom, Fam, FinFunction, FinSet, Tup, pick
+from .elements import Atom, FinFunction, FinSet, Tup, pick
 from .topos import (
+    DependentProduct,
     InternalCheckError,
     NatTrans,
     Presheaf,
@@ -67,7 +68,7 @@ def nerve_of_map(p: NatTrans) -> NerveOfMap:
     M = dependent_product(p_times_id, SliceMap(ee.apex, eb.apex, proj))
     s = M.proj.then(bb.legs[0])
     t = M.proj.then(bb.legs[1])
-    e = _identity_section(p, M, bb)
+    e = _identity_section(p, M)
     _verify_identity_section_unique(p, M, bb, e)
     cone = composable_pairs(T, B, M.total, s, t, 2)
     m = _fiberwise_composition(p, M, cone)
@@ -83,39 +84,14 @@ def nerve_of_map(p: NatTrans) -> NerveOfMap:
     return NerveOfMap(p, M, s, t, e, cat, trunc)
 
 
-def _section_keys(p: NatTrans, c, b2):
-    """All dependent-product keys (u: d -> c, (e0, b') in (E x B)(d)) lying
-    over b2 in (B x B)(c)."""
-    E, B = p.dom, p.cod
-    idx = E.topos.index
-    for u in idx.morphisms:
-        if idx.tgt(u) != c:
-            continue
-        d = idx.src(u)
-        b0 = B.restrict[u](b2[0])
-        b1 = B.restrict[u](b2[1])
-        for e0 in E.at[d]:
-            if p.component[d](e0) == b0:
-                yield u, e0, b1
-
-
-def _identity_section(p: NatTrans, M: SliceMap, bb) -> NatTrans:
+def _identity_section(p: NatTrans, M: DependentProduct) -> NatTrans:
     """The unit B -> M: over (b, b), the family sending every fiber element
-    to itself."""
+    to itself, that is each key (u, (e0, b')) to (e0, e0)."""
     E, B = p.dom, p.cod
     idx = E.topos.index
     component = {}
     for c in idx.objects:
-        table = {}
-        for b in B.at[c]:
-            b2 = Tup((b, b))
-            entries = []
-            for u, e0, b1 in _section_keys(p, c, b2):
-                entries.append((Tup((u, Tup((e0, b1)))), Tup((e0, e0))))
-            val = Tup((b2, Fam(entries)))
-            if val not in M.total.at[c]:
-                raise InternalCheckError("identity family is not a product element")
-            table[b] = val
+        table = {b: M.section(c, Tup((b, b)), lambda k: Tup((k[1][0], k[1][0]))) for b in B.at[c]}
         component[c] = FinFunction(B.at[c], M.total.at[c], table)
     return NatTrans(B, M.total, component)
 
@@ -124,55 +100,53 @@ def _verify_identity_section_unique(p, M, bb, e) -> None:
     """The unit is the only section over the diagonal whose induced
     endomorphism of E is the identity."""
     E, B = p.dom, p.cod
-    T = E.topos
-    idx = T.index
     diag = bb.mediate(B, [NatTrans.identity(B), NatTrans.identity(B)])
     found = []
     for cand in enumerate_nat_trans(B, M.total, over=(diag, M.proj)):
-        if _section_transpose(p, cand) == NatTrans.identity(E):
+        if _section_transpose(p, M, cand) == NatTrans.identity(E):
             found.append(cand)
     if len(found) != 1 or found[0] != e:
         raise InternalCheckError("identity section is not unique")
 
 
-def _section_transpose(p: NatTrans, h: NatTrans) -> NatTrans:
-    """Endomorphism of E induced by a section h: B -> M over the diagonal."""
-    E, B = p.dom, p.cod
+def _section_transpose(p: NatTrans, M: DependentProduct, h: NatTrans) -> NatTrans:
+    """Endomorphism of E induced by a section h: B -> M over the diagonal:
+    a goes to the second entry of h(p(a)) at the key (id, (a, p(a)))."""
+    E = p.dom
     idx = E.topos.index
     component = {}
     for c in idx.objects:
         table = {}
         for a in E.at[c]:
-            fam = h.component[c](p.component[c](a))[1]
-            v = fam.get(Tup((idx.id_of(c), Tup((a, p.component[c](a))))))
-            table[a] = v[1]
+            b = p.component[c](a)
+            table[a] = M.value(h.component[c](b), Tup((idx.id_of(c), Tup((a, b)))))[1]
         component[c] = FinFunction(E.at[c], E.at[c], table)
     return NatTrans(E, E, component)
 
 
-def _fiberwise_composition(p: NatTrans, M: SliceMap, cone) -> NatTrans:
+def _fiberwise_composition(p: NatTrans, M: DependentProduct, cone) -> NatTrans:
     """m on composable pairs of fiberwise maps, by position.
 
     The keys of a family over (b, b') at c are the pairs (u: d -> c, e0)
-    with e0 in E(d) over B(u)(b): they depend on the source b only, and
-    the family lists them in that order.  A family is stored as the tuple
-    that sends the position of each key (u, e0) among the keys of b to the
-    position among the keys of b' of (u, e1), e1 being its value there.
-    The composite of a pair is then a gather, looked up by its endpoints
-    and that tuple."""
-    E, B = p.dom, p.cod
+    with e0 in E(d) over B(u)(b), each with B(u)(b'): as pairs (u, e0) they
+    and their order depend on the source b only.  A family is stored as the
+    tuple that sends the position of each key (u, e0) among the keys of b
+    to the position among the keys of b' of (u, e1), e1 being its value
+    there.  The composite of a pair is then a gather, looked up by its
+    endpoints and that tuple."""
     component = {}
-    for c in E.topos.index.objects:
-        where = {}  # b -> the position of each key of b
-        for b in B.at[c]:
-            keys = [(u, e0) for u, e0, _ in _section_keys(p, c, (b, b))]
-            where[b] = dict(zip(keys, range(len(keys))))
+    for c in p.dom.topos.index.objects:
+        # b -> the position of each key (u, e0) of b, read off any (b, b')
+        where = {
+            b2[0]: {(k[0], k[1][0]): i for i, k in enumerate(M.keys(c, b2))}
+            for b2 in M.base.at[c]
+        }
         families = M.total.at[c]
         stored = []  # position in families -> (source, target, tuple)
-        for f in families:
-            b2, fam = f[0], f[1]
+        for f, b2 in M.proj.component[c].table.items():
             into = where[b2[1]]
-            stored.append((b2[0], b2[1], tuple([into[(k[0], v[1])] for k, v in fam.entries])))
+            values = tuple([into[(k[0], M.value(f, k)[1])] for k in M.keys(c, b2)])
+            stored.append((b2[0], b2[1], values))
         position = dict(zip(stored, range(len(stored))))
         out = []
         for i, j in zip(cone.legs[0].component[c].idx, cone.legs[2].component[c].idx):

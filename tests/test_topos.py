@@ -250,6 +250,52 @@ class TestExponential:
             assert paired.then(expo.ev) == h
 
 
+def _representables_and_a_sum(T):
+    """The representables of T and the coproduct of the first and the last."""
+    ys = [yoneda(T, c) for c in T.index.objects]
+    return ys + [coproduct([ys[0], ys[-1]])[0]]
+
+
+@pytest.mark.parametrize("topos", [c2_topos, sierpinski_topos])
+class TestExponentialOverAnIndex:
+    """G^F is computed as a dependent product; these checks count maps with
+    enumerate_nat_trans alone."""
+
+    def test_stage_is_hom_out_of_representable_times_base(self, topos):
+        # the Yoneda formula: G^F(c) = Hom(y(c) x F, G)
+        T = topos()
+        presheaves = _representables_and_a_sum(T)
+        for F in presheaves:
+            for G in presheaves:
+                expo = exponential(T, F, G)
+                for c in T.index.objects:
+                    yc_F = ps_product([yoneda(T, c), F]).apex
+                    assert len(expo.obj.at[c]) == hom_count(yc_F, G)
+
+    def _triples(self, T):
+        presheaves = _representables_and_a_sum(T)
+        first, last = presheaves[0], presheaves[-1]
+        for A in presheaves:
+            for F, G in ((first, last), (last, first)):
+                yield A, F, G
+
+    def test_adjunction_count(self, topos):
+        T = topos()
+        for A, F, G in self._triples(T):
+            expo = exponential(T, F, G)
+            assert hom_count(ps_product([A, F]).apex, G) == hom_count(A, expo.obj)
+
+    def test_transpose_round_trip(self, topos):
+        T = topos()
+        for A, F, G in self._triples(T):
+            expo = exponential(T, F, G)
+            prod = ps_product([A, F])
+            for h in enumerate_nat_trans(prod.apex, G):
+                tr = exp_transpose(expo, A, h)
+                paired = expo.ev_product.mediate(prod.apex, [prod.legs[0].then(tr), prod.legs[1]])
+                assert paired.then(expo.ev) == h
+
+
 class TestSubobjectClassifier:
     def test_finset_omega_two_values(self):
         omega, true_arrow = subobject_classifier(finset_topos())

@@ -103,6 +103,24 @@ class TestNerveOfMap:
         assert 0 < calls["Tup"] < 19683
         assert calls["composing"] == 0
 
+    def test_repr_is_short_and_builds_no_labels(self, monkeypatch):
+        # A failing test's report reprs the objects in its frames; a repr
+        # that listed X3(*) here would build 19 683 labels.
+        trunc = nerve_of_map(_finset_map((3,))).trunc
+        calls = {"Tup": 0}
+        original = Tup.__new__
+
+        def counting(cls_, *args):
+            calls["Tup"] += 1
+            return original(cls_, *args)
+
+        monkeypatch.setattr(Tup, "__new__", counting)
+        text = repr(trunc)
+        monkeypatch.undo()
+        assert trunc.level[3].total_size() == 19683
+        assert len(text) < 5000
+        assert calls["Tup"] == 0
+
     def test_verdict_ranks_into_the_large_cones_without_listing_them(self, monkeypatch):
         # Z(3) and the Segal spine cones are only mediated into, so their
         # tuples are ranked, never listed.  Of the Eq pullback only the X1
@@ -175,11 +193,16 @@ def label_chase_composition(p: NatTrans, M, cone) -> NatTrans:
             (b, mid), fam1 = pair[0][0], pair[0][1]
             (_, b_out), fam2 = pair[2][0], pair[2][1]
             entries = []
-            for u, e0, b1 in univalence._section_keys(p, c, (b, b_out)):
-                mid_u = B.restrict[u](mid)
-                e_mid = fam1.get(Tup((u, Tup((e0, mid_u)))))[1]
-                e_out = fam2.get(Tup((u, Tup((e_mid, b1)))))[1]
-                entries.append((Tup((u, Tup((e0, b1)))), Tup((e0, e_out))))
+            for u in idx.morphisms_into(c):
+                d = idx.src(u)
+                b0, b1 = B.restrict[u](b), B.restrict[u](b_out)
+                for e0 in E.at[d]:
+                    if p.component[d](e0) != b0:
+                        continue
+                    mid_u = B.restrict[u](mid)
+                    e_mid = fam1.get(Tup((u, Tup((e0, mid_u)))))[1]
+                    e_out = fam2.get(Tup((u, Tup((e_mid, b1)))))[1]
+                    entries.append((Tup((u, Tup((e0, b1)))), Tup((e0, e_out))))
             out.append(families.index[Tup((Tup((b, b_out)), Fam(entries)))])
         component[c] = FinFunction.from_idx(cone.apex.at[c], families, tuple(out))
     return NatTrans(cone.apex, M.total, component)
@@ -213,6 +236,39 @@ class TestFiberwiseComposition:
         except ResourceBoundError:
             # two free C2-sets over one point have 16 777 216 composable
             # triples, past the default bound
+            reject()
+
+
+def _keys_are_entry_order(p: NatTrans) -> None:
+    """M.keys lists the keys of every family over b in its entry order, and
+    section reads back through value."""
+    M = nerve_of_map(p).M
+    for c in p.dom.topos.index.objects:
+        for e, b in M.proj.component[c].table.items():
+            entries = dict(e[1].entries)
+            assert list(M.keys(c, b)) == list(entries)
+            assert M.section(c, b, entries.__getitem__) is e
+            assert all(M.value(e, k) is v for k, v in entries.items())
+
+
+class TestSectionKeys:
+    """_fiberwise_composition relies on M.keys(c, b) being in entry order."""
+
+    def test_finset_map(self):
+        _keys_are_entry_order(_finset_map((3,)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from([c2_topos, sierpinski_topos]), st.integers(0, 10**6))
+    def test_random_maps(self, topos, seed):
+        T, rng = topos(), random.Random(seed)
+        B = random_coproduct_presheaf(T, rng, 2)[0]
+        if B.total_size() == 0:
+            B = terminal(T)
+        p = random_map_to(T, rng, B, 2)
+        try:
+            _keys_are_entry_order(p)
+        except ResourceBoundError:
+            # as in TestFiberwiseComposition.test_random_maps
             reject()
 
 
