@@ -12,7 +12,6 @@ import sys
 from importlib import resources
 
 from .fincat import ResourceBoundError
-from .bundles import bundle_names
 from .segal import (
     hoequiv,
     is_complete,
@@ -35,10 +34,19 @@ class CliError(Exception):
     pass
 
 
+def _bundled():
+    return resources.files("segaltopos").joinpath("data")
+
+
+def bundle_names() -> list[str]:
+    """The bundled workspaces, one per ``data/<name>.json``: the CLI reads
+    them as files and never imports the builders that wrote them."""
+    return sorted(p.name.removesuffix(".json") for p in _bundled().iterdir() if p.name.endswith(".json"))
+
+
 def _load_workspace(arg: str, bound: int | None) -> Workspace:
     if arg in bundle_names():
-        ref = resources.files("segaltopos").joinpath("data", f"{arg}.json")
-        data = json.loads(ref.read_text())
+        data = json.loads(_bundled().joinpath(f"{arg}.json").read_text())
     else:
         try:
             with open(arg) as fh:

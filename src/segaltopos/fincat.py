@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import add
 
 from .elements import STAR, Atom, Element, FinFunction, FinSet, Tup, pick
@@ -27,20 +26,60 @@ def check_bound(size: int, bound: int, stage: str):
         raise ResourceBoundError(size, bound, stage)
 
 
-@dataclass(frozen=True)
-class FiniteCategory:
+class FrozenRecord:
+    """Base of the immutable records: ``__init__`` sets each attribute once
+    through ``object.__setattr__``, and nothing may set or delete one after."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class FiniteCategory(FrozenRecord):
     """A category given by explicit object/morphism tables.
 
     comp maps (g, f) to g∘f and is defined exactly on composable pairs
-    (tgt(f) = src(g)); validation is a separate pass.
+    (tgt(f) = src(g)); validation is a separate pass.  Two categories are
+    equal when their tables other than comp are.
     """
 
-    objects: FinSet
-    morphisms: FinSet
-    src: FinFunction
-    tgt: FinFunction
-    identity: FinFunction
-    comp: dict = field(compare=False)
+    __slots__ = ("objects", "morphisms", "src", "tgt", "identity", "comp")
+
+    def __init__(
+        self,
+        objects: FinSet,
+        morphisms: FinSet,
+        src: FinFunction,
+        tgt: FinFunction,
+        identity: FinFunction,
+        comp: dict,
+    ):
+        setter = object.__setattr__
+        setter(self, "objects", objects)
+        setter(self, "morphisms", morphisms)
+        setter(self, "src", src)
+        setter(self, "tgt", tgt)
+        setter(self, "identity", identity)
+        setter(self, "comp", comp)
+
+    def _key(self) -> tuple:
+        return (self.objects, self.morphisms, self.src, self.tgt, self.identity)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def id_of(self, x: Element) -> Element:
         return self.identity(x)
@@ -184,15 +223,15 @@ class RowSet(FinSet):
 
     Building it only counts: ``counts[j][x]`` is the number of ways to
     complete a tuple from entry x at slot j on.  The size, the position of
-    a tuple (the sum over its slots of ``offsets[j][entry]``) and the
-    columns follow from the counts.  The column of slot j, which lists the
-    slot-j entries of all tuples in order, is built the first time it is
-    asked for, as are the labels and their index.
+    a tuple (the sum over its slots of ``offsets(j, ...)`` at its entries)
+    and the columns follow from the counts.  The column of slot j, which
+    lists the slot-j entries of all tuples in order, is built the first
+    time it is asked for, as are the labels and their index.
     """
 
     __slots__ = (
-        "factors", "links", "counts", "size", "offsets", "positions",
-        "_prefixes", "_columns", "__weakref__",
+        "factors", "links", "counts", "size", "positions",
+        "_offsets", "_prefixes", "_columns", "__weakref__",
     )
 
     def __init__(self, factors: tuple, links: list):
@@ -216,6 +255,7 @@ class RowSet(FinSet):
                 counts[j - 1] = ways
         self.counts = counts
         self.size = sum(counts[0]) if n else 1
+        self._offsets = [None] * n
         self._prefixes = [range(len(factors[0]))] if n else []
         self._columns = [None] * n
 
@@ -231,9 +271,6 @@ class RowSet(FinSet):
         if name == "index":
             self.index = dict(zip(self.elements, range(self.size)))
             return self.index
-        if name == "offsets":
-            self.offsets = [self._offsets(j) for j in range(len(self.factors))]
-            return self.offsets
         if name == "positions":
             # rank returns these int objects rather than fresh sums, so that
             # the maps into the set share them.
@@ -241,23 +278,35 @@ class RowSet(FinSet):
             return self.positions
         raise AttributeError(name)
 
-    def _offsets(self, j: int):
-        """offsets[j][x]: how many tuples agree with one whose slot-j entry
-        is x before slot j and have a smaller entry there; None when that
-        is 0 for every x."""
-        ways = self.counts[j]
+    def offsets(self, j: int, entries) -> tuple | None:
+        """For each slot-j entry x in ``entries``: how many tuples agree
+        with one whose slot-j entry is x before slot j and have a smaller
+        entry there.  None at a fixed slot, where that is 0 for every x.
+
+        At a preimage slot the candidates for x are the fiber x lies in, so
+        the offsets are computed for the fibers ``entries`` touch only, and
+        kept for the next call."""
         link = self.links[j - 1] if j else None
+        known = self._offsets[j]
         if link is None:
-            return tuple(accumulate(ways, initial=0))[:-1]
+            if known is None:
+                known = self._offsets[j] = tuple(accumulate(self.counts[j], initial=0))
+            return pick(known, entries)
         if link[0] == "fix":
             return None
-        # The candidates at slot j are one fiber of the map.
-        run = [0] * len(self.factors[j - 1])
-        offsets = []
-        for x, y in enumerate(link[1]):
-            offsets.append(run[y])
-            run[y] += ways[x]
-        return offsets if any(offsets) else None
+        if known is None:
+            known = self._offsets[j] = {}
+        f = link[1]
+        missing = set(entries).difference(known)
+        if missing:
+            fibers = set(map(f.__getitem__, missing))
+            ways = self.counts[j]
+            run = dict.fromkeys(fibers, 0)
+            for x in compress(range(len(f)), map(fibers.__contains__, f)):
+                y = f[x]
+                known[x] = run[y]
+                run[y] += ways[x]
+        return pick(known, entries)
 
     def _prefix(self, j: int):
         """The slot-j entries of the tuples over slots 0..j that satisfy the
@@ -291,12 +340,14 @@ class RowSet(FinSet):
             self._columns[j] = col
         return col
 
-    def first_outside(self, columns: list):
+    def first_outside(self, columns: list, fixed: bool = True):
         """The first k for which the k-th entries of ``columns``, one
-        column per slot, break a link; None if none does."""
+        column per slot, break a link; None if none does.  With ``fixed``
+        false the fix links are not checked: columns built by applying
+        them cannot break them."""
         bad = None
         for j, link in enumerate(self.links, start=1):
-            if link is None:
+            if link is None or (link[0] == "fix" and not fixed):
                 continue
             kind, f = link
             if kind == "fix":
@@ -314,9 +365,9 @@ class RowSet(FinSet):
         if not columns:
             return (0,) * size
         total = None
-        for offsets, col in zip(self.offsets, columns):
-            if offsets is not None:
-                part = pick(offsets, col)
+        for j, col in enumerate(columns):
+            part = self.offsets(j, col)
+            if part is not None and (total is None or any(part)):
                 total = part if total is None else list(map(add, total, part))
         return pick(self.positions, total)
 
@@ -367,10 +418,12 @@ def _column(f: FinFunction, dom: FinSet, target: FinSet) -> tuple:
     return f.idx
 
 
-@dataclass
 class LimitCone:
-    apex: RowSet
-    legs: tuple  # legs[i]: the projection onto slot i
+    __slots__ = ("apex", "legs")
+
+    def __init__(self, apex: RowSet, legs: tuple):
+        self.apex = apex
+        self.legs = legs  # legs[i]: the projection onto slot i
 
     def mediate(self, dom: FinSet, maps) -> FinFunction:
         """The unique map into the apex whose legs onto the slots that no
@@ -390,7 +443,9 @@ class LimitCone:
                 columns.append(_column(next(given), dom, leg.cod))
             else:
                 columns.append(pick(fix, columns[-1]))
-        bad = self.apex.first_outside(columns)
+        # A fixed column is its link applied to the column before it, so
+        # only the preimage links can fail.
+        bad = self.apex.first_outside(columns, fixed=False)
         if bad is not None:
             raise ValueError(f"cone is not compatible at {dom.elements[bad]!r}")
         return FinFunction.from_idx(dom, self.apex, self.apex.rank(columns, len(dom)))

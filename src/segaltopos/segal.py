@@ -10,10 +10,9 @@ and the target map is d(1,0); composable pairs are stored as
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .elements import Atom, Element, FinFunction, STAR, Tup
-from .fincat import FiniteCategory, check_bound
+from .fincat import FiniteCategory, FrozenRecord, check_bound
 from .topos import (
     DependentProduct,
     InternalCheckError,
@@ -53,17 +52,18 @@ def wide_pullback(
 # truncated simplicial objects
 
 
-@dataclass(frozen=True)
-class TruncatedSimplicialObject:
+class TruncatedSimplicialObject(FrozenRecord):
     """Checked against the simplicial identities when it is built, so no
     consumer checks it again."""
 
-    topos: Topos
-    level: dict  # n in 0..3 -> Presheaf
-    face: dict  # (n, i) -> NatTrans level[n] -> level[n-1]
-    degen: dict  # (n, i) -> NatTrans level[n] -> level[n+1]
+    __slots__ = ("topos", "level", "face", "degen")
 
-    def __post_init__(self):
+    def __init__(self, topos: Topos, level: dict, face: dict, degen: dict):
+        setter = object.__setattr__
+        setter(self, "topos", topos)
+        setter(self, "level", level)  # n in 0..3 -> Presheaf
+        setter(self, "face", face)  # (n, i) -> NatTrans level[n] -> level[n-1]
+        setter(self, "degen", degen)  # (n, i) -> NatTrans level[n] -> level[n+1]
         problems = self.validate()
         if problems:
             raise ValueError("invalid simplicial object: " + "; ".join(problems))
@@ -175,21 +175,32 @@ class CategoryObjectError(ValueError):
         self.problems = problems
 
 
-@dataclass(frozen=True)
-class CategoryObject:
+class CategoryObject(FrozenRecord):
     """Checked against the category laws when it is built, so no consumer
     checks it again."""
 
-    topos: Topos
-    C0: Presheaf
-    C1: Presheaf
-    s: NatTrans
-    t: NatTrans
-    e: NatTrans
-    composable: PsLimitCone  # C1 x_{C0} C1, elements (f1, middle, f2)
-    m: NatTrans  # composable.apex -> C1, "second after first"
+    __slots__ = ("topos", "C0", "C1", "s", "t", "e", "composable", "m")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        topos: Topos,
+        C0: Presheaf,
+        C1: Presheaf,
+        s: NatTrans,
+        t: NatTrans,
+        e: NatTrans,
+        composable: PsLimitCone,
+        m: NatTrans,
+    ):
+        setter = object.__setattr__
+        setter(self, "topos", topos)
+        setter(self, "C0", C0)
+        setter(self, "C1", C1)
+        setter(self, "s", s)
+        setter(self, "t", t)
+        setter(self, "e", e)
+        setter(self, "composable", composable)  # C1 x_{C0} C1, elements (f1, middle, f2)
+        setter(self, "m", m)  # composable.apex -> C1, "second after first"
         problems = validate_category_object(self)
         if problems:
             raise CategoryObjectError(problems)
@@ -303,11 +314,13 @@ def nerve_truncation(C: CategoryObject) -> TruncatedSimplicialObject:
 # Segal condition
 
 
-@dataclass
 class SegalWitness:
-    holds: bool
-    comparison: dict  # n -> NatTrans level[n] -> spine limit
-    cones: dict  # n -> PsLimitCone
+    __slots__ = ("holds", "comparison", "cones")
+
+    def __init__(self, holds: bool, comparison: dict, cones: dict):
+        self.holds = holds
+        self.comparison = comparison  # n -> NatTrans level[n] -> spine limit
+        self.cones = cones  # n -> PsLimitCone
 
 
 def _spine_cone(X: TruncatedSimplicialObject, n: int) -> PsLimitCone:
@@ -352,12 +365,14 @@ def to_category_object(X: TruncatedSimplicialObject) -> CategoryObject:
 # object of equivalences and completeness
 
 
-@dataclass
 class Z3Result:
-    Z: Presheaf
-    cone: PsLimitCone
-    from_X3: NatTrans
-    from_X1: NatTrans
+    __slots__ = ("Z", "cone", "from_X3", "from_X1")
+
+    def __init__(self, Z: Presheaf, cone: PsLimitCone, from_X3: NatTrans, from_X1: NatTrans):
+        self.Z = Z
+        self.cone = cone
+        self.from_X3 = from_X3
+        self.from_X1 = from_X1
 
 
 def z3(X: TruncatedSimplicialObject) -> Z3Result:
@@ -377,14 +392,24 @@ def z3(X: TruncatedSimplicialObject) -> Z3Result:
     return Z3Result(cone.apex, cone, from_X3, from_X1)
 
 
-@dataclass
 class EquivalencesObject:
-    carrier: Presheaf
-    U: NatTrans  # carrier -> X1, mono
-    s0_lift: NatTrans  # X0 -> carrier
-    to_X3: NatTrans
-    cone: PsLimitCone
-    z: Z3Result
+    __slots__ = ("carrier", "U", "s0_lift", "to_X3", "cone", "z")
+
+    def __init__(
+        self,
+        carrier: Presheaf,
+        U: NatTrans,
+        s0_lift: NatTrans,
+        to_X3: NatTrans,
+        cone: PsLimitCone,
+        z: Z3Result,
+    ):
+        self.carrier = carrier
+        self.U = U  # carrier -> X1, mono
+        self.s0_lift = s0_lift  # X0 -> carrier
+        self.to_X3 = to_X3
+        self.cone = cone
+        self.z = z
 
 
 def total_degeneracy(X: TruncatedSimplicialObject, n: int) -> NatTrans:
@@ -464,18 +489,32 @@ def is_hoequiv_morphism(X: TruncatedSimplicialObject, f: NatTrans, eq=None) -> b
 # mapping objects and composition
 
 
-@dataclass
 class MappingObject:
-    obj: Presheaf  # the mapping object itself (over the terminal)
-    pi: DependentProduct  # dependent product over the terminal; pi.total == obj
-    pulled: SliceMap  # (x0..xn)^* level[n] over the context D
-    cone: PsLimitCone  # the pullback defining pulled
-    context: Presheaf
-    points: list
-    X: TruncatedSimplicialObject
-    n: int
-    factors: list  # the n consecutive binary mapping objects, for n >= 2
-    split: NatTrans | None  # obj -> the product of the factors' objects, iso
+    __slots__ = ("obj", "pi", "pulled", "cone", "context", "points", "X", "n", "factors", "split")
+
+    def __init__(
+        self,
+        obj: Presheaf,
+        pi: DependentProduct,
+        pulled: SliceMap,
+        cone: PsLimitCone,
+        context: Presheaf,
+        points: list,
+        X: TruncatedSimplicialObject,
+        n: int,
+        factors: list,
+        split: NatTrans | None,
+    ):
+        self.obj = obj  # the mapping object itself (over the terminal)
+        self.pi = pi  # dependent product over the terminal; pi.total == obj
+        self.pulled = pulled  # (x0..xn)^* level[n] over the context D
+        self.cone = cone  # the pullback defining pulled
+        self.context = context
+        self.points = points
+        self.X = X
+        self.n = n
+        self.factors = factors  # the n consecutive binary mapping objects, for n >= 2
+        self.split = split  # obj -> the product of the factors' objects, iso
 
 
 def _pulled_level(X, D, points, n):
@@ -539,14 +578,24 @@ def identity_morphism(X: TruncatedSimplicialObject, D: Presheaf, x: NatTrans) ->
     return NatTrans(one, mp.obj, component)
 
 
-@dataclass
 class CompositionData:
-    map_xy: MappingObject
-    map_yz: MappingObject
-    map_xz: MappingObject
-    ternary: MappingObject
-    split_inverse: NatTrans  # of ternary.split
-    to_xz: NatTrans  # ternary.obj -> map_xz.obj, via the inner face
+    __slots__ = ("map_xy", "map_yz", "map_xz", "ternary", "split_inverse", "to_xz")
+
+    def __init__(
+        self,
+        map_xy: MappingObject,
+        map_yz: MappingObject,
+        map_xz: MappingObject,
+        ternary: MappingObject,
+        split_inverse: NatTrans,
+        to_xz: NatTrans,
+    ):
+        self.map_xy = map_xy
+        self.map_yz = map_yz
+        self.map_xz = map_xz
+        self.ternary = ternary
+        self.split_inverse = split_inverse  # of ternary.split
+        self.to_xz = to_xz  # ternary.obj -> map_xz.obj, via the inner face
 
 
 def composition_data(X, D, x, y, z) -> CompositionData:
@@ -607,11 +656,13 @@ def is_final_object(X: TruncatedSimplicialObject, f: NatTrans) -> bool:
 # maps of Segal objects
 
 
-@dataclass
 class SegalMap:
-    dom: TruncatedSimplicialObject
-    cod: TruncatedSimplicialObject
-    component: dict  # level n -> NatTrans dom.level[n] -> cod.level[n]
+    __slots__ = ("dom", "cod", "component")
+
+    def __init__(self, dom: TruncatedSimplicialObject, cod: TruncatedSimplicialObject, component: dict):
+        self.dom = dom
+        self.cod = cod
+        self.component = component  # level n -> NatTrans dom.level[n] -> cod.level[n]
 
     def validate(self) -> list[str]:
         report = []

@@ -7,12 +7,11 @@ restricts along X(u): X(d) -> X(c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .elements import Element, Fam, FinFunction, FinSet, STAR, Tup, pick
 from .fincat import (
     DEFAULT_BOUND,
     FiniteCategory,
+    FrozenRecord,
     check_bound,
     fin_limit,
     terminal_category,
@@ -24,26 +23,39 @@ class InternalCheckError(RuntimeError):
     """A verification that should hold by construction failed."""
 
 
-@dataclass(frozen=True)
-class Topos:
-    index: FiniteCategory
-    bound: int = DEFAULT_BOUND
+class Topos(FrozenRecord):
+    """Presheaves on a valid index category; ``bound`` caps the size of
+    every intermediate set built in it."""
 
-    def __post_init__(self):
-        problems = validate_category(self.index)
+    __slots__ = ("index", "bound")
+
+    def __init__(self, index: FiniteCategory, bound: int = DEFAULT_BOUND):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "bound", bound)
+        problems = validate_category(index)
         if problems:
             raise ValueError("invalid index category: " + "; ".join(problems))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.index, self.bound) == (other.index, other.bound)
+
+    def __hash__(self):
+        return hash((self.index, self.bound))
 
 
 def finset_topos(bound: int = DEFAULT_BOUND) -> Topos:
     return Topos(terminal_category(), bound)
 
 
-@dataclass
 class Presheaf:
-    topos: Topos
-    at: dict
-    restrict: dict
+    __slots__ = ("topos", "at", "restrict")
+
+    def __init__(self, topos: Topos, at: dict, restrict: dict):
+        self.topos = topos
+        self.at = at
+        self.restrict = restrict
 
     def validate(self) -> list[str]:
         idx = self.topos.index
@@ -93,11 +105,13 @@ class Presheaf:
                 yield c, x
 
 
-@dataclass
 class NatTrans:
-    dom: Presheaf
-    cod: Presheaf
-    component: dict
+    __slots__ = ("dom", "cod", "component")
+
+    def __init__(self, dom: Presheaf, cod: Presheaf, component: dict):
+        self.dom = dom
+        self.cod = cod
+        self.component = component
 
     def validate(self) -> list[str]:
         idx = self.dom.topos.index
@@ -190,11 +204,13 @@ def yoneda(T: Topos, c: Element) -> Presheaf:
 # pointwise limits
 
 
-@dataclass
 class PsLimitCone:
-    apex: Presheaf
-    legs: tuple  # legs[i]: the projection onto slot i
-    pointwise: dict  # index object -> its LimitCone
+    __slots__ = ("apex", "legs", "pointwise")
+
+    def __init__(self, apex: Presheaf, legs: tuple, pointwise: dict):
+        self.apex = apex
+        self.legs = legs  # legs[i]: the projection onto slot i
+        self.pointwise = pointwise  # index object -> its LimitCone
 
     def mediate(self, K: Presheaf, maps: list[NatTrans]) -> NatTrans:
         """As ``LimitCone.mediate``, at every index object."""
@@ -452,36 +468,21 @@ def classify_mono(m: NatTrans) -> NatTrans:
 # slices, pullback functor, dependent products
 
 
-@dataclass
 class SliceMap:
-    total: Presheaf
-    base: Presheaf
-    proj: NatTrans
+    __slots__ = ("total", "base", "proj")
 
-    def validate(self) -> list[str]:
-        report = self.proj.validate()
-        if self.proj.dom != self.total or self.proj.cod != self.base:
-            report.append("projection endpoints do not match the slice")
-        return report
+    def __init__(self, total: Presheaf, base: Presheaf, proj: NatTrans):
+        self.total = total
+        self.base = base
+        self.proj = proj
 
 
-@dataclass
-class PullbackResult:
-    slice: SliceMap
-    to_total: NatTrans  # top edge of the pullback square
-    cone: PsLimitCone
-
-
-def pullback_functor(f: NatTrans, x: SliceMap) -> PullbackResult:
+def pullback_functor(f: NatTrans, x: SliceMap) -> SliceMap:
     """Base change of x along f: A -> B."""
     if x.base != f.cod:
         raise ValueError("slice is not over the codomain of f")
     cone = ps_pullback(x.proj, f)
-    return PullbackResult(
-        SliceMap(cone.apex, f.dom, cone.legs[2]),
-        cone.legs[0],
-        cone,
-    )
+    return SliceMap(cone.apex, f.dom, cone.legs[2])
 
 
 def comma_presheaf(f: NatTrans, c: Element, b: Element) -> tuple[Presheaf, NatTrans]:
@@ -516,7 +517,6 @@ def comma_presheaf(f: NatTrans, c: Element, b: Element) -> tuple[Presheaf, NatTr
     return L, pr
 
 
-@dataclass
 class DependentProduct(SliceMap):
     """Pi_f x, a slice over f.cod.  Its element over b at c is a section of x
     over the fan of b at c (``comma_presheaf``), labelled Tup((b, Fam)): the
@@ -524,7 +524,11 @@ class DependentProduct(SliceMap):
     over a.  Only this class and ``dependent_product`` build or read these
     labels."""
 
-    fans: dict  # (c, b) -> the keys of the fan of b at c, in entry order
+    __slots__ = ("fans",)
+
+    def __init__(self, total: Presheaf, base: Presheaf, proj: NatTrans, fans: dict):
+        super().__init__(total, base, proj)
+        self.fans = fans  # (c, b) -> the keys of the fan of b at c, in entry order
 
     def keys(self, c: Element, b: Element) -> tuple:
         return self.fans[(c, b)]
@@ -603,20 +607,21 @@ def slice_exponential(g: SliceMap, f: SliceMap) -> DependentProduct:
     """Internal hom in the slice over the common base: Pi_g of g* f."""
     if g.base != f.base:
         raise ValueError("slices are not over the same base")
-    pulled = pullback_functor(g.proj, f)
-    return dependent_product(g.proj, pulled.slice)
+    return dependent_product(g.proj, pullback_functor(g.proj, f))
 
 
 # ---------------------------------------------------------------------------
 # exponentials
 
 
-@dataclass
 class ExponentialObject:
-    obj: Presheaf  # G^F
-    pi: DependentProduct  # G^F as a slice over the terminal; pi.total == obj
-    ev_product: PsLimitCone  # product of G^F and F
-    ev: NatTrans  # ev_product.apex -> G
+    __slots__ = ("obj", "pi", "ev_product", "ev")
+
+    def __init__(self, obj: Presheaf, pi: DependentProduct, ev_product: PsLimitCone, ev: NatTrans):
+        self.obj = obj  # G^F
+        self.pi = pi  # G^F as a slice over the terminal; pi.total == obj
+        self.ev_product = ev_product  # product of G^F and F
+        self.ev = ev  # ev_product.apex -> G
 
 
 def exponential(T: Topos, F: Presheaf, G: Presheaf) -> ExponentialObject:

@@ -9,7 +9,6 @@ complete: every internal isomorphism of fibers is an identity.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from .elements import Atom, FinFunction, FinSet, Tup, pick
 from .topos import (
@@ -44,15 +43,26 @@ from .segal import (
 )
 
 
-@dataclass
 class NerveOfMap:
-    p: NatTrans
-    M: SliceMap  # fiberwise-map object over B x B
-    s: NatTrans
-    t: NatTrans
-    e: NatTrans
-    cat: CategoryObject
-    trunc: TruncatedSimplicialObject
+    __slots__ = ("p", "M", "s", "t", "e", "cat", "trunc")
+
+    def __init__(
+        self,
+        p: NatTrans,
+        M: SliceMap,
+        s: NatTrans,
+        t: NatTrans,
+        e: NatTrans,
+        cat: CategoryObject,
+        trunc: TruncatedSimplicialObject,
+    ):
+        self.p = p
+        self.M = M  # fiberwise-map object over B x B
+        self.s = s
+        self.t = t
+        self.e = e
+        self.cat = cat
+        self.trunc = trunc
 
 
 def nerve_of_map(p: NatTrans) -> NerveOfMap:
@@ -164,16 +174,31 @@ def _fiberwise_composition(p: NatTrans, M: DependentProduct, cone) -> NatTrans:
 # univalence
 
 
-@dataclass
 class UnivalenceReport:
-    name: str
-    univalent: bool
-    mono: bool
-    carrier_sizes: dict  # index object repr -> carrier cardinality
-    level_sizes: dict  # n -> total cardinality of nerve level n
-    oracle: bool | None  # fiber oracle verdict, when the topos is FinSet
-    oracle_agrees: bool | None
-    seconds: float | None = None
+    __slots__ = (
+        "name", "univalent", "mono", "carrier_sizes", "level_sizes", "oracle",
+        "oracle_agrees", "seconds",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        univalent: bool,
+        mono: bool,
+        carrier_sizes: dict,
+        level_sizes: dict,
+        oracle: bool | None,
+        oracle_agrees: bool | None,
+        seconds: float | None = None,
+    ):
+        self.name = name
+        self.univalent = univalent
+        self.mono = mono
+        self.carrier_sizes = carrier_sizes  # index object repr -> carrier cardinality
+        self.level_sizes = level_sizes  # n -> total cardinality of nerve level n
+        self.oracle = oracle  # fiber oracle verdict, when the topos is FinSet
+        self.oracle_agrees = oracle_agrees
+        self.seconds = seconds
 
 
 def is_univalent(p: NatTrans, name: str = "p", run_oracle: bool = True) -> UnivalenceReport:
@@ -318,12 +343,14 @@ def enumerate_univalent(T: Topos, max_E: int, max_B: int) -> list[tuple[tuple, N
 # pullback squares between maps
 
 
-@dataclass
 class PullbackSquareMorphism:
-    p2: NatTrans
-    p1: NatTrans
-    f_E: NatTrans
-    f_B: NatTrans
+    __slots__ = ("p2", "p1", "f_E", "f_B")
+
+    def __init__(self, p2: NatTrans, p1: NatTrans, f_E: NatTrans, f_B: NatTrans):
+        self.p2 = p2
+        self.p1 = p1
+        self.f_E = f_E
+        self.f_B = f_B
 
 
 def is_pullback_square(sq: PullbackSquareMorphism) -> bool:
@@ -346,10 +373,12 @@ def pullback_square_homs(p2: NatTrans, p1: NatTrans) -> list[PullbackSquareMorph
     return out
 
 
-@dataclass
 class BiconditionalVerdict:
-    left: bool
-    right: bool
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: bool, right: bool):
+        self.left = left
+        self.right = right
 
     @property
     def agrees(self) -> bool:
@@ -367,10 +396,12 @@ def check_uni_iff_mono(sq: PullbackSquareMorphism) -> BiconditionalVerdict:
     )
 
 
-@dataclass
 class UniversalMonoVerdict:
-    univalent: bool
-    internal_poset: bool
+    __slots__ = ("univalent", "internal_poset")
+
+    def __init__(self, univalent: bool, internal_poset: bool):
+        self.univalent = univalent
+        self.internal_poset = internal_poset
 
     @property
     def holds(self) -> bool:

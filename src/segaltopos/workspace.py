@@ -9,7 +9,6 @@ encoded element.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .elements import Atom, Element, Fam, FinFunction, FinSet, Tup
 from .fincat import DEFAULT_BOUND, FiniteCategory
@@ -182,15 +181,34 @@ def decode_nat_trans(dom: Presheaf, cod: Presheaf, data: dict) -> NatTrans:
 # workspace
 
 
-@dataclass
 class Workspace:
-    topos: Topos
-    presheaves: dict = field(default_factory=dict)
-    morphisms: dict = field(default_factory=dict)  # name -> NatTrans
-    morphism_ends: dict = field(default_factory=dict)  # name -> (dom, cod) names
-    category_objects: dict = field(default_factory=dict)  # name -> CategoryObject
-    category_object_refs: dict = field(default_factory=dict)  # name -> ref dict
-    maps: dict = field(default_factory=dict)  # alias -> morphism name
+    """A topos and named structures in it; each dict left out starts empty."""
+
+    __slots__ = (
+        "topos", "presheaves", "morphisms", "morphism_ends", "category_objects",
+        "category_object_refs", "maps",
+    )
+
+    def __init__(
+        self,
+        topos: Topos,
+        presheaves: dict | None = None,
+        morphisms: dict | None = None,
+        morphism_ends: dict | None = None,
+        category_objects: dict | None = None,
+        category_object_refs: dict | None = None,
+        maps: dict | None = None,
+    ):
+        self.topos = topos
+        self.presheaves = {} if presheaves is None else presheaves
+        self.morphisms = {} if morphisms is None else morphisms  # name -> NatTrans
+        # name -> (dom, cod) names
+        self.morphism_ends = {} if morphism_ends is None else morphism_ends
+        # name -> CategoryObject
+        self.category_objects = {} if category_objects is None else category_objects
+        # name -> ref dict
+        self.category_object_refs = {} if category_object_refs is None else category_object_refs
+        self.maps = {} if maps is None else maps  # alias -> morphism name
 
     def add_presheaf(self, name: str, X: Presheaf):
         self.presheaves[name] = X

@@ -369,7 +369,7 @@ def test_criterion_12_adjunction_counts():
             pi = dependent_product(f, xs)
             lhs = hom_count(gs.total, pi.total, over=(gs.proj, pi.proj))
             pb = pullback_functor(f, gs)
-            rhs = hom_count(pb.slice.total, xs.total, over=(pb.slice.proj, xs.proj))
+            rhs = hom_count(pb.total, xs.total, over=(pb.proj, xs.proj))
             if lhs != rhs:
                 failures += 1
             checked += 1

@@ -327,6 +327,36 @@ def test_fin_limit_matches_reference(chain, data):
     assert cone.legs == legs
 
 
+def _offset_table(apex, j):
+    """The rank offsets of every entry of slot j, by one pass over the
+    slot: at a preimage slot, a running sum of counts per fiber."""
+    ways = apex.counts[j]
+    link = apex.links[j - 1] if j else None
+    if link is None:
+        return tuple(itertools.accumulate(ways, initial=0))[:-1]
+    if link[0] == "fix":
+        return None
+    run = [0] * len(apex.factors[j - 1])
+    table = []
+    for x, y in enumerate(link[1]):
+        table.append(run[y])
+        run[y] += ways[x]
+    return tuple(table)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(zigzag_chains(), product_chains()), st.data())
+def test_offsets_on_demand_match_the_full_table(chain, data):
+    apex = fin_limit(*chain).apex
+    for j, factor in enumerate(apex.factors):
+        full = _offset_table(apex, j)
+        # the second ask reuses the fibers the first one computed
+        for _ in range(2):
+            entries = data.draw(st.lists(st.integers(0, len(factor) - 1), max_size=5)) if len(factor) else []
+            want = None if full is None else tuple(full[x] for x in entries)
+            assert apex.offsets(j, entries) == want
+
+
 def _unfixed_slots(sets, links) -> list:
     """The slots of a chain that no link fixes."""
     fixed = {j for j, link in enumerate(links, start=1) if link is not None and link[0] == "fix"}

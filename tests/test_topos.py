@@ -399,12 +399,12 @@ class TestPullbackAndDependentProduct:
         pt = finset_presheaf(["x"])
         x = finset_function(pt, B, {"x": "x"})
         res = pullback_functor(x, SliceMap(E, B, p))
-        assert res.slice.total.total_size() == 2
+        assert res.total.total_size() == 2
 
     def test_pullback_of_identity(self):
         B = finset_presheaf(["x", "y"])
         res = pullback_functor(NatTrans.identity(B), SliceMap(B, B, NatTrans.identity(B)))
-        assert is_iso(res.slice.proj)
+        assert is_iso(res.proj)
 
     def test_base_change_preserves_monos(self):
         rng = random.Random(3)
@@ -418,7 +418,7 @@ class TestPullbackAndDependentProduct:
                 if not is_mono(m):
                     continue
                 res = pullback_functor(f, SliceMap(m.dom, B, m))
-                assert is_mono(res.slice.proj)
+                assert is_mono(res.proj)
 
     def test_pi_along_identity(self):
         A = finset_presheaf(["a", "b"])
@@ -466,7 +466,7 @@ class TestPullbackAndDependentProduct:
                 pi = dependent_product(f, xs)
                 lhs = hom_count(gs.total, pi.total, over=(gs.proj, pi.proj))
                 pb = pullback_functor(f, gs)
-                rhs = hom_count(pb.slice.total, xs.total, over=(pb.slice.proj, xs.proj))
+                rhs = hom_count(pb.total, xs.total, over=(pb.proj, xs.proj))
                 assert lhs == rhs
                 checked += 1
                 if checked % 6 == 0:

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -502,7 +501,7 @@ class TestValidateOnce:
         face = dict(X.face)
         face[(2, 1)] = _swap_two_values(face[(2, 1)])
         with pytest.raises(ValueError, match="invalid simplicial object"):
-            replace(X, face=face)
+            TruncatedSimplicialObject(X.topos, X.level, face, X.degen)
 
 
 class TestIdentityUnivalence:

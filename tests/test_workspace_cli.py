@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import segaltopos
 
 from segaltopos.bundles import build_bundle, bundle_names
-from segaltopos.cli import main
+from segaltopos.cli import bundle_names as cli_bundle_names, main
 from segaltopos.corpus import finset_presheaf, finset_function
 from segaltopos.elements import Atom, Fam, STAR, Tup
 from segaltopos.workspace import (
@@ -77,6 +77,10 @@ class TestWorkspaceSerialization:
         ref = resources.files("segaltopos").joinpath("data", f"{name}.json")
         assert ref.is_file()
         assert ref.read_text() == dumps_workspace(bundled_workspaces[name])
+
+    def test_cli_bundles_are_the_builders_and_the_data_files(self):
+        data = Path(segaltopos.__file__).resolve().parent / "data"
+        assert cli_bundle_names() == bundle_names() == sorted(p.stem for p in data.glob("*.json"))
 
     @pytest.mark.parametrize("name", bundle_names())
     def test_bundles_validate(self, name, bundled_workspaces):
@@ -435,3 +439,32 @@ class TestWorkspaceInputContract:
         assert "Traceback" not in err.getvalue()
         if code == 2:
             assert err.getvalue().startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# what a CLI process imports
+
+GOLDEN = json.loads((Path(SRC).parent / "perfbench" / "cli_golden.json").read_text())
+# Runs the CLI module as `python -m` does, then writes to stderr which of
+# the modules a CLI process has no use for it loaded.
+COLD_START = """
+import runpy, sys
+try:
+    runpy.run_module("segaltopos.cli", run_name="__main__", alter_sys=True)
+finally:
+    unused = ("dataclasses", "segaltopos.bundles", "segaltopos.corpus")
+    sys.stderr.write("loaded:" + "".join(" " + m for m in unused if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("key", ["check-univalent --workspace finset u_sub", "validate --workspace c2"])
+def test_cli_process_loads_no_dataclasses_and_no_builders(key):
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, *key.split(), "--json"],
+        env=dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.stderr.endswith("loaded:")
+    assert (proc.stdout, proc.returncode) == (GOLDEN[key]["stdout"], GOLDEN[key]["exit"])
