@@ -151,10 +151,12 @@ class FinSet:
 
     The position of an element is its rank in that order; ``index`` maps
     each element to its position.  Finite functions refer to elements by
-    position only.
+    position only.  ``positions`` is the tuple of all positions, built on
+    first use; the identity of the set and every map that ranks into it
+    share it.
     """
 
-    __slots__ = ("elements", "index")
+    __slots__ = ("elements", "index", "positions")
 
     def __init__(self, elements: Iterable[Element]):
         # dict.fromkeys keeps the input order, so an already sorted input
@@ -162,6 +164,13 @@ class FinSet:
         elems = tuple(sorted(dict.fromkeys(elements), key=_sort_key))
         self.elements = elems
         self.index = dict(zip(elems, range(len(elems))))
+
+    def __getattr__(self, name):
+        # Called only while the slot `name` is still empty.
+        if name == "positions":
+            self.positions = tuple(range(len(self)))
+            return self.positions
+        raise AttributeError(name)
 
     def __iter__(self) -> Iterator[Element]:
         return iter(self.elements)
@@ -262,7 +271,7 @@ class FinFunction:
 
     @staticmethod
     def identity(s: FinSet) -> "FinFunction":
-        return FinFunction.from_idx(s, s, tuple(range(len(s))))
+        return FinFunction.from_idx(s, s, s.positions)
 
     @staticmethod
     def constant(dom: FinSet, cod: FinSet, value: Element) -> "FinFunction":
@@ -288,7 +297,8 @@ class FinFunction:
         return len(set(self.idx)) == len(self.cod)
 
     def is_bijective(self) -> bool:
-        return self.is_injective() and self.is_surjective()
+        n = len(set(self.idx))
+        return n == len(self.idx) == len(self.cod)
 
     def inverse(self) -> "FinFunction":
         if not self.is_bijective():

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from itertools import accumulate, chain, compress, repeat
-from operator import add
+from operator import add, eq
 
 from .elements import STAR, Atom, Element, FinFunction, FinSet, Tup, pick
 
@@ -230,8 +230,8 @@ class RowSet(FinSet):
     """
 
     __slots__ = (
-        "factors", "links", "counts", "size", "positions",
-        "_offsets", "_prefixes", "_columns", "__weakref__",
+        "factors", "links", "counts", "size", "_offsets", "_prefixes",
+        "_columns", "__weakref__",
     )
 
     def __init__(self, factors: tuple, links: list):
@@ -249,8 +249,14 @@ class RowSet(FinSet):
                     ways = pick(ways, link[1])
                 else:
                     before = [0] * len(factors[j - 1])
-                    for x, y in enumerate(link[1]):
-                        before[y] += ways[x]
+                    if j == n - 1:
+                        # Every count at the last slot is 1, so the count
+                        # of y is the size of its fiber.
+                        for y in link[1]:
+                            before[y] += 1
+                    else:
+                        for x, y in enumerate(link[1]):
+                            before[y] += ways[x]
                     ways = before
                 counts[j - 1] = ways
         self.counts = counts
@@ -271,12 +277,9 @@ class RowSet(FinSet):
         if name == "index":
             self.index = dict(zip(self.elements, range(self.size)))
             return self.index
-        if name == "positions":
-            # rank returns these int objects rather than fresh sums, so that
-            # the maps into the set share them.
-            self.positions = tuple(range(self.size))
-            return self.positions
-        raise AttributeError(name)
+        # rank returns the int objects of ``positions`` rather than fresh
+        # sums, so that the maps into the set share them.
+        return FinSet.__getattr__(self, name)
 
     def offsets(self, j: int, entries) -> tuple | None:
         """For each slot-j entry x in ``entries``: how many tuples agree
@@ -379,8 +382,17 @@ class RowSet(FinSet):
         sizes = ", ".join(str(len(f)) for f in self.factors)
         return f"RowSet({self.size} rows over factors of sizes ({sizes}))"
 
+    def same_chain(self, other) -> bool:
+        """Whether other is a RowSet over the same factors and links, and so
+        has the same tuples in the same order."""
+        return (
+            isinstance(other, RowSet)
+            and self.factors == other.factors
+            and self.links == other.links
+        )
+
     def __eq__(self, other):
-        if self is other:
+        if self is other or self.same_chain(other):
             return True
         if isinstance(other, RowSet) and len(self.factors) == len(other.factors):
             if all(a == b for a, b in zip(self.factors, other.factors)):
@@ -429,26 +441,31 @@ class LimitCone:
         """The unique map into the apex whose legs onto the slots that no
         link fixes are ``maps``, in slot order.  The leg onto a fixed slot
         is its link map after the leg onto the slot before."""
+        apex = self.apex
         fixes = [None] * len(self.legs)  # the link map fixing each slot
-        for j, link in enumerate(self.apex.links, start=1):
+        for j, link in enumerate(apex.links, start=1):
             if link is not None and link[0] == "fix":
                 fixes[j] = link[1]
-        free = fixes.count(None)
-        if len(maps) != free:
-            raise ValueError(f"a cone into this limit takes {free} maps, not {len(maps)}")
-        given = iter(maps)
+        unfixed = [j for j, fix in enumerate(fixes) if fix is None]
+        if len(maps) != len(unfixed):
+            raise ValueError(
+                f"a cone into this limit takes {len(unfixed)} maps, not {len(maps)}"
+            )
+        given = [_column(f, dom, self.legs[j].cod) for j, f in zip(unfixed, maps)]
+        if apex.same_chain(dom) and all(map(eq, given, map(dom.column, unfixed))):
+            # The projections of the limit itself, or of one with the same
+            # tuples: by the universal property the map is the identity.
+            return FinFunction.from_idx(dom, apex, dom.positions)
+        given = iter(given)
         columns = []
-        for leg, fix in zip(self.legs, fixes):
-            if fix is None:
-                columns.append(_column(next(given), dom, leg.cod))
-            else:
-                columns.append(pick(fix, columns[-1]))
+        for fix in fixes:
+            columns.append(next(given) if fix is None else pick(fix, columns[-1]))
         # A fixed column is its link applied to the column before it, so
         # only the preimage links can fail.
-        bad = self.apex.first_outside(columns, fixed=False)
+        bad = apex.first_outside(columns, fixed=False)
         if bad is not None:
             raise ValueError(f"cone is not compatible at {dom.elements[bad]!r}")
-        return FinFunction.from_idx(dom, self.apex, self.apex.rank(columns, len(dom)))
+        return FinFunction.from_idx(dom, apex, apex.rank(columns, len(dom)))
 
 
 def _partial_sizes(sets: list, links: list):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .elements import Atom, Element, FinFunction, STAR, Tup
+from .elements import Atom, Element, FinFunction, STAR, Tup, pick
 from .fincat import FiniteCategory, FrozenRecord, check_bound
 from .topos import (
     DependentProduct,
@@ -241,8 +241,10 @@ def validate_category_object(C: CategoryObject) -> list[str]:
         # comp[(f1, f2)] is the position of their composite.
         comp = dict(zip(zip(pr1.component[c].idx, pr2.component[c].idx), m))
         by_source = {}
+        local = []  # local[f]: the place of f among the arrows from src f
         for f in range(len(arrows)):
-            by_source.setdefault(src[f], []).append(f)
+            local.append(len(by_source.setdefault(src[f], [])))
+            by_source[src[f]].append(f)
             if comp[(e[src[f]], f)] != f:
                 report.append(f"left unit law fails at {c!r} on {arrows[f]!r}")
             if comp[(f, e[tgt[f]])] != f:
@@ -250,13 +252,24 @@ def validate_category_object(C: CategoryObject) -> list[str]:
         # The composable triples are the elements of X3 at c.
         triples = sum(len(by_source.get(tgt[f2], ())) for _, f2 in comp)
         check_bound(triples, C.topos.bound, "associativity")
+        # after[f]: the composites of f with each arrow h from tgt f, "h
+        # after f", in the order of by_source.  For a pair (f1, f2) with
+        # composite g, the triples (f1, f2, f3) run over the arrows f3 from
+        # tgt g = tgt f2, and associativity is one comparison of rows:
+        # after[g] against (f3 after f2) after f1, looked up in after[f1]
+        # at the place of f3 after f2, which starts at tgt f1.
+        after = [
+            tuple([comp[(f, h)] for h in by_source.get(tgt[f], ())]) for f in range(len(arrows))
+        ]
         for (f1, f2), g in comp.items():
-            for f3 in by_source.get(tgt[f2], ()):
-                if comp[(g, f3)] != comp[(f1, comp[(f2, f3)])]:
-                    report.append(
-                        f"associativity fails at {c!r} on "
-                        f"({arrows[f1]!r},{arrows[f2]!r},{arrows[f3]!r})"
-                    )
+            lhs, rhs = after[g], pick(after[f1], pick(local, after[f2]))
+            if lhs != rhs:
+                for f3, a, b in zip(by_source[tgt[f2]], lhs, rhs):
+                    if a != b:
+                        report.append(
+                            f"associativity fails at {c!r} on "
+                            f"({arrows[f1]!r},{arrows[f2]!r},{arrows[f3]!r})"
+                        )
     return report
 
 

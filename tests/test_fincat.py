@@ -7,6 +7,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from segaltopos import fincat
 from segaltopos.elements import Atom, FinFunction, FinSet, Tup, atoms
 from segaltopos.fincat import (
     FiniteCategory,
@@ -357,6 +358,95 @@ def test_offsets_on_demand_match_the_full_table(chain, data):
             assert apex.offsets(j, entries) == want
 
 
+def _counts_by_loop(apex) -> list:
+    """The completion counts of every slot, worked out backwards with one
+    Python loop per slot."""
+    factors, links = apex.factors, apex.links
+    if not factors:
+        return []
+    ways = [1] * len(factors[-1])
+    counts = [ways]
+    for j in range(len(factors) - 1, 0, -1):
+        link = links[j - 1]
+        if link is None:
+            ways = [sum(ways)] * len(factors[j - 1])
+        elif link[0] == "fix":
+            ways = [ways[y] for y in link[1]]
+        else:
+            before = [0] * len(factors[j - 1])
+            for x, y in enumerate(link[1]):
+                before[y] += ways[x]
+            ways = before
+        counts.insert(0, ways)
+    return counts
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(zigzag_chains(), product_chains()))
+def test_counts_match_the_loop(chain):
+    apex = fin_limit(*chain).apex
+    assert [list(ways) for ways in apex.counts] == _counts_by_loop(apex)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(zigzag_chains(), product_chains()), st.data())
+def test_own_projections_mediate_by_the_identity(chain, data):
+    sets, links = chain
+    cone = fin_limit(sets, links)
+    apex = cone.apex
+    free = _unfixed_slots(sets, links)
+    full = apex.rank([apex.column(j) for j in range(len(sets))], len(apex))
+    # the limit's own legs, and the legs of a limit built again from the
+    # same factors and links, mediate by the identity of positions
+    twin = fin_limit(sets, links)
+    assert twin.apex is not apex and twin.apex == apex
+    for dom, legs in ((apex, cone.legs), (twin.apex, twin.legs)):
+        med = cone.mediate(dom, [legs[j] for j in free])
+        assert med.idx == full and med.idx is dom.positions
+        assert med.dom is dom and med.cod is apex
+    # one entry of one leg changed: the full path ranks the new tuples or
+    # names the element whose tuple left the limit
+    if len(apex) and free:
+        i = data.draw(st.sampled_from(free))
+        if len(sets[i]) > 1:
+            k = data.draw(st.integers(0, len(apex) - 1))
+            col = list(apex.column(i))
+            col[k] = data.draw(st.sampled_from([x for x in range(len(sets[i])) if x != col[k]]))
+            unfixed = {j: apex.column(j) for j in free}
+            unfixed[i] = tuple(col)
+            columns = []
+            for j, link in enumerate([None, *links]):
+                fixed = link is not None and link[0] == "fix"
+                columns.append(tuple(link[1].idx[x] for x in columns[-1]) if fixed else unfixed[j])
+            maps = [FinFunction.from_idx(apex, sets[j], unfixed[j]) for j in free]
+            bad = apex.first_outside(columns)
+            if bad is None:
+                want = apex.rank(columns, len(apex))
+                assert cone.mediate(apex, maps).idx == want != apex.positions
+            else:
+                name = re.escape(repr(apex.elements[bad]))
+                with pytest.raises(ValueError, match=rf"^cone is not compatible at {name}$"):
+                    cone.mediate(apex, maps)
+
+
+def test_own_projections_skip_the_rank(monkeypatch):
+    A, X = atoms("a", "b", "c"), atoms("x", "y")
+    f = FinFunction(A, X, {Atom("a"): Atom("x"), Atom("b"): Atom("y"), Atom("c"): Atom("x")})
+    cone = fin_limit(*_zigzag([A, A], [X], [f, f]))
+    legs = [cone.legs[0], cone.legs[2]]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the identity needs no rank")
+
+    monkeypatch.setattr(fincat.RowSet, "rank", refused)
+    monkeypatch.setattr(fincat.RowSet, "first_outside", refused)
+    assert cone.mediate(cone.apex, legs) == FinFunction.identity(cone.apex)
+    # a leg that is not the limit's own still takes the full path
+    swapped = FinFunction.from_idx(cone.apex, A, tuple(reversed(cone.legs[0].idx)))
+    with pytest.raises(AssertionError, match="no rank"):
+        cone.mediate(cone.apex, [swapped, legs[1]])
+
+
 def _unfixed_slots(sets, links) -> list:
     """The slots of a chain that no link fixes."""
     fixed = {j for j, link in enumerate(links, start=1) if link is not None and link[0] == "fix"}
@@ -414,6 +504,8 @@ def test_apex_is_freed_without_the_cycle_collector():
         apex = weakref.ref(cone.apex)
         # list the columns, labels and rank table before letting go
         assert cone.mediate(cone.apex, [cone.legs[0], cone.legs[2]]) == FinFunction.identity(cone.apex)
+        columns = [cone.apex.column(j) for j in range(3)]
+        assert cone.apex.rank(columns, 5) == cone.apex.positions
         assert len(cone.apex.index) == 5
         del cone
         assert apex() is None

@@ -129,6 +129,67 @@ class TestNerveTruncation:
             validate_category_object(CategoryObject(finset_topos(7), *fields))
 
 
+def _associativity_by_triples(topos, C1, s, t, composable, m) -> list[str]:
+    """Reference for the associativity law: one comparison per composable
+    triple, looked up in a table keyed by pairs of arrows."""
+    report = []
+    for c in topos.index.objects:
+        arrows = C1.at[c].elements
+        src, tgt = s.component[c].idx, t.component[c].idx
+        pairs = zip(composable.legs[0].component[c].idx, composable.legs[2].component[c].idx)
+        comp = dict(zip(pairs, m.component[c].idx))
+        for (f1, f2), g in comp.items():
+            for f3 in range(len(arrows)):
+                if src[f3] == tgt[f2] and comp[(g, f3)] != comp[(f1, comp[(f2, f3)])]:
+                    report.append(
+                        f"associativity fails at {c!r} on "
+                        f"({arrows[f1]!r},{arrows[f2]!r},{arrows[f3]!r})"
+                    )
+    return report
+
+
+@pytest.mark.parametrize("name", ["c3", "s3", (2,), (1, 2)])
+def test_corrupted_composite_fails_associativity_only(name):
+    # every change of one composite of two non-identities to another arrow
+    # with the same endpoints keeps the unit laws, so only associativity
+    # can fail; the problems are those of the triple-by-triple reference,
+    # and at least one change breaks it
+    if isinstance(name, tuple):
+        # the fiberwise maps of the map of finite sets with these fibers
+        cat = nerve_of_map(_finset_map(name)).cat
+    else:
+        cat = category_object_from_finite_category(corpus_categories()[name])
+    (c,) = cat.topos.index.objects
+    ids = set(cat.e.component[c].idx)
+    src, tgt = cat.s.component[c], cat.t.component[c]
+    pairs = cat.composable.apex.at[c]
+    table = cat.m.component[c].table
+    corrupted = 0
+    for pair, h in table.items():
+        f1, f2 = pair[0], pair[2]
+        if {cat.C1.at[c].index[f1], cat.C1.at[c].index[f2]} & ids:
+            continue
+        for other in cat.C1.at[c]:
+            if other is h or (src(other), tgt(other)) != (src(h), tgt(h)):
+                continue
+            bad_m = NatTrans(
+                cat.composable.apex,
+                cat.C1,
+                {c: FinFunction(pairs, cat.C1.at[c], {**table, pair: other})},
+            )
+            fields = (cat.topos, cat.C0, cat.C1, cat.s, cat.t, cat.e, cat.composable, bad_m)
+            want = _associativity_by_triples(cat.topos, cat.C1, cat.s, cat.t, cat.composable, bad_m)
+            if not want:
+                # some changes give another associative table
+                assert validate_category_object(CategoryObject(*fields)) == []
+                continue
+            with pytest.raises(CategoryObjectError) as exc:
+                CategoryObject(*fields)
+            assert exc.value.problems == want
+            corrupted += 1
+    assert corrupted
+
+
 def _nerve_by_formulas(cat, c):
     """The faces and degeneracies of the nerve of cat at the index object c,
     on labels: a two-chain is (f1, x, f2), a three-chain (f1, x1, f2, x2,

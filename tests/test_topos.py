@@ -75,6 +75,30 @@ class TestPresheafBasics:
         )
         assert any("contravariance" in line for line in broken.validate())
 
+    def test_naturality_skips_only_identity_squares_at_one_stage(self):
+        # the identity of a set shares the set's positions, so a square of
+        # two such identities at one stage needs no check; a constant
+        # presheaf restricts by that identity along 0 -> 1 too, where the
+        # components at 0 and 1 must still agree, and a restriction along
+        # an identity that is not the identity is still composed
+        s = FinSet([Atom("x"), Atom("y")])
+        ident = FinFunction.identity(s)
+        assert ident.idx is s.positions
+        swap = FinFunction(s, s, {Atom("x"): Atom("y"), Atom("y"): Atom("x")})
+        T = sierpinski_topos()
+        X = constant_presheaf(T, s)
+        c0, c1 = T.index.objects
+        (u,) = [m for m in T.index.morphisms if not T.index.is_identity(m)]
+        assert NatTrans(X, X, {c0: swap, c1: swap}).validate() == []
+        assert NatTrans(X, X, {c0: swap, c1: ident}).validate() == [f"naturality fails along {u!r}"]
+        F = finset_topos()
+        (star,) = F.index.objects
+        unchecked = Presheaf(F, {star: s}, {F.index.id_of(star): swap})
+        const = FinFunction(s, s, {Atom("x"): Atom("x"), Atom("y"): Atom("x")})
+        assert NatTrans(unchecked, unchecked, {star: const}).validate() == [
+            f"naturality fails along {F.index.id_of(star)!r}"
+        ]
+
     def test_s3_action_is_functorial(self):
         assert s3_natural_action().validate() == []
 

@@ -19,6 +19,8 @@ from segaltopos.segal import TruncatedSimplicialObject
 from segaltopos.topos import (
     InternalCheckError,
     NatTrans,
+    Presheaf,
+    Topos,
     finset_topos,
     is_minus1_truncated,
     is_mono,
@@ -170,6 +172,27 @@ class TestNerveOfMap:
         with pytest.raises(ResourceBoundError) as exc:
             is_univalent(unique_to_terminal(w.presheaves["two_free"]))
         assert (exc.value.stage, exc.value.size) == ("associativity", 16777216)
+
+    def test_two_free_category_object_validates_without_its_triples(self, bundled_workspaces, monkeypatch):
+        # the same 16 777 216 composable triples under a bound above them:
+        # associativity compares rows of m and lists no triple, so this
+        # stays small (CI runs it under a 1 GB address-space limit); the
+        # run stops at the nerve's levels, which would build X3
+        X = bundled_workspaces["c2"].presheaves["two_free"]
+        big = Presheaf(Topos(X.topos.index, 20_000_000), X.at, X.restrict)
+        built = []
+
+        def stop(cat):
+            built.append(cat)
+            raise LookupError("stopped before the nerve")
+
+        monkeypatch.setattr(univalence, "nerve_truncation", stop)
+        with pytest.raises(LookupError, match="stopped before the nerve"):
+            nerve_of_map(unique_to_terminal(big))
+        (cat,) = built
+        assert isinstance(cat, segal.CategoryObject) and cat.topos.bound == 20_000_000
+        assert [len(cat.C1.at[c]) for c in cat.topos.index.objects] == [256]
+        assert [len(cat.composable.apex.at[c]) for c in cat.topos.index.objects] == [65536]
 
     def test_source_target_of_unit(self):
         p = _finset_map((0, 2))
