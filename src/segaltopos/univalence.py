@@ -8,8 +8,6 @@ complete: every internal isomorphism of fibers is an identity.
 
 from __future__ import annotations
 
-import time
-
 from .elements import Atom, FinFunction, FinSet, Tup, pick
 from .topos import (
     DependentProduct,
@@ -44,31 +42,26 @@ from .segal import (
 
 
 class NerveOfMap:
-    __slots__ = ("p", "M", "s", "t", "e", "cat", "trunc")
+    __slots__ = ("M", "cat", "trunc")
 
     def __init__(
         self,
-        p: NatTrans,
         M: SliceMap,
-        s: NatTrans,
-        t: NatTrans,
-        e: NatTrans,
         cat: CategoryObject,
         trunc: TruncatedSimplicialObject,
     ):
-        self.p = p
         self.M = M  # fiberwise-map object over B x B
-        self.s = s
-        self.t = t
-        self.e = e
         self.cat = cat
         self.trunc = trunc
 
 
 def nerve_of_map(p: NatTrans) -> NerveOfMap:
+    """The internal category of fiberwise maps of p, with its nerve up to
+    level 3.  Its unit is the family of identities: M over (b, b) holds
+    id_b, and the unit laws that CategoryObject checks give
+    e(b) = m(e(b), id_b) = id_b, so no other section passes them."""
     E, B = p.dom, p.cod
     T = E.topos
-    idx = T.index
     # M = (p x id)_* (E x E -> E x B) as a slice over B x B
     ee = ps_product([E, E])
     eb = ps_product([E, B])
@@ -79,7 +72,6 @@ def nerve_of_map(p: NatTrans) -> NerveOfMap:
     s = M.proj.then(bb.legs[0])
     t = M.proj.then(bb.legs[1])
     e = _identity_section(p, M)
-    _verify_identity_section_unique(p, M, bb, e)
     cone = composable_pairs(T, B, M.total, s, t, 2)
     m = _fiberwise_composition(p, M, cone)
     try:
@@ -91,7 +83,7 @@ def nerve_of_map(p: NatTrans) -> NerveOfMap:
     trunc = nerve_truncation(cat)
     if not segal_check(trunc).holds:
         raise InternalCheckError("nerve of the map is not Segal")
-    return NerveOfMap(p, M, s, t, e, cat, trunc)
+    return NerveOfMap(M, cat, trunc)
 
 
 def _identity_section(p: NatTrans, M: DependentProduct) -> NatTrans:
@@ -104,34 +96,6 @@ def _identity_section(p: NatTrans, M: DependentProduct) -> NatTrans:
         table = {b: M.section(c, Tup((b, b)), lambda k: Tup((k[1][0], k[1][0]))) for b in B.at[c]}
         component[c] = FinFunction(B.at[c], M.total.at[c], table)
     return NatTrans(B, M.total, component)
-
-
-def _verify_identity_section_unique(p, M, bb, e) -> None:
-    """The unit is the only section over the diagonal whose induced
-    endomorphism of E is the identity."""
-    E, B = p.dom, p.cod
-    diag = bb.mediate(B, [NatTrans.identity(B), NatTrans.identity(B)])
-    found = []
-    for cand in enumerate_nat_trans(B, M.total, over=(diag, M.proj)):
-        if _section_transpose(p, M, cand) == NatTrans.identity(E):
-            found.append(cand)
-    if len(found) != 1 or found[0] != e:
-        raise InternalCheckError("identity section is not unique")
-
-
-def _section_transpose(p: NatTrans, M: DependentProduct, h: NatTrans) -> NatTrans:
-    """Endomorphism of E induced by a section h: B -> M over the diagonal:
-    a goes to the second entry of h(p(a)) at the key (id, (a, p(a)))."""
-    E = p.dom
-    idx = E.topos.index
-    component = {}
-    for c in idx.objects:
-        table = {}
-        for a in E.at[c]:
-            b = p.component[c](a)
-            table[a] = M.value(h.component[c](b), Tup((idx.id_of(c), Tup((a, b)))))[1]
-        component[c] = FinFunction(E.at[c], E.at[c], table)
-    return NatTrans(E, E, component)
 
 
 def _fiberwise_composition(p: NatTrans, M: DependentProduct, cone) -> NatTrans:
@@ -177,7 +141,7 @@ def _fiberwise_composition(p: NatTrans, M: DependentProduct, cone) -> NatTrans:
 class UnivalenceReport:
     __slots__ = (
         "name", "univalent", "mono", "carrier_sizes", "level_sizes", "oracle",
-        "oracle_agrees", "seconds",
+        "oracle_agrees",
     )
 
     def __init__(
@@ -189,7 +153,6 @@ class UnivalenceReport:
         level_sizes: dict,
         oracle: bool | None,
         oracle_agrees: bool | None,
-        seconds: float | None = None,
     ):
         self.name = name
         self.univalent = univalent
@@ -198,11 +161,9 @@ class UnivalenceReport:
         self.level_sizes = level_sizes  # n -> total cardinality of nerve level n
         self.oracle = oracle  # fiber oracle verdict, when the topos is FinSet
         self.oracle_agrees = oracle_agrees
-        self.seconds = seconds
 
 
 def is_univalent(p: NatTrans, name: str = "p", run_oracle: bool = True) -> UnivalenceReport:
-    start = time.perf_counter()
     nerve = nerve_of_map(p)
     eq = hoequiv(nerve.trunc)
     univalent = is_complete(nerve.trunc, eq)
@@ -219,7 +180,6 @@ def is_univalent(p: NatTrans, name: str = "p", run_oracle: bool = True) -> Univa
         level_sizes={n: nerve.trunc.level[n].total_size() for n in range(4)},
         oracle=oracle,
         oracle_agrees=agrees,
-        seconds=time.perf_counter() - start,
     )
 
 
@@ -313,7 +273,9 @@ def arrows_isomorphic(p: NatTrans, q: NatTrans) -> bool:
 def enumerate_univalent(T: Topos, max_E: int, max_B: int) -> list[tuple[tuple, NatTrans]]:
     """All univalent maps of finite sets with |E| <= max_E and |B| <= max_B,
     one per isomorphism class of arrows, as (fiber signature, map) pairs in
-    deterministic order."""
+    deterministic order.  Two maps of finite sets are isomorphic arrows iff
+    their sorted fiber sizes are equal, so one map per sorted signature is
+    one per class."""
     if not is_finset_topos(T):
         raise ValueError("enumeration is only implemented over the one-point index")
     signatures = set()
@@ -332,10 +294,6 @@ def enumerate_univalent(T: Topos, max_E: int, max_B: int) -> list[tuple[tuple, N
         p = _finset_map(sig)
         if is_univalent(p, name=str(sig)).univalent:
             out.append((sig, p))
-    for i, (_, p) in enumerate(out):
-        for _, q in out[:i]:
-            if arrows_isomorphic(p, q):
-                raise InternalCheckError("duplicate arrow-isomorphism class enumerated")
     return out
 
 
@@ -415,7 +373,7 @@ def check_universal_mono_univalent(T: Topos) -> UniversalMonoVerdict:
     report = is_univalent(true_arrow, name="true", run_oracle=True)
     nerve = nerve_of_map(true_arrow)
     bb = ps_product([omega, omega])
-    st = bb.mediate(nerve.M.total, [nerve.s, nerve.t])
+    st = bb.mediate(nerve.M.total, [nerve.cat.s, nerve.cat.t])
     return UniversalMonoVerdict(report.univalent, is_mono(st))
 
 

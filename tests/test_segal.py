@@ -1,17 +1,23 @@
+import random
 from dataclasses import FrozenInstanceError
 from itertools import product
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from segaltopos.elements import Atom, FinFunction, FinSet, STAR, Tup
 from segaltopos.fincat import ResourceBoundError
 from segaltopos.corpus import (
+    c2_topos,
     coproduct,
     corpus_categories,
     finset_presheaf,
     is_gaunt,
     iso_hom_set,
     iso_set,
+    random_coproduct_presheaf,
+    random_map_to,
+    sierpinski_topos,
 )
 from segaltopos.segal import (
     CategoryObject,
@@ -375,7 +381,11 @@ class TestCompleteness:
             assert is_complete(X, eq) == is_gaunt(C), name
 
     def test_constant_singleton_complete(self):
-        assert is_complete(constant_singleton_simplicial(finset_topos()))
+        for T in (finset_topos(), c2_topos(), sierpinski_topos()):
+            X = constant_singleton_simplicial(T)
+            eq = hoequiv(X)
+            assert is_complete(X, eq)
+            assert square_is_pullback_by_pair_scan(X, eq)
 
     def test_agrees_with_pair_scan_on_corpus(self, corpus_nerves):
         verdicts = set()
@@ -397,6 +407,26 @@ class TestCompleteness:
         self, bundled_workspaces, name
     ):
         X = nerve_truncation(bundled_workspaces["finset"].category_objects[name])
+        eq = hoequiv(X)
+        assert is_complete(X, eq) == square_is_pullback_by_pair_scan(X, eq)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from([c2_topos, sierpinski_topos]), st.integers(0, 10**6))
+    def test_agrees_with_pair_scan_on_random_maps(self, topos, seed):
+        T, rng = topos(), random.Random(seed)
+        B = random_coproduct_presheaf(T, rng, 2)[0]
+        if B.total_size() == 0:
+            B = terminal(T)
+        p = random_map_to(T, rng, B, 2)
+        try:
+            X = nerve_of_map(p).trunc
+        except ResourceBoundError:
+            # two free C2-sets over one point have 16 777 216 composable
+            # triples, past the default bound
+            reject()
+        # the pair scan lists X1 x X3 at each stage
+        if sum(len(X.level[1].at[c]) * len(X.level[3].at[c]) for c in T.index.objects) > 10**6:
+            reject()
         eq = hoequiv(X)
         assert is_complete(X, eq) == square_is_pullback_by_pair_scan(X, eq)
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segaltopos.elements import Atom, FinFunction, FinSet, STAR, Tup
 from segaltopos.fincat import ResourceBoundError
@@ -178,21 +179,38 @@ class TestMonoEpiIso:
                 assert is_iso(f) == (is_mono(f) and is_epi(f))
 
 
+def diagonal_is_iso(X: Presheaf) -> bool:
+    """The reference for is_minus1_truncated: X is subterminal iff its
+    diagonal X -> X x X is an isomorphism."""
+    prod = ps_product([X, X])
+    return is_iso(prod.mediate(X, [NatTrans.identity(X), NatTrans.identity(X)]))
+
+
 class TestMinus1Truncated:
+    @staticmethod
+    def verdict(X: Presheaf) -> bool:
+        out = is_minus1_truncated(X)
+        assert out == diagonal_is_iso(X)
+        return out
+
     def test_trivial_cases(self):
-        assert is_minus1_truncated(finset_presheaf([]))
-        assert is_minus1_truncated(finset_presheaf(["x"]))
-        assert not is_minus1_truncated(finset_presheaf(["0", "1"]))
+        assert self.verdict(finset_presheaf([]))
+        assert self.verdict(finset_presheaf(["x"]))
+        assert not self.verdict(finset_presheaf(["0", "1"]))
 
     def test_subterminal_presheaf(self):
         T = sierpinski_topos()
         # both representables are subterminal here; a two-point constant
         # presheaf is not
-        assert is_minus1_truncated(yoneda(T, Atom("1")))
-        assert is_minus1_truncated(yoneda(T, Atom("0")))
-        assert not is_minus1_truncated(
-            constant_presheaf(T, FinSet([Atom("a"), Atom("b")]))
-        )
+        assert self.verdict(yoneda(T, Atom("1")))
+        assert self.verdict(yoneda(T, Atom("0")))
+        assert not self.verdict(constant_presheaf(T, FinSet([Atom("a"), Atom("b")])))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([c2_topos, sierpinski_topos]), st.integers(0, 10**6))
+    def test_agrees_with_diagonal_on_random_presheaves(self, topos, seed):
+        X = random_coproduct_presheaf(topos(), random.Random(seed), 2)[0]
+        self.verdict(X)
 
 
 class TestEnumerateNatTrans:

@@ -21,7 +21,9 @@ from segaltopos.topos import (
     NatTrans,
     Presheaf,
     Topos,
+    enumerate_nat_trans,
     finset_topos,
+    is_iso,
     is_minus1_truncated,
     is_mono,
     ps_pullback,
@@ -197,8 +199,8 @@ class TestNerveOfMap:
     def test_source_target_of_unit(self):
         p = _finset_map((0, 2))
         nerve = nerve_of_map(p)
-        assert nerve.e.then(nerve.s) == NatTrans.identity(p.cod)
-        assert nerve.e.then(nerve.t) == NatTrans.identity(p.cod)
+        assert nerve.cat.e.then(nerve.cat.s) == NatTrans.identity(p.cod)
+        assert nerve.cat.e.then(nerve.cat.t) == NatTrans.identity(p.cod)
 
 
 def label_chase_composition(p: NatTrans, M, cone) -> NatTrans:
@@ -474,6 +476,43 @@ class TestValidateOnce:
         with pytest.raises(InternalCheckError, match="do not form a category object"):
             nerve_of_map(_finset_map((2,)))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda w: _finset_map((2,)),
+            lambda w: w["c2"].morphisms[w["c2"].maps["free_over_point"]],
+        ],
+        ids=["finset-(2,)", "c2-free_over_point"],
+    )
+    def test_unit_laws_reject_a_wrong_unit(self, monkeypatch, bundled_workspaces, build):
+        # e over the diagonal sends each b to the family of a non-identity
+        # automorphism h of E over B: the fiber swap on (2,), x -> g.x on
+        # the free C2-set.  It is natural, so only the unit laws tell it
+        # from the identity.
+        p = build(bundled_workspaces)
+        E, B = p.dom, p.cod
+        idx = E.topos.index
+        (h,) = [
+            f
+            for f in enumerate_nat_trans(E, E, over=(p, p))
+            if is_iso(f) and f != NatTrans.identity(E)
+        ]
+
+        def value(key):  # key (u: d -> c, (x, b)) with x in E(d)
+            x = key[1][0]
+            return Tup((x, h.component[idx.src(key[0])](x)))
+
+        def wrong_unit(p, M):
+            component = {}
+            for c in idx.objects:
+                table = {b: M.section(c, Tup((b, b)), value) for b in B.at[c]}
+                component[c] = FinFunction(B.at[c], M.total.at[c], table)
+            return NatTrans(B, M.total, component)
+
+        monkeypatch.setattr(univalence, "_identity_section", wrong_unit)
+        with pytest.raises(InternalCheckError, match="unit law fails"):
+            nerve_of_map(p)
+
     def test_nerve_of_map_validates_e_and_m_once_per_object(self, monkeypatch, bundled_workspaces):
         # e and m are checked by the category object they are part of, and
         # again as a degeneracy and a face of its nerve, and nowhere else
@@ -503,7 +542,7 @@ class TestValidateOnce:
 
         monkeypatch.setattr(NatTrans, "validate", recorded)
         nerve = nerve_of_map(w.morphisms[w.maps["free_over_point"]])
-        for f in (nerve.e, nerve.cat.m):
+        for f in (nerve.cat.e, nerve.cat.m):
             assert [label for label, g in checked if g is f] == ["category object", "simplicial object"]
 
     def test_nerve_of_map_rejects_non_natural_composition(self, monkeypatch, bundled_workspaces):
@@ -553,6 +592,9 @@ class TestArrowIsomorphism:
     def test_enumeration(self):
         found = enumerate_univalent(finset_topos(), 2, 2)
         assert [sig for sig, _ in found] == [(), (0,), (0, 1), (1,)]
+        # one map per arrow-isomorphism class
+        maps = [p for _, p in found]
+        assert not any(arrows_isomorphic(p, q) for i, p in enumerate(maps) for q in maps[:i])
 
     def test_enumeration_rejects_other_index(self):
         with pytest.raises(ValueError):
