@@ -49,10 +49,12 @@ def _load_workspace(arg: str, bound: int | None) -> Workspace:
         data = json.loads(_bundled().joinpath(f"{arg}.json").read_text())
     else:
         try:
-            with open(arg) as fh:
+            with open(arg, encoding="utf-8") as fh:
                 data = json.load(fh)
         except OSError as exc:
             raise CliError(f"cannot read workspace {arg!r}: {exc}")
+        except UnicodeDecodeError as exc:
+            raise CliError(f"workspace {arg!r}: not UTF-8 at byte {exc.start}")
         except json.JSONDecodeError as exc:
             raise CliError(f"workspace {arg!r}: parse error at line {exc.lineno}, column {exc.colno}")
     if bound is not None and isinstance(data, dict):

@@ -297,8 +297,12 @@ class FinFunction:
         return len(set(self.idx)) == len(self.cod)
 
     def is_bijective(self) -> bool:
-        n = len(set(self.idx))
-        return n == len(self.idx) == len(self.cod)
+        idx = self.idx
+        if len(idx) != len(self.cod):
+            return False
+        # The positions of the domain are distinct, so they name each of as
+        # many codomain elements once.
+        return idx is self.dom.positions or len(set(idx)) == len(idx)
 
     def inverse(self) -> "FinFunction":
         if not self.is_bijective():

@@ -9,8 +9,11 @@ and the target map is d(1,0); composable pairs are stored as
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+from operator import add
+
 from .elements import Atom, Element, FinFunction, STAR, Tup, pick
-from .fincat import FiniteCategory, FrozenRecord, check_bound
+from .fincat import FiniteCategory, FrozenRecord, RowSet, check_bound
 from .topos import (
     DependentProduct,
     InternalCheckError,
@@ -286,29 +289,58 @@ def category_object_from_finite_category(C: FiniteCategory) -> CategoryObject:
     return CategoryObject(T, obj0, obj1, s, t, e, cone, m)
 
 
+def _level3_faces(X2: RowSet, X3: RowSet, m: tuple) -> tuple:
+    """The faces d(3,0), d(3,1), d(3,2), d(3,3) of a nerve at one index
+    object, as position tuples X3 -> X2; m is the composite of each pair.
+
+    X3 is X2 cut into blocks: block p is the pair (f1, f2) at position p
+    followed by each of the k = X3.counts[2][f2] arrows f3 out of t f2, in
+    order.  The pairs (f, f3) with f3 out of t f hold the k positions from
+    off[f] = X2.offsets(0, f) on, in the order of f3, and loc[f] =
+    X2.offsets(2, f) is the place of f among the arrows with its source.
+    So d(3,3) repeats p k times, d(3,0) is the run of positions at f = f2,
+    d(3,1) the run at f = m(f1, f2), which ends where f2 does, and d(3,2)
+    is off[f1] plus loc[m(f2, f3)].  Nothing of size |X3| is ranked."""
+    arrows = range(len(X2.factors[0]))
+    off, loc = X2.offsets(0, arrows), X2.offsets(2, arrows)
+    k = X3.counts[2]
+    pairs = X2.positions
+    runs = [pairs[o : o + n] for o, n in zip(off, k)]
+    first, second = X2.column(0), X2.column(2)
+    d33 = tuple(chain.from_iterable(map(repeat, pairs, pick(k, second))))
+    d30 = tuple(chain.from_iterable(pick(runs, second)))
+    d31 = tuple(chain.from_iterable(pick(runs, m)))
+    d32 = tuple(map(add, pick(pick(off, first), d33), pick(pick(loc, m), d30)))
+    return d30, d31, d32, d33
+
+
 def nerve_truncation(C: CategoryObject) -> TruncatedSimplicialObject:
-    """The nerve of C up to level 3.  Each face and degeneracy into level 2
-    or 3 is the mediating map into the limit cone of that level."""
+    """The nerve of C up to level 3.  Levels 2 and 3 are the limits of the
+    chains of two and three composable arrows.  Each degeneracy into level
+    2 or 3 is the mediating map into that limit; the faces out of level 3
+    are read off the blocks that the triples form over the pairs
+    (``_level3_faces``), which the simplicial identities check."""
     T = C.topos
     X2cone = C.composable
     X3cone = composable_pairs(T, C.C0, C.C1, C.s, C.t, 3)
     X = {0: C.C0, 1: C.C1, 2: X2cone.apex, 3: X3cone.apex}
     x2 = X2cone.legs  # (f1, middle, f2)
-    x3 = X3cone.legs  # (f1, x1, f2, x2, f3)
     ident1 = NatTrans.identity(C.C1)
     e_of_s, e_of_t = C.s.then(C.e), C.t.then(C.e)
-    first_two = X2cone.mediate(X[3], [x3[0], x3[2]])
-    last_two = X2cone.mediate(X[3], [x3[2], x3[4]])
+    d3 = [NatTrans(X[3], X[2], {}) for _ in range(4)]
+    for c in T.index.objects:
+        X2, X3 = X[2].at[c], X[3].at[c]
+        if X3.factors[:3] != X2.factors or X3.links[:2] != X2.links:
+            raise ValueError("the composable pairs are not the limit of C1 ->t C0 <-s C1")
+        for f, idx in zip(d3, _level3_faces(X2, X3, C.m.component[c].idx)):
+            f.component[c] = FinFunction.from_idx(X3, X2, idx)
     face = {
         (1, 0): C.t,
         (1, 1): C.s,
         (2, 0): x2[2],
         (2, 1): C.m,
         (2, 2): x2[0],
-        (3, 0): last_two,
-        (3, 1): X2cone.mediate(X[3], [first_two.then(C.m), x3[4]]),
-        (3, 2): X2cone.mediate(X[3], [x3[0], last_two.then(C.m)]),
-        (3, 3): first_two,
+        **{(3, i): f for i, f in enumerate(d3)},
     }
     degen = {
         (0, 0): C.e,
@@ -386,18 +418,47 @@ class Z3Result:
         self.from_X1 = from_X1
 
 
+def _z3_from_X3(X: TruncatedSimplicialObject, Z: RowSet, c: Element) -> tuple:
+    """The positions in Z = Z(3)(c) of the images of X3(c), ranked as
+    ``LimitCone.mediate`` would rank the cone (a, b, last), with a = d1 d3,
+    b = d0 d3 and last = d1 d0.  A rank is the sum of per-slot offsets, and
+    the offsets of a and b are those of d1 and d0 pulled back along d3, so
+    they are summed once over X2; only the last slot is ranked over X3."""
+    s, t = X.source.component[c].idx, X.target.component[c].idx
+    d20, d21 = X.face[(2, 0)].component[c].idx, X.face[(2, 1)].component[c].idx
+    d30, d33 = X.face[(3, 0)].component[c].idx, X.face[(3, 3)].component[c].idx
+    last = pick(d21, d30)
+    # The links of Z: t a = t b, at every two-chain, and s b = s last.
+    links = (
+        (2, pick(t, d21), pick(t, d20)),
+        (3, pick(pick(s, d20), d33), pick(s, last)),
+    )
+    for level, got, want in links:
+        if got != want:
+            k = next(k for k, (u, v) in enumerate(zip(got, want)) if u != v)
+            raise InternalCheckError(
+                f"Z(3) cone is not compatible at {X.level[level].at[c].elements[k]!r}"
+            )
+    head = tuple(map(add, Z.offsets(0, d21), Z.offsets(2, d20)))
+    return pick(Z.positions, tuple(map(add, pick(head, d33), Z.offsets(4, last))))
+
+
 def z3(X: TruncatedSimplicialObject) -> Z3Result:
     """The invertibility stage: the wide pullback of
     X1 ->t X0 <-t X1 ->s X0 <-s X1, receiving X3 via (d1 d3, d0 d3, d1 d0)
-    and X1 via (s0 d0, id, s0 d1)."""
+    and X1 via (s0 d0, id, s0 d1).  The map from X3 is ranked by
+    ``_z3_from_X3``, which builds no composite through X3 but the last."""
     T = X.topos
     s, t = X.source, X.target
-    d = X.face
     cone = wide_pullback(T, [X.level[1]] * 3, [X.level[0]] * 2, [t, t, s, s])
-    a = d[(3, 3)].then(d[(2, 1)])  # composite of the first two chains
-    b = d[(3, 3)].then(d[(2, 0)])  # the middle one-chain
-    c = d[(3, 0)].then(d[(2, 1)])  # composite of the last two chains
-    from_X3 = cone.mediate(X.level[3], [a, b, c])
+    from_X3 = NatTrans(
+        X.level[3],
+        cone.apex,
+        {
+            c: FinFunction.from_idx(X.level[3].at[c], Z, _z3_from_X3(X, Z, c))
+            for c, Z in cone.apex.at.items()
+        },
+    )
     s0 = X.degen[(0, 0)]
     from_X1 = cone.mediate(X.level[1], [t.then(s0), NatTrans.identity(X.level[1]), s.then(s0)])
     return Z3Result(cone.apex, cone, from_X3, from_X1)

@@ -126,7 +126,11 @@ class NatTrans:
             return report
         for u in idx.morphisms:
             c, d = idx.src(u), idx.tgt(u)
-            before, after = self.dom.restrict[u], self.cod.restrict[u]
+            before, after = self.dom.restrict.get(u), self.cod.restrict.get(u)
+            if before is None or after is None:
+                side = "domain" if before is None else "codomain"
+                report.append(f"no restriction along {u!r} in the {side}")
+                continue
             if (
                 c == d
                 and _is_identity_of(before, self.dom.at[c])

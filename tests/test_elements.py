@@ -103,6 +103,11 @@ class TestFinFunction:
         incl = FinFunction(one, two, {Atom("x"): Atom("a")})
         assert incl.is_injective() and not incl.is_surjective()
         assert incl.image() == atoms("a")
+        # the domain's own positions, which the identity shares, are a
+        # bijection exactly onto a set of the same size
+        assert FinFunction.identity(two).is_bijective()
+        assert not FinFunction.from_idx(one, two, one.positions).is_bijective()
+        assert FinFunction.from_idx(two, atoms("c", "d"), two.positions).is_bijective()
 
 
 class TestHashConsing:

@@ -52,6 +52,7 @@ from segaltopos.topos import (
     finset_topos,
     is_iso,
     is_mono,
+    ps_product,
     terminal,
 )
 from segaltopos.univalence import _finset_map, nerve_of_map
@@ -118,6 +119,20 @@ class TestNerveTruncation:
             CategoryObject(
                 cat.topos, cat.C0, cat.C1, cat.s, cat.t, cat.e, cat.composable, m=bad_m
             )
+
+    def test_level3_needs_the_chain_of_composable_pairs(self):
+        # over the one object of c2 the product C1 x C0 x C1 has the same
+        # tuples as the composable pairs, so it makes a valid category
+        # object; but its links are not those of the first three slots of
+        # the triples, which the faces out of level 3 are read off
+        cat = category_object_from_finite_category(corpus_categories()["c2"])
+        product = ps_product([cat.C1, cat.C0, cat.C1])
+        pairs, arrows = product.apex.at[STAR_OBJ], cat.C1.at[STAR_OBJ]
+        composite = FinFunction.from_idx(pairs, arrows, cat.m.component[STAR_OBJ].idx)
+        m = NatTrans(product.apex, cat.C1, {STAR_OBJ: composite})
+        other = CategoryObject(cat.topos, cat.C0, cat.C1, cat.s, cat.t, cat.e, product, m)
+        with pytest.raises(ValueError, match="not the limit of C1 ->t C0 <-s C1"):
+            nerve_truncation(other)
 
     def test_records_are_frozen(self):
         _, cat, X = nerve("c2")
@@ -227,13 +242,42 @@ def _nerve_by_formulas(cat, c):
     return face, degen
 
 
-@pytest.mark.parametrize("source", ["c2", "chain2", "walking_iso", "fibers (2,)"])
-def test_nerve_faces_and_degeneracies_follow_their_formulas(source):
-    if source == "fibers (2,)":
-        nerve_of_p = nerve_of_map(_finset_map((2,)))
-        cat, X = nerve_of_p.cat, nerve_of_p.trunc
-    else:
+def _source_id(source) -> str:
+    if isinstance(source, str):
+        return source
+    if isinstance(source[0], int):
+        return f"fibers {source}"
+    return " ".join(source)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "c2",
+        "chain2",
+        "walking_iso",
+        (2,),
+        (3,),
+        (1, 2),
+        ("c2", "free_over_point"),
+        ("sierpinski", "open_over_point"),
+    ],
+    ids=_source_id,
+)
+def test_nerve_faces_and_degeneracies_follow_their_formulas(source, bundled_workspaces):
+    # the nerves of corpus categories, of maps of finite sets with the
+    # given fibers, and of bundled maps over index categories with more
+    # than one arrow or object
+    if isinstance(source, str):
         _, cat, X = nerve(source)
+    else:
+        if isinstance(source[0], int):
+            p = _finset_map(source)
+        else:
+            w = bundled_workspaces[source[0]]
+            p = w.morphisms[w.maps[source[1]]]
+        nerve_of_p = nerve_of_map(p)
+        cat, X = nerve_of_p.cat, nerve_of_p.trunc
     for c in X.topos.index.objects:
         face, degen = _nerve_by_formulas(cat, c)
         for maps, formulas in ((X.face, face), (X.degen, degen)):
@@ -334,6 +378,26 @@ class TestZ3:
     def test_constant_singleton(self):
         z = z3(constant_singleton_simplicial(finset_topos()))
         assert z.Z.total_size() == 1
+
+    def test_from_X3_is_the_mediating_map(self, corpus_nerves, finset_sweep):
+        # z3 ranks the cone (d1 d3, d0 d3, d1 d0) slot by slot; the paper's
+        # map is the mediating map of that cone into the wide pullback
+        objects = [X for _, _, X, _ in corpus_nerves.values()]
+        objects += [nerve_of_map(p).trunc for p, _ in finset_sweep.values()]
+        objects.append(_punctured_c2_nerve())
+        objects += [
+            constant_singleton_simplicial(T) for T in (finset_topos(), c2_topos(), sierpinski_topos())
+        ]
+        for X in objects:
+            d = X.face
+            z = z3(X)
+            legs = [
+                d[(3, 3)].then(d[(2, 1)]),
+                d[(3, 3)].then(d[(2, 0)]),
+                d[(3, 0)].then(d[(2, 1)]),
+            ]
+            assert z.from_X3 == z.cone.mediate(X.level[3], legs)
+        assert len(objects) == len(corpus_nerves) + 18 + 4
 
 
 class TestHoequiv:

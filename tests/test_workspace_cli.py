@@ -440,6 +440,72 @@ class TestWorkspaceInputContract:
         if code == 2:
             assert err.getvalue().startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "bundle,name", [("c2", "free_over_point"), ("sierpinski", "open_over_point")]
+    )
+    def test_every_field_replaced_keeps_exit_contract(self, tmp_path, bundle, name):
+        # the value of every object member of the bundle, containers
+        # included, in turn replaced by a value of each JSON type
+        text = resources.files("segaltopos").joinpath("data", f"{bundle}.json").read_text()
+        ws = tmp_path / "ws.json"
+        checked = 0
+        for path in _field_paths(json.loads(text)):
+            for value in (None, 7, "zz", [], {}, -1, 1.5, True):
+                data = json.loads(text)
+                node = data
+                for k in path[:-1]:
+                    node = node[k]
+                node[path[-1]] = value
+                ws.write_text(json.dumps(data))
+                for argv in (["validate"], ["check-univalent", name]):
+                    command, *names = argv
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        try:
+                            code = main([command, "--workspace", str(ws), *names])
+                        except Exception as exc:
+                            raise AssertionError(f"{command} with {path} = {value!r}") from exc
+                    assert code in (0, 1, 2, 3), (command, path, value)
+                    assert "Traceback" not in err.getvalue()
+                    if code == 2:
+                        assert err.getvalue().startswith("error: "), (command, path, value)
+                    checked += 1
+                    if code == 2:
+                        # the workspace did not load, and check-univalent
+                        # loads it the same way
+                        break
+        assert checked > 400
+
+    def test_missing_restriction_is_reported(self, tmp_path):
+        data = json.loads(resources.files("segaltopos").joinpath("data", "c2.json").read_text())
+        data["presheaves"]["fixed2"]["restrict"] = {}
+        ws = tmp_path / "ws.json"
+        ws.write_text(json.dumps(data))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["validate", "--workspace", str(ws)]) == 2
+        assert err.getvalue().startswith("error: invalid workspace: ")
+        assert "morphism fixed2_to_point: no restriction along Atom('e') in the domain" in err.getvalue()
+
+    def test_non_utf8_file_exits_two(self, tmp_path):
+        ws = tmp_path / "ws.json"
+        ws.write_bytes(b"\xff\xfe{")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["validate", "--workspace", str(ws)]) == 2
+        assert err.getvalue() == f"error: workspace {str(ws)!r}: not UTF-8 at byte 0\n"
+
+
+def _field_paths(data, path=()):
+    """The path of every member of every object inside a JSON value."""
+    if isinstance(data, list):
+        for i, v in enumerate(data):
+            yield from _field_paths(v, path + (i,))
+    elif isinstance(data, dict):
+        for k, v in data.items():
+            yield path + (k,)
+            yield from _field_paths(v, path + (k,))
+
 
 # ---------------------------------------------------------------------------
 # what a CLI process imports
