@@ -20,6 +20,9 @@ class ResourceBoundError(RuntimeError):
         self.bound = bound
         self.stage = stage
 
+    def __reduce__(self):
+        return ResourceBoundError, (self.size, self.bound, self.stage)
+
 
 def check_bound(size: int, bound: int, stage: str):
     if size > bound:

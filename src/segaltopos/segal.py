@@ -175,6 +175,9 @@ class CategoryObjectError(ValueError):
         super().__init__("invalid category object: " + "; ".join(problems))
         self.problems = problems
 
+    def __reduce__(self):
+        return CategoryObjectError, (self.problems,)
+
 
 class CategoryObject(FrozenRecord):
     """Checked against the category laws when it is built, so no consumer

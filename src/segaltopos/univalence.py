@@ -242,10 +242,11 @@ def presheaf_oracle_univalent(p: NatTrans) -> bool:
 # enumeration of univalent maps in finite sets
 
 
-def _finset_map(signature: tuple) -> NatTrans:
-    """Canonical map of finite sets with the given tuple of fiber sizes."""
-    T = finset_topos()
-    star = Atom("*")
+def _finset_map(signature: tuple, T: Topos | None = None) -> NatTrans:
+    """Canonical map of finite sets with the given tuple of fiber sizes, in
+    T (finite sets under the default bound when omitted)."""
+    T = finset_topos() if T is None else T
+    star = T.index.objects.elements[0]
     bs = [Atom(f"b{i}") for i in range(len(signature))]
     es = []
     table = {}
@@ -275,7 +276,9 @@ def enumerate_univalent(T: Topos, max_E: int, max_B: int) -> list[tuple[tuple, N
     one per isomorphism class of arrows, as (fiber signature, map) pairs in
     deterministic order.  Two maps of finite sets are isomorphic arrows iff
     their sorted fiber sizes are equal, so one map per sorted signature is
-    one per class."""
+    one per class.  The maps are built in T and decided by ``fan_out``;
+    when some raise, the error is that of the smallest signature, the one a
+    loop in signature order meets first."""
     if not is_finset_topos(T):
         raise ValueError("enumeration is only implemented over the one-point index")
     signatures = set()
@@ -289,12 +292,22 @@ def enumerate_univalent(T: Topos, max_E: int, max_B: int) -> list[tuple[tuple, N
             build(prefix + [size], remaining_b - 1, remaining_e - size)
 
     build([], max_B, max_E)
-    out = []
-    for sig in sorted(signatures):
-        p = _finset_map(sig)
-        if is_univalent(p, name=str(sig)).univalent:
-            out.append((sig, p))
-    return out
+    # Loaded here, so that the CLI's other commands load neither it nor
+    # pickle and signal.
+    from .fanout import fan_out
+
+    sigs = sorted(signatures)
+    maps = [_finset_map(sig, T) for sig in sigs]
+
+    def decide(i):
+        return is_univalent(maps[i], name=str(sigs[i])).univalent
+
+    # Each verdict is independent; they run on every CPU the process may
+    # use.  The nerve has |E_b|^|E_b| endomaps over each b, so the maps
+    # with the largest fiber dominate and are handed out first.
+    order = sorted(range(len(sigs)), key=lambda i: (-max(sigs[i], default=0), i))
+    verdicts = fan_out(decide, order)
+    return [(sig, p) for sig, p, univalent in zip(sigs, maps, verdicts) if univalent]
 
 
 # ---------------------------------------------------------------------------

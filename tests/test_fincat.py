@@ -1,5 +1,6 @@
 import gc
 import itertools
+import pickle
 import random
 import re
 import weakref
@@ -28,6 +29,7 @@ from segaltopos.corpus import (
     random_map_to,
     sierpinski_topos,
 )
+from segaltopos.segal import CategoryObjectError
 from segaltopos.topos import ps_limit, terminal, yoneda
 
 
@@ -72,6 +74,18 @@ class TestValidateCategory:
         del comp[(Atom("g"), Atom("g"))]
         broken = FiniteCategory(C.objects, C.morphisms, C.src, C.tgt, C.identity, comp)
         assert any("undefined" in line for line in validate_category(broken))
+
+
+def test_errors_survive_pickle():
+    # fan_out carries a worker's exception back by pickle
+    exc = pickle.loads(pickle.dumps(ResourceBoundError(5, 3, "fin_limit")))
+    assert type(exc) is ResourceBoundError
+    assert (exc.size, exc.bound, exc.stage) == (5, 3, "fin_limit")
+    assert str(exc) == "intermediate size 5 exceeds bound 3"
+    exc = pickle.loads(pickle.dumps(CategoryObjectError(["m is not associative", "e is not a unit"])))
+    assert type(exc) is CategoryObjectError
+    assert exc.problems == ["m is not associative", "e is not a unit"]
+    assert str(exc) == "invalid category object: m is not associative; e is not a unit"
 
 
 class TestFinProduct:

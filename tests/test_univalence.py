@@ -1,10 +1,15 @@
+import os
 import random
+import signal
+import time
 
 import pytest
+from conftest import all_fiber_signatures
 from hypothesis import given, reject, settings, strategies as st
 
 from segaltopos import fincat, segal, univalence
 from segaltopos.elements import Atom, Fam, FinFunction, Tup
+from segaltopos.fanout import fan_out
 from segaltopos.fincat import ResourceBoundError
 from segaltopos.corpus import (
     c2_topos,
@@ -599,6 +604,124 @@ class TestArrowIsomorphism:
     def test_enumeration_rejects_other_index(self):
         with pytest.raises(ValueError):
             enumerate_univalent(c2_topos(), 1, 1)
+
+
+@pytest.fixture
+def deadline():
+    """Fail with TimeoutError instead of hanging when a test takes 30 s."""
+
+    def expire(signum, frame):
+        raise TimeoutError("still running after 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 30)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(params=[1, 2], ids=["one-cpu", "two-cpus"])
+def cpus(request, monkeypatch):
+    """The affinity set fan_out sees: one CPU, or two whatever the machine
+    has, so that the forked path runs on a one-CPU machine too."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+    return request.param
+
+
+@pytest.mark.usefixtures("deadline")
+class TestFanOut:
+    def test_results_come_back_in_input_order(self, cpus):
+        assert fan_out(lambda i: (i, i * i), range(39, -1, -1)) == [(i, i * i) for i in range(40)]
+        _no_child_left()
+
+    def test_smallest_failing_index_is_raised(self, cpus):
+        def fn(i):
+            if i in (3, 7, 12):
+                raise ValueError(i)
+            return i
+
+        with pytest.raises(ValueError) as exc:
+            fan_out(fn, range(19, -1, -1))
+        assert exc.value.args == (3,)
+        _no_child_left()
+
+    def test_more_tokens_than_a_pipe_holds(self, cpus):
+        n = 20_000  # 80 000 bytes of tokens, and a larger pickle of results
+        assert fan_out(lambda i: i, range(n)) == list(range(n))
+        _no_child_left()
+
+    def test_a_worker_that_dies_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        caller = os.getpid()
+        died_r, died_w = os.pipe()
+
+        def fn(i):
+            if os.getpid() != caller:
+                os.write(died_w, b"x")
+                os._exit(3)
+            os.read(died_r, 1)  # holds the caller until the worker took the other token
+            return i
+
+        try:
+            with pytest.raises(InternalCheckError, match="exited with code 3"):
+                fan_out(fn, range(2))
+        finally:
+            os.close(died_r)
+            os.close(died_w)
+        _no_child_left()
+
+    def test_an_interrupted_caller_kills_and_reaps_its_workers(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        caller = os.getpid()
+
+        def fn(i):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(60)  # outlasts the deadline unless the caller kills it
+
+        with pytest.raises(KeyboardInterrupt):
+            fan_out(fn, range(2))
+        _no_child_left()
+
+    def test_one_cpu_forks_nothing(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+        def no_fork():
+            raise AssertionError("forked with one CPU")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert fan_out(lambda i: -i, [4, 3, 2, 1, 0]) == [0, -1, -2, -3, -4]
+
+    @pytest.mark.parametrize("max_e,max_b", [(2, 2), (3, 3)])
+    def test_enumeration_is_the_same_on_one_cpu(self, monkeypatch, max_e, max_b):
+        T = finset_topos()
+        runs = {"machine": enumerate_univalent(T, max_e, max_b)}
+        for name, affinity in [("one-cpu", {0}), ("two-cpus", {0, 1})]:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, a=affinity: a)
+            runs[name] = enumerate_univalent(T, max_e, max_b)
+        one = runs["one-cpu"]
+        for name, found in runs.items():
+            assert [sig for sig, _ in found] == [sig for sig, _ in one], name
+            # NatTrans equality compares the sets and the tables of the maps
+            assert [p for _, p in found] == [p for _, p in one], name
+        by_oracle = [
+            sig for sig in all_fiber_signatures(max_b, max_e) if fiber_oracle_univalent(_finset_map(sig, T))
+        ]
+        assert [sig for sig, _ in one] == by_oracle
+        _no_child_left()
+
+    def test_enumeration_raises_the_error_of_the_smallest_signature(self, cpus):
+        # (0, 0, 3), (0, 3) and (3,) each exceed the bound; the first in
+        # signature order has 21 273 triples
+        with pytest.raises(ResourceBoundError) as exc:
+            enumerate_univalent(finset_topos(1000), 3, 3)
+        assert (exc.value.size, exc.value.stage) == (21273, "associativity")
+        _no_child_left()
 
 
 class TestPullbackSquares:

@@ -284,6 +284,17 @@ class TestCli:
         assert err.startswith(f"resource bound exceeded in {stage}: intermediate size ")
         assert err.rstrip().endswith(f"exceeds bound {bound}")
 
+    @pytest.mark.parametrize("command", ["enumerate-univalent", "poset"])
+    def test_enumeration_keeps_the_bound(self, capsys, command):
+        # (0, 0, 3) is the first signature over the bound: its category
+        # object has 21 273 composable triples
+        code, out, err = run_cli(
+            capsys, command, "--workspace", "finset", "--max-e", "3", "--max-b", "3", "--bound", "1000"
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "resource bound exceeded in associativity: intermediate size 21273 exceeds bound 1000\n"
+
     def test_workspace_from_file(self, capsys, tmp_path):
         path = tmp_path / "ws.json"
         path.write_text(dumps_workspace(build_bundle("finset")))
@@ -512,13 +523,14 @@ def _field_paths(data, path=()):
 
 GOLDEN = json.loads((Path(SRC).parent / "perfbench" / "cli_golden.json").read_text())
 # Runs the CLI module as `python -m` does, then writes to stderr which of
-# the modules a CLI process has no use for it loaded.
+# the modules a CLI process has no use for it loaded; only the
+# enumerations use the fan-out.
 COLD_START = """
 import runpy, sys
 try:
     runpy.run_module("segaltopos.cli", run_name="__main__", alter_sys=True)
 finally:
-    unused = ("dataclasses", "segaltopos.bundles", "segaltopos.corpus")
+    unused = ("dataclasses", "segaltopos.bundles", "segaltopos.corpus", "segaltopos.fanout")
     sys.stderr.write("loaded:" + "".join(" " + m for m in unused if m in sys.modules))
 """
 
