@@ -9,10 +9,10 @@ and the target map is d(1,0); composable pairs are stored as
 
 from __future__ import annotations
 
-from itertools import chain, repeat
-from operator import add
+from itertools import accumulate, chain, compress, repeat
+from operator import add, eq
 
-from .elements import Atom, Element, FinFunction, STAR, Tup, pick
+from .elements import Atom, Element, FinFunction, FinSet, STAR, Tup, pick
 from .fincat import FiniteCategory, FrozenRecord, RowSet, check_bound
 from .topos import (
     DependentProduct,
@@ -55,16 +55,18 @@ def wide_pullback(
 
 class TruncatedSimplicialObject(FrozenRecord):
     """Checked against the simplicial identities when it is built, so no
-    consumer checks it again."""
+    consumer checks it again.  ``nerve_of`` is the category object that
+    ``nerve_truncation`` built X from, and None for any other X."""
 
-    __slots__ = ("topos", "level", "face", "degen")
+    __slots__ = ("topos", "level", "face", "degen", "nerve_of")
 
-    def __init__(self, topos: Topos, level: dict, face: dict, degen: dict):
+    def __init__(self, topos: Topos, level: dict, face: dict, degen: dict, nerve_of=None):
         setter = object.__setattr__
         setter(self, "topos", topos)
         setter(self, "level", level)  # n in 0..3 -> Presheaf
         setter(self, "face", face)  # (n, i) -> NatTrans level[n] -> level[n-1]
         setter(self, "degen", degen)  # (n, i) -> NatTrans level[n] -> level[n+1]
+        setter(self, "nerve_of", nerve_of)
         problems = self.validate()
         if problems:
             raise ValueError("invalid simplicial object: " + "; ".join(problems))
@@ -78,6 +80,14 @@ class TruncatedSimplicialObject(FrozenRecord):
         return self.face[(1, 0)]
 
     def validate(self) -> list[str]:
+        """The problems of X as a truncated simplicial object.  The faces
+        and degeneracies of a nerve that are maps of its category object
+        (s, t, e and m) get their endpoints checked but not their
+        naturality: the category object checked that when it was built, and
+        ``NatTrans.validate`` reads only the map, its domain and codomain,
+        none of which changes after it is built."""
+        C = self.nerve_of
+        known = set() if C is None else {id(C.s), id(C.t), id(C.e), id(C.m)}
         report = []
         for n in range(4):
             if n not in self.level:
@@ -95,11 +105,13 @@ class TruncatedSimplicialObject(FrozenRecord):
         for (n, i), f in self.face.items():
             if f.dom != self.level[n] or f.cod != self.level[n - 1]:
                 report.append(f"face ({n},{i}) has wrong endpoints")
-            report.extend(f"face ({n},{i}): {p}" for p in f.validate())
+            if id(f) not in known:
+                report.extend(f"face ({n},{i}): {p}" for p in f.validate())
         for (n, i), f in self.degen.items():
             if f.dom != self.level[n] or f.cod != self.level[n + 1]:
                 report.append(f"degeneracy ({n},{i}) has wrong endpoints")
-            report.extend(f"degeneracy ({n},{i}): {p}" for p in f.validate())
+            if id(f) not in known:
+                report.extend(f"degeneracy ({n},{i}): {p}" for p in f.validate())
         if report:
             return report
         d, s = self.face, self.degen
@@ -353,7 +365,7 @@ def nerve_truncation(C: CategoryObject) -> TruncatedSimplicialObject:
         (2, 1): X3cone.mediate(X[2], [x2[0], x2[1].then(C.e), x2[2]]),
         (2, 2): X3cone.mediate(X[2], [x2[0], x2[2], x2[2].then(e_of_t)]),
     }
-    return TruncatedSimplicialObject(T, X, face, degen)
+    return TruncatedSimplicialObject(T, X, face, degen, nerve_of=C)
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +424,42 @@ def to_category_object(X: TruncatedSimplicialObject) -> CategoryObject:
 
 
 class Z3Result:
-    __slots__ = ("Z", "cone", "from_X3", "from_X1")
+    """The invertibility stage Z(3), its cone and the map from X1.  The map
+    from X3 is tabulated by ``_z3_from_X3`` the first time it is read: the
+    object of equivalences of a nerve is found without it."""
 
-    def __init__(self, Z: Presheaf, cone: PsLimitCone, from_X3: NatTrans, from_X1: NatTrans):
+    __slots__ = ("Z", "cone", "from_X1", "X", "_from_X3")
+
+    def __init__(self, Z: Presheaf, cone: PsLimitCone, from_X1: NatTrans, X: TruncatedSimplicialObject):
         self.Z = Z
         self.cone = cone
-        self.from_X3 = from_X3
         self.from_X1 = from_X1
+        self.X = X
+        self._from_X3 = None
+
+    @property
+    def from_X3(self) -> NatTrans:
+        if self._from_X3 is None:
+            X3 = self.X.level[3]
+            self._from_X3 = NatTrans(
+                X3,
+                self.Z,
+                {
+                    c: FinFunction.from_idx(X3.at[c], Z, _z3_from_X3(self.X, Z, c))
+                    for c, Z in self.Z.at.items()
+                },
+            )
+        return self._from_X3
+
+
+def _check_z3_link(X: TruncatedSimplicialObject, level: int, c: Element, got: tuple, want: tuple):
+    """Raise at the first element of X.level[level](c) where a link of Z(3)
+    fails on the cone from X3."""
+    if got != want:
+        k = next(k for k, (u, v) in enumerate(zip(got, want)) if u != v)
+        raise InternalCheckError(
+            f"Z(3) cone is not compatible at {X.level[level].at[c].elements[k]!r}"
+        )
 
 
 def _z3_from_X3(X: TruncatedSimplicialObject, Z: RowSet, c: Element) -> tuple:
@@ -432,56 +473,74 @@ def _z3_from_X3(X: TruncatedSimplicialObject, Z: RowSet, c: Element) -> tuple:
     d30, d33 = X.face[(3, 0)].component[c].idx, X.face[(3, 3)].component[c].idx
     last = pick(d21, d30)
     # The links of Z: t a = t b, at every two-chain, and s b = s last.
-    links = (
-        (2, pick(t, d21), pick(t, d20)),
-        (3, pick(pick(s, d20), d33), pick(s, last)),
-    )
-    for level, got, want in links:
-        if got != want:
-            k = next(k for k, (u, v) in enumerate(zip(got, want)) if u != v)
-            raise InternalCheckError(
-                f"Z(3) cone is not compatible at {X.level[level].at[c].elements[k]!r}"
-            )
+    _check_z3_link(X, 2, c, pick(t, d21), pick(t, d20))
+    _check_z3_link(X, 3, c, pick(pick(s, d20), d33), pick(s, last))
     head = tuple(map(add, Z.offsets(0, d21), Z.offsets(2, d20)))
     return pick(Z.positions, tuple(map(add, pick(head, d33), Z.offsets(4, last))))
 
 
 def z3(X: TruncatedSimplicialObject) -> Z3Result:
     """The invertibility stage: the wide pullback of
-    X1 ->t X0 <-t X1 ->s X0 <-s X1, receiving X3 via (d1 d3, d0 d3, d1 d0)
-    and X1 via (s0 d0, id, s0 d1).  The map from X3 is ranked by
-    ``_z3_from_X3``, which builds no composite through X3 but the last."""
-    T = X.topos
+    X1 ->t X0 <-t X1 ->s X0 <-s X1, receiving X1 via (s0 d0, id, s0 d1)
+    and X3 via (d1 d3, d0 d3, d1 d0).  Only the map from X1 is built here;
+    the one from X3 is ranked by ``_z3_from_X3`` when it is first read."""
     s, t = X.source, X.target
-    cone = wide_pullback(T, [X.level[1]] * 3, [X.level[0]] * 2, [t, t, s, s])
-    from_X3 = NatTrans(
-        X.level[3],
-        cone.apex,
-        {
-            c: FinFunction.from_idx(X.level[3].at[c], Z, _z3_from_X3(X, Z, c))
-            for c, Z in cone.apex.at.items()
-        },
-    )
+    cone = wide_pullback(X.topos, [X.level[1]] * 3, [X.level[0]] * 2, [t, t, s, s])
     s0 = X.degen[(0, 0)]
     from_X1 = cone.mediate(X.level[1], [t.then(s0), NatTrans.identity(X.level[1]), s.then(s0)])
-    return Z3Result(cone.apex, cone, from_X3, from_X1)
+    return Z3Result(cone.apex, cone, from_X1, X)
+
+
+class EquivalenceSet(FinSet):
+    """Eq(c) by position: element k is the pair (firsts[k], lasts[k]) of an
+    arrow in X1(c) and a three-chain in X3(c) over its point of Z(3), in the
+    order of the pullback X1 x_Z(3) X3.  Its labels, the pullback's tuples
+    (f, z, x), are built from ``label`` the first time they are asked for."""
+
+    __slots__ = ("firsts", "lasts", "label")
+
+    def __init__(self, firsts: tuple, lasts: tuple, label):
+        self.firsts = firsts
+        self.lasts = lasts
+        self.label = label  # (f, x) -> the label of the pair
+
+    def __getattr__(self, name):
+        # Called only while the slot `name` is still empty.
+        if name == "elements":
+            self.elements = tuple(map(self.label, self.firsts, self.lasts))
+            return self.elements
+        if name == "index":
+            self.index = dict(zip(self.elements, range(len(self))))
+            return self.index
+        return FinSet.__getattr__(self, name)
+
+    def __len__(self):
+        return len(self.firsts)
+
+    def __repr__(self):
+        # Counted, so it lists no label.
+        return f"EquivalenceSet({len(self)} pairs)"
 
 
 class EquivalencesObject:
-    __slots__ = ("carrier", "U", "s0_lift", "cone", "z")
+    """The object of equivalences Eq = X1 x_Z(3) X3 with its projections
+    U to X1, checked mono, and to_X3 to X3, and the lift s0_lift of the
+    degeneracy X0 -> X1 through it."""
+
+    __slots__ = ("carrier", "U", "to_X3", "s0_lift", "z")
 
     def __init__(
         self,
         carrier: Presheaf,
         U: NatTrans,
+        to_X3: NatTrans,
         s0_lift: NatTrans,
-        cone: PsLimitCone,
         z: Z3Result,
     ):
         self.carrier = carrier
         self.U = U  # carrier -> X1, mono
+        self.to_X3 = to_X3  # carrier -> X3
         self.s0_lift = s0_lift  # X0 -> carrier
-        self.cone = cone
         self.z = z
 
 
@@ -493,25 +552,130 @@ def total_degeneracy(X: TruncatedSimplicialObject, n: int) -> NatTrans:
     return out
 
 
-def hoequiv(X: TruncatedSimplicialObject) -> EquivalencesObject:
-    """The object of equivalences: the pullback of X1 -> Z(3) <- X3, whose
-    projection U to X1 is checked mono, with the lift of the degeneracy
-    X0 -> X1 given by (s0, X0 -> X3).  The lift restricts to s0 along U
-    because mediate takes s0 as that leg's column."""
-    z = z3(X)
+def _equivalences_by_pullback(X: TruncatedSimplicialObject, z: Z3Result) -> EquivalencesObject:
+    """Eq as the pullback of X1 -> Z(3) <- X3 by the fibers of the map
+    from X3, with s0_lift the mediating map of (s0, X0 -> X3)."""
     cone = ps_pullback(z.from_X1, z.from_X3)
-    U = cone.legs[0]
     s0_lift = cone.mediate(X.level[0], [X.degen[(0, 0)], total_degeneracy(X, 3)])
-    if not is_mono(U):
+    return EquivalencesObject(cone.apex, cone.legs[0], cone.legs[2], s0_lift, z)
+
+
+def _equivalence_pairs(X: TruncatedSimplicialObject, c: Element) -> tuple[tuple, tuple]:
+    """The pairs (f, x) of Eq(c) = X1(c) x_Z(3) X3(c) for X the nerve of a
+    category object, in the pullback's order, as (the f, the x).
+
+    A triple x = (f1, f2, f3) lies over the point (e t f, f, e s f) of f
+    exactly when f2 = f, m(f1, f) = e t f and m(f, f3) = e s f: f1 is a
+    section and f3 a retraction of f.  One pass over the pairs (g, h) with
+    m(g, h) = e s g lists both, since there g is a section of h and h a
+    retraction of g.  In the blocks of X3 (``_level3_faces``) the triple
+    is at the start of the block of the pair (f1, f), plus the place of f3
+    among the arrows with its source.  The paper's legs at each x found are
+    checked against f's point."""
+    s, t = X.source.component[c].idx, X.target.component[c].idx
+    e = X.degen[(0, 0)].component[c].idx
+    d20, d21, d22 = (X.face[(2, i)].component[c].idx for i in range(3))
+    d30, d33 = X.face[(3, 0)].component[c].idx, X.face[(3, 3)].component[c].idx
+    X2, X3 = X.level[2].at[c], X.level[3].at[c]
+    # The links of Z(3) on the cone from X3.  d0 d3 at (f1, f2, f3) is f2,
+    # the first arrow of d0 there, and every pair (f2, f3) is d0 of
+    # (e s f2, f2, f3), so s d0 d3 = s d1 d0 over X3 is s d2 = s d1 over X2.
+    _check_z3_link(X, 2, c, pick(t, d21), pick(t, d20))
+    _check_z3_link(X, 2, c, pick(s, d22), pick(s, d21))
+    arrows = range(len(X2.factors[0]))
+    loc = X2.offsets(2, arrows)
+    start = tuple(accumulate(pick(X3.counts[2], d20), initial=0))
+    sections = [[] for _ in arrows]  # f -> the pairs (f1, f) with f1 a section of f
+    retractions = [[] for _ in arrows]  # f -> loc of each retraction of f
+    for p in compress(range(len(d21)), map(eq, d21, pick(e, pick(s, d22)))):
+        sections[d20[p]].append(start[p])
+        retractions[d22[p]].append(loc[d20[p]])
+    firsts, lasts = [], []
+    for f in arrows:
+        if sections[f] and retractions[f]:
+            lasts += [b + r for b in sections[f] for r in retractions[f]]
+            firsts += [f] * (len(lasts) - len(firsts))
+    firsts, lasts = tuple(firsts), tuple(lasts)
+    if lasts:
+        before = pick(d33, lasts)
+        got = (pick(d21, before), pick(d20, before), pick(d21, pick(d30, lasts)))
+        if got != (pick(e, pick(t, firsts)), firsts, pick(e, pick(s, firsts))):
+            raise InternalCheckError("a pair of the object of equivalences is not over Z(3)")
+    return firsts, lasts
+
+
+def _equivalences_of_nerve(X: TruncatedSimplicialObject, z: Z3Result) -> EquivalencesObject:
+    """Eq for the nerve of a category object, from ``_equivalence_pairs``
+    at each stage; its restrictions are those of X1 and X3 on the pairs."""
+    T, X0, X1, X3 = X.topos, X.level[0], X.level[1], X.level[3]
+    s0, top = X.degen[(0, 0)], total_degeneracy(X, 3)
+    at, where, U, to_X3, lift = {}, {}, {}, {}, {}
+    for c in T.index.objects:
+        firsts, lasts = _equivalence_pairs(X, c)
+        Z, A, B = z.Z.at[c], X1.at[c], X3.at[c]
+        to_Z = z.from_X1.component[c].idx
+
+        def label(f, x, A=A, B=B, Z=Z, to_Z=to_Z):
+            return Tup((A.elements[f], Z.elements[to_Z[f]], B.elements[x]))
+
+        at[c] = E = EquivalenceSet(firsts, lasts, label)
+        where[c] = dict(zip(zip(firsts, lasts), range(len(E))))
+        U[c] = FinFunction.from_idx(E, A, firsts)
+        to_X3[c] = FinFunction.from_idx(E, B, lasts)
+        pairs = zip(s0.component[c].idx, top.component[c].idx)
+        lift[c] = FinFunction.from_idx(X0.at[c], E, _located(where[c], pairs, "the degeneracy"))
+    restrict = {}
+    for w in T.index.morphisms:
+        c, d = T.index.src(w), T.index.tgt(w)
+        r1, r3 = X1.restrict[w].idx, X3.restrict[w].idx
+        if c == d and r1 == X1.at[c].positions and r3 == X3.at[c].positions:
+            restrict[w] = FinFunction.from_idx(at[c], at[c], at[c].positions)
+            continue
+        pairs = zip(pick(r1, at[d].firsts), pick(r3, at[d].lasts))
+        restrict[w] = FinFunction.from_idx(at[d], at[c], _located(where[c], pairs, "a restriction"))
+    carrier = Presheaf(T, at, restrict)
+    return EquivalencesObject(
+        carrier,
+        NatTrans(carrier, X1, U),
+        NatTrans(carrier, X3, to_X3),
+        NatTrans(X0, carrier, lift),
+        z,
+    )
+
+
+def _located(where: dict, pairs, what: str) -> tuple:
+    """The positions in Eq of the given (f, x) pairs."""
+    out = tuple(map(where.get, pairs))
+    if None in out:
+        raise InternalCheckError(f"{what} leaves the object of equivalences")
+    return out
+
+
+def hoequiv(X: TruncatedSimplicialObject) -> EquivalencesObject:
+    """The object of equivalences: the pullback Eq of X1 -> Z(3) <- X3,
+    whose projection U to X1 is checked mono, with the lift of the
+    degeneracy X0 -> X1 given by (s0, X0 -> X3).  For a nerve built by
+    ``nerve_truncation``, whose levels 2 and 3 are the chains of
+    composable arrows and whose faces are read off their blocks, Eq is
+    joined from the sections and retractions of each arrow
+    (``_equivalence_pairs``) without the map X3 -> Z(3); any other X
+    takes the pullback along that map."""
+    z = z3(X)
+    if X.nerve_of is None:
+        eq = _equivalences_by_pullback(X, z)
+    else:
+        eq = _equivalences_of_nerve(X, z)
+    if not is_mono(eq.U):
         raise InternalCheckError("projection from the object of equivalences is not mono")
-    return EquivalencesObject(cone.apex, U, s0_lift, cone, z)
+    return eq
 
 
 def is_complete(X: TruncatedSimplicialObject, eq: EquivalencesObject | None = None) -> bool:
     """Whether every internal equivalence is an identity: the degeneracy
-    X0 -> Eq into the object of equivalences is iso.  The tests compare
-    this with the square X0 -> X3, X0 -> X1 over the invertibility stage
-    being a pullback, by listing the pairs over each point of Z(3)."""
+    X0 -> Eq into the object of equivalences is iso, which reads Eq's
+    pairs only.  The tests compare this with the square X0 -> X3,
+    X0 -> X1 over the invertibility stage being a pullback, by tabulating
+    X3 -> Z(3) and listing the pairs over each of its points."""
     if eq is None:
         eq = hoequiv(X)
     return is_iso(eq.s0_lift)

@@ -1,8 +1,15 @@
-"""Shared fixtures; the expensive sweeps are computed once per session."""
+"""Shared fixtures; the expensive sweeps are computed once per session.
+
+Hypothesis profiles: ``default`` keeps Hypothesis's own settings, and
+``ci`` (HYPOTHESIS_PROFILE=ci) runs more examples of every property that
+does not fix its own count."""
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from segaltopos.bundles import BUNDLES
 from segaltopos.corpus import corpus_categories
@@ -11,23 +18,10 @@ from segaltopos.segal import (
     hoequiv,
     nerve_truncation,
 )
-from segaltopos.topos import finset_topos
-from segaltopos.univalence import _finset_map, is_univalent
+from segaltopos.univalence import _finset_map, fiber_signatures, is_univalent
 
-
-def all_fiber_signatures(max_b: int, max_e: int) -> list[tuple]:
-    sigs = set()
-
-    def build(prefix, remaining_b, remaining_e):
-        sigs.add(tuple(sorted(prefix)))
-        if remaining_b == 0:
-            return
-        start = prefix[-1] if prefix else 0
-        for size in range(start, remaining_e + 1):
-            build(prefix + [size], remaining_b - 1, remaining_e - size)
-
-    build([], max_b, max_e)
-    return sorted(sigs)
+settings.register_profile("ci", max_examples=300)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")
@@ -35,7 +29,7 @@ def finset_sweep():
     """Univalence reports for every map of finite sets with |E|,|B| <= 3,
     one representative per arrow-isomorphism class."""
     out = {}
-    for sig in all_fiber_signatures(3, 3):
+    for sig in fiber_signatures(3, 3):
         p = _finset_map(sig)
         out[sig] = (p, is_univalent(p, name=str(sig)))
     return out

@@ -5,10 +5,12 @@ from itertools import product
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
+from segaltopos import segal
 from segaltopos.elements import Atom, FinFunction, FinSet, STAR, Tup
 from segaltopos.fincat import ResourceBoundError
 from segaltopos.corpus import (
     c2_topos,
+    c3_group,
     coproduct,
     corpus_categories,
     finset_presheaf,
@@ -49,6 +51,7 @@ from segaltopos.segal import (
 from segaltopos.topos import (
     NatTrans,
     Presheaf,
+    Topos,
     finset_topos,
     is_iso,
     is_mono,
@@ -415,6 +418,72 @@ class TestHoequiv:
         C, _, X, eq = corpus_nerves["chain2"]
         image = set(eq.U.component[STAR_OBJ].table.values())
         assert image == {C.id_of(o) for o in C.objects}
+
+
+def assert_join_is_the_pullback(X):
+    """hoequiv's join on the nerve X against the pullback of X1 -> Z(3) <-
+    X3 along the tabulated map from X3: the same pairs in the same order,
+    the same labels and the same restrictions and lift."""
+    assert X.nerve_of is not None
+    eq = hoequiv(X)
+    ref = segal._equivalences_by_pullback(X, z3(X))
+    for c in X.topos.index.objects:
+        assert len(eq.carrier.at[c]) == len(ref.carrier.at[c])
+        assert eq.U.component[c].idx == ref.U.component[c].idx
+        assert eq.to_X3.component[c].idx == ref.to_X3.component[c].idx
+        assert eq.s0_lift.component[c].idx == ref.s0_lift.component[c].idx
+        assert eq.carrier.at[c] == ref.carrier.at[c]
+    for w in X.topos.index.morphisms:
+        assert eq.carrier.restrict[w].idx == ref.carrier.restrict[w].idx
+    assert eq.carrier.validate() == []
+    for f in (eq.U, eq.to_X3, eq.s0_lift):
+        assert f.validate() == []
+
+
+class TestEquivalenceJoin:
+    def test_agrees_with_the_pullback(self, corpus_nerves, finset_sweep, bundled_workspaces):
+        nerves = [X for _, _, X, _ in corpus_nerves.values()]
+        nerves += [nerve_of_map(p).trunc for p, _ in finset_sweep.values()]
+        for bundle in ("c2", "sierpinski", "s3"):
+            w = bundled_workspaces[bundle]
+            nerves += [nerve_of_map(w.morphisms[m]).trunc for m in w.maps.values()]
+        assert len(nerves) == len(corpus_nerves) + 18 + 4
+        for X in nerves:
+            assert_join_is_the_pullback(X)
+
+    # Over C3 the domain is one orbit or fixed point: two free C3-sets
+    # over a point take seconds to reach the bound.
+    @settings(deadline=None)
+    @given(
+        st.sampled_from([(c2_topos, 2), (sierpinski_topos, 2), (lambda: Topos(c3_group()), 1)]),
+        st.integers(0, 10**6),
+    )
+    def test_agrees_with_the_pullback_on_random_maps(self, topos_parts, seed):
+        topos, parts = topos_parts
+        T, rng = topos(), random.Random(seed)
+        B = random_coproduct_presheaf(T, rng, 2)[0]
+        if B.total_size() == 0:
+            B = terminal(T)
+        p = random_map_to(T, rng, B, parts)
+        try:
+            X = nerve_of_map(p).trunc
+        except ResourceBoundError:
+            reject()
+        assert_join_is_the_pullback(X)
+
+    def test_a_nerve_never_tabulates_X3_to_Z3(self, monkeypatch, corpus_nerves, finset_sweep):
+        def tabulated(*args):
+            raise AssertionError("the map X3 -> Z(3) was tabulated")
+
+        monkeypatch.setattr(segal, "_z3_from_X3", tabulated)
+        nerves = [X for _, _, X, _ in corpus_nerves.values()]
+        nerves += [nerve_of_map(p).trunc for p, _ in finset_sweep.values()]
+        for X in nerves:
+            eq = hoequiv(X)
+            is_complete(X, eq)
+        # any other simplicial object takes the pullback, which reads it
+        with pytest.raises(AssertionError, match="tabulated"):
+            hoequiv(constant_singleton_simplicial(finset_topos()))
 
 
 def square_is_pullback_by_pair_scan(X, eq) -> bool:

@@ -4,12 +4,11 @@ import signal
 import time
 
 import pytest
-from conftest import all_fiber_signatures
 from hypothesis import given, reject, settings, strategies as st
 
 from segaltopos import fincat, segal, univalence
 from segaltopos.elements import Atom, Fam, FinFunction, Tup
-from segaltopos.fanout import fan_out
+from segaltopos.fanout import FORK_S, fan_out, worker_count
 from segaltopos.fincat import ResourceBoundError
 from segaltopos.corpus import (
     c2_topos,
@@ -47,12 +46,14 @@ from segaltopos.univalence import (
     check_universal_mono_univalent,
     enumerate_univalent,
     fiber_iso_counts,
+    fiber_signatures,
     fiber_oracle_univalent,
     is_pullback_square,
     is_univalent,
     nerve_of_map,
     presheaf_oracle_univalent,
     pullback_square_homs,
+    verdict_seconds,
 )
 
 STAR_OBJ = Atom("*")
@@ -131,9 +132,8 @@ class TestNerveOfMap:
 
     def test_verdict_ranks_into_the_large_cones_without_listing_them(self, monkeypatch):
         # Z(3) and the Segal spine cones are only mediated into, so their
-        # tuples are ranked, never listed.  Of the Eq pullback only the X1
-        # column is read, by the mono check on U; it repeats each point of
-        # X1 by its count, without expanding the X3 slot.
+        # tuples are ranked, never listed.  The object of equivalences is
+        # joined from X2's composites, with no cone over X3 at all.
         listed = []
         column = fincat.RowSet.column
 
@@ -142,7 +142,8 @@ class TestNerveOfMap:
             return column(apex, j)
 
         monkeypatch.setattr(fincat.RowSet, "column", recording)
-        cones = {"spine": [], "z3": [], "eq": []}
+        cones = {"spine": [], "z3": []}
+        found = []
         check, equivalences = univalence.segal_check, univalence.hoequiv
 
         def checked(X):
@@ -150,25 +151,28 @@ class TestNerveOfMap:
             cones["spine"] += witness.cones.values()
             return witness
 
-        def found(X):
+        def joined(X):
             eq = equivalences(X)
             cones["z3"].append(eq.z.cone)
-            cones["eq"].append(eq.cone)
+            found.append(eq)
             return eq
 
         monkeypatch.setattr(univalence, "segal_check", checked)
-        monkeypatch.setattr(univalence, "hoequiv", found)
+        monkeypatch.setattr(univalence, "hoequiv", joined)
         report = is_univalent(_finset_map((3,)))
         assert report.level_sizes[3] == 19683 and not report.univalent
-        assert len(cones["spine"]) == 2 and len(cones["z3"]) == len(cones["eq"]) == 1
+        assert len(cones["spine"]) == 2 and len(cones["z3"]) == len(found) == 1
 
         def slots_listed(cone):
             apex = cone.pointwise[STAR_OBJ].apex
             return {j for a, j in listed if a is apex}
 
         assert [slots_listed(c) for c in cones["spine"] + cones["z3"]] == [set(), set(), set()]
-        assert slots_listed(cones["eq"][0]) == {0}
         assert len(cones["z3"][0].apex.at[STAR_OBJ]) == 19683
+        # the six automorphisms of the fiber, each with its inverse
+        (eq,) = found
+        assert isinstance(eq.carrier.at[STAR_OBJ], segal.EquivalenceSet)
+        assert len(eq.carrier.at[STAR_OBJ]) == 6
         # the composable pairs and X3 are listed: their legs are faces
         assert any(len(a) == 19683 for a, _ in listed)
 
@@ -519,8 +523,9 @@ class TestValidateOnce:
             nerve_of_map(p)
 
     def test_nerve_of_map_validates_e_and_m_once_per_object(self, monkeypatch, bundled_workspaces):
-        # e and m are checked by the category object they are part of, and
-        # again as a degeneracy and a face of its nerve, and nowhere else
+        # s, t, e and m are checked by the category object they are part
+        # of, and not again as faces and degeneracies of its nerve; every
+        # other map is checked once, by the simplicial object
         w = bundled_workspaces["c2"]
         where = [None]
         checked = []
@@ -547,8 +552,14 @@ class TestValidateOnce:
 
         monkeypatch.setattr(NatTrans, "validate", recorded)
         nerve = nerve_of_map(w.morphisms[w.maps["free_over_point"]])
-        for f in (nerve.cat.e, nerve.cat.m):
-            assert [label for label, g in checked if g is f] == ["category object", "simplicial object"]
+        cat, X = nerve.cat, nerve.trunc
+        for f in (cat.s, cat.t, cat.e, cat.m):
+            assert [label for label, g in checked if g is f] == ["category object"]
+        maps = list(X.face.values()) + list(X.degen.values())
+        assert len(maps) == 15
+        for f in maps:
+            assert sum(g is f for _, g in checked) == 1
+        assert len(checked) == 15
 
     def test_nerve_of_map_rejects_non_natural_composition(self, monkeypatch, bundled_workspaces):
         w = bundled_workspaces["c2"]
@@ -606,6 +617,28 @@ class TestArrowIsomorphism:
             enumerate_univalent(c2_topos(), 1, 1)
 
 
+def _partitions(n: int, k: int) -> int:
+    """The number of partitions of n into parts of at most k, which is the
+    number into at most k parts."""
+    if n == 0:
+        return 1
+    if k == 0:
+        return 0
+    return _partitions(n, k - 1) + (_partitions(n - k, k) if n >= k else 0)
+
+
+class TestFiberSignatures:
+    @pytest.mark.parametrize("max_e,max_b", [(0, 0), (3, 0), (0, 3), (2, 2), (3, 3), (4, 2), (5, 5)])
+    def test_one_signature_per_partition(self, max_e, max_b):
+        # a signature of k sizes summing to n, without its zeros, is a
+        # partition of n into at most k parts
+        sigs = fiber_signatures(max_e, max_b)
+        expected = sum(_partitions(n, k) for k in range(max_b + 1) for n in range(max_e + 1))
+        assert len(sigs) == expected
+        assert sigs == sorted(set(sigs))
+        assert all(list(sig) == sorted(sig) and sum(sig) <= max_e and len(sig) <= max_b for sig in sigs)
+
+
 @pytest.fixture
 def deadline():
     """Fail with TimeoutError instead of hanging when a test takes 30 s."""
@@ -625,6 +658,10 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+# Predicted times of a second a call: on two CPUs a fork always pays.
+SLOW = [1.0]
+
+
 @pytest.fixture(params=[1, 2], ids=["one-cpu", "two-cpus"])
 def cpus(request, monkeypatch):
     """The affinity set fan_out sees: one CPU, or two whatever the machine
@@ -636,7 +673,7 @@ def cpus(request, monkeypatch):
 @pytest.mark.usefixtures("deadline")
 class TestFanOut:
     def test_results_come_back_in_input_order(self, cpus):
-        assert fan_out(lambda i: (i, i * i), range(39, -1, -1)) == [(i, i * i) for i in range(40)]
+        assert fan_out(lambda i: (i, i * i), range(39, -1, -1), SLOW * 40) == [(i, i * i) for i in range(40)]
         _no_child_left()
 
     def test_smallest_failing_index_is_raised(self, cpus):
@@ -646,13 +683,13 @@ class TestFanOut:
             return i
 
         with pytest.raises(ValueError) as exc:
-            fan_out(fn, range(19, -1, -1))
+            fan_out(fn, range(19, -1, -1), SLOW * 20)
         assert exc.value.args == (3,)
         _no_child_left()
 
     def test_more_tokens_than_a_pipe_holds(self, cpus):
         n = 20_000  # 80 000 bytes of tokens, and a larger pickle of results
-        assert fan_out(lambda i: i, range(n)) == list(range(n))
+        assert fan_out(lambda i: i, range(n), SLOW * n) == list(range(n))
         _no_child_left()
 
     def test_a_worker_that_dies_is_an_internal_error(self, monkeypatch):
@@ -669,7 +706,7 @@ class TestFanOut:
 
         try:
             with pytest.raises(InternalCheckError, match="exited with code 3"):
-                fan_out(fn, range(2))
+                fan_out(fn, range(2), SLOW * 2)
         finally:
             os.close(died_r)
             os.close(died_w)
@@ -685,7 +722,7 @@ class TestFanOut:
             time.sleep(60)  # outlasts the deadline unless the caller kills it
 
         with pytest.raises(KeyboardInterrupt):
-            fan_out(fn, range(2))
+            fan_out(fn, range(2), SLOW * 2)
         _no_child_left()
 
     def test_one_cpu_forks_nothing(self, monkeypatch):
@@ -695,7 +732,46 @@ class TestFanOut:
             raise AssertionError("forked with one CPU")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        assert fan_out(lambda i: -i, [4, 3, 2, 1, 0]) == [0, -1, -2, -3, -4]
+        assert fan_out(lambda i: -i, [4, 3, 2, 1, 0], SLOW * 5) == [0, -1, -2, -3, -4]
+
+    def test_worker_count_weighs_the_forks(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        assert worker_count([]) == worker_count([5.0]) == 1
+        # two calls save half their time on two CPUs: a fork pays when that
+        # is more than it costs
+        assert worker_count([FORK_S * 0.9] * 2) == 1
+        assert worker_count([FORK_S * 1.1] * 2) == 2
+        # a call that takes most of the time bounds what more workers save
+        assert worker_count([1.0, 0.001, 0.001, 0.001]) == 1
+        assert worker_count([1.0] * 8) == 4
+
+    def test_only_the_larger_sweep_forks(self, monkeypatch):
+        # 8 maps of at most 2 elements a fiber take about 15 ms in all, less
+        # than half of which a fork would save; the 18 maps of the
+        # --max-e 3 sweep take about 0.1 s, most of it in three maps
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        predicted = {
+            size: list(map(verdict_seconds, fiber_signatures(size, size))) for size in (2, 3)
+        }
+
+        def saved(seconds):  # by a second worker
+            return sum(seconds) - max(max(seconds), sum(seconds) / 2)
+
+        assert saved(predicted[2]) < FORK_S < saved(predicted[3])
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        T = finset_topos()
+        assert [sig for sig, _ in enumerate_univalent(T, 2, 2)] == [(), (0,), (0, 1), (1,)]
+        assert forks == []
+        assert [sig for sig, _ in enumerate_univalent(T, 3, 3)] == [(), (0,), (0, 1), (1,)]
+        assert len(forks) == 1
+        _no_child_left()
 
     @pytest.mark.parametrize("max_e,max_b", [(2, 2), (3, 3)])
     def test_enumeration_is_the_same_on_one_cpu(self, monkeypatch, max_e, max_b):
@@ -710,7 +786,7 @@ class TestFanOut:
             # NatTrans equality compares the sets and the tables of the maps
             assert [p for _, p in found] == [p for _, p in one], name
         by_oracle = [
-            sig for sig in all_fiber_signatures(max_b, max_e) if fiber_oracle_univalent(_finset_map(sig, T))
+            sig for sig in fiber_signatures(max_e, max_b) if fiber_oracle_univalent(_finset_map(sig, T))
         ]
         assert [sig for sig, _ in one] == by_oracle
         _no_child_left()
