@@ -523,26 +523,39 @@ def _field_paths(data, path=()):
 
 GOLDEN = json.loads((Path(SRC).parent / "perfbench" / "cli_golden.json").read_text())
 # Runs the CLI module as `python -m` does, then writes to stderr which of
-# the modules a CLI process has no use for it loaded; only the
-# enumerations use the fan-out.
+# the given modules, ones the command has no use for, it loaded.
 COLD_START = """
 import runpy, sys
 try:
     runpy.run_module("segaltopos.cli", run_name="__main__", alter_sys=True)
 finally:
-    unused = ("dataclasses", "segaltopos.bundles", "segaltopos.corpus", "segaltopos.fanout")
+    unused = {unused!r}
     sys.stderr.write("loaded:" + "".join(" " + m for m in unused if m in sys.modules))
 """
 
 
-@pytest.mark.parametrize("key", ["check-univalent --workspace finset u_sub", "validate --workspace c2"])
-def test_cli_process_loads_no_dataclasses_and_no_builders(key):
-    proc = subprocess.run(
-        [sys.executable, "-c", COLD_START, *key.split(), "--json"],
+def _cold_start(key: str, unused: tuple) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", COLD_START.format(unused=unused), *key.split(), "--json"],
         env=dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1"),
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+@pytest.mark.parametrize("key", ["check-univalent --workspace finset u_sub", "validate --workspace c2"])
+def test_cli_process_loads_no_dataclasses_and_no_builders(key):
+    # only the enumerations use the fan-out
+    unused = ("dataclasses", "segaltopos.bundles", "segaltopos.corpus", "segaltopos.fanout")
+    proc = _cold_start(key, unused)
+    assert proc.stderr.endswith("loaded:")
+    assert (proc.stdout, proc.returncode) == (GOLDEN[key]["stdout"], GOLDEN[key]["exit"])
+
+
+def test_a_sweep_that_does_not_fork_loads_no_pickle_or_signal():
+    # 8 maps of at most 2 elements a fiber run in a plain loop
+    key = "poset --workspace finset --max-e 2 --max-b 2"
+    proc = _cold_start(key, ("pickle", "signal"))
     assert proc.stderr.endswith("loaded:")
     assert (proc.stdout, proc.returncode) == (GOLDEN[key]["stdout"], GOLDEN[key]["exit"])
