@@ -57,9 +57,14 @@ def _load_workspace(arg: str, bound: int | None) -> Workspace:
             raise CliError(f"workspace {arg!r}: not UTF-8 at byte {exc.start}")
         except json.JSONDecodeError as exc:
             raise CliError(f"workspace {arg!r}: parse error at line {exc.lineno}, column {exc.colno}")
+        except RecursionError:
+            raise CliError(f"workspace {arg!r}: JSON nested too deeply")
     if bound is not None and isinstance(data, dict):
         data["bound"] = bound
-    return decode_workspace(data)
+    try:
+        return decode_workspace(data)
+    except RecursionError:
+        raise CliError(f"workspace {arg!r}: an element is nested too deeply")
 
 
 def _require(w: Workspace, kind: str, name: str):

@@ -2,6 +2,10 @@
 Segal and completeness checkers, objects of equivalences, mapping objects,
 composition, final objects, and functor criteria.
 
+The object of equivalences of a nerve is the sub-presheaf of C1 of
+isomorphisms; any other simplicial object takes the paper's pullback
+X1 x_Z(3) X3 along the invertibility stage Z(3).
+
 Conventions: level n is the object of n-chains; the source map is d(1,1)
 and the target map is d(1,0); composable pairs are stored as
 (f1, middle, f2) with the composite m(f1, f2) = "f2 after f1".
@@ -9,7 +13,7 @@ and the target map is d(1,0); composable pairs are stored as
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, compress, repeat
+from itertools import chain, compress, repeat
 from operator import add, eq
 
 from .elements import Atom, Element, FinFunction, FinSet, STAR, Tup, pick
@@ -424,124 +428,41 @@ def to_category_object(X: TruncatedSimplicialObject) -> CategoryObject:
 
 
 class Z3Result:
-    """The invertibility stage Z(3), its cone and the map from X1.  The map
-    from X3 is tabulated by ``_z3_from_X3`` the first time it is read: the
-    object of equivalences of a nerve is found without it."""
+    """The invertibility stage Z(3) and the maps into it from X1 and X3."""
 
-    __slots__ = ("Z", "cone", "from_X1", "X", "_from_X3")
+    __slots__ = ("Z", "from_X1", "from_X3")
 
-    def __init__(self, Z: Presheaf, cone: PsLimitCone, from_X1: NatTrans, X: TruncatedSimplicialObject):
+    def __init__(self, Z: Presheaf, from_X1: NatTrans, from_X3: NatTrans):
         self.Z = Z
-        self.cone = cone
         self.from_X1 = from_X1
-        self.X = X
-        self._from_X3 = None
-
-    @property
-    def from_X3(self) -> NatTrans:
-        if self._from_X3 is None:
-            X3 = self.X.level[3]
-            self._from_X3 = NatTrans(
-                X3,
-                self.Z,
-                {
-                    c: FinFunction.from_idx(X3.at[c], Z, _z3_from_X3(self.X, Z, c))
-                    for c, Z in self.Z.at.items()
-                },
-            )
-        return self._from_X3
-
-
-def _check_z3_link(X: TruncatedSimplicialObject, level: int, c: Element, got: tuple, want: tuple):
-    """Raise at the first element of X.level[level](c) where a link of Z(3)
-    fails on the cone from X3."""
-    if got != want:
-        k = next(k for k, (u, v) in enumerate(zip(got, want)) if u != v)
-        raise InternalCheckError(
-            f"Z(3) cone is not compatible at {X.level[level].at[c].elements[k]!r}"
-        )
-
-
-def _z3_from_X3(X: TruncatedSimplicialObject, Z: RowSet, c: Element) -> tuple:
-    """The positions in Z = Z(3)(c) of the images of X3(c), ranked as
-    ``LimitCone.mediate`` would rank the cone (a, b, last), with a = d1 d3,
-    b = d0 d3 and last = d1 d0.  A rank is the sum of per-slot offsets, and
-    the offsets of a and b are those of d1 and d0 pulled back along d3, so
-    they are summed once over X2; only the last slot is ranked over X3."""
-    s, t = X.source.component[c].idx, X.target.component[c].idx
-    d20, d21 = X.face[(2, 0)].component[c].idx, X.face[(2, 1)].component[c].idx
-    d30, d33 = X.face[(3, 0)].component[c].idx, X.face[(3, 3)].component[c].idx
-    last = pick(d21, d30)
-    # The links of Z: t a = t b, at every two-chain, and s b = s last.
-    _check_z3_link(X, 2, c, pick(t, d21), pick(t, d20))
-    _check_z3_link(X, 3, c, pick(pick(s, d20), d33), pick(s, last))
-    head = tuple(map(add, Z.offsets(0, d21), Z.offsets(2, d20)))
-    return pick(Z.positions, tuple(map(add, pick(head, d33), Z.offsets(4, last))))
+        self.from_X3 = from_X3
 
 
 def z3(X: TruncatedSimplicialObject) -> Z3Result:
     """The invertibility stage: the wide pullback of
     X1 ->t X0 <-t X1 ->s X0 <-s X1, receiving X1 via (s0 d0, id, s0 d1)
-    and X3 via (d1 d3, d0 d3, d1 d0).  Only the map from X1 is built here;
-    the one from X3 is ranked by ``_z3_from_X3`` when it is first read."""
-    s, t = X.source, X.target
+    and X3 via (d1 d3, d0 d3, d1 d0)."""
+    s, t, d = X.source, X.target, X.face
     cone = wide_pullback(X.topos, [X.level[1]] * 3, [X.level[0]] * 2, [t, t, s, s])
     s0 = X.degen[(0, 0)]
     from_X1 = cone.mediate(X.level[1], [t.then(s0), NatTrans.identity(X.level[1]), s.then(s0)])
-    return Z3Result(cone.apex, cone, from_X1, X)
-
-
-class EquivalenceSet(FinSet):
-    """Eq(c) by position: element k is the pair (firsts[k], lasts[k]) of an
-    arrow in X1(c) and a three-chain in X3(c) over its point of Z(3), in the
-    order of the pullback X1 x_Z(3) X3.  Its labels, the pullback's tuples
-    (f, z, x), are built from ``label`` the first time they are asked for."""
-
-    __slots__ = ("firsts", "lasts", "label")
-
-    def __init__(self, firsts: tuple, lasts: tuple, label):
-        self.firsts = firsts
-        self.lasts = lasts
-        self.label = label  # (f, x) -> the label of the pair
-
-    def __getattr__(self, name):
-        # Called only while the slot `name` is still empty.
-        if name == "elements":
-            self.elements = tuple(map(self.label, self.firsts, self.lasts))
-            return self.elements
-        if name == "index":
-            self.index = dict(zip(self.elements, range(len(self))))
-            return self.index
-        return FinSet.__getattr__(self, name)
-
-    def __len__(self):
-        return len(self.firsts)
-
-    def __repr__(self):
-        # Counted, so it lists no label.
-        return f"EquivalenceSet({len(self)} pairs)"
+    from_X3 = cone.mediate(
+        X.level[3],
+        [d[(3, 3)].then(d[(2, 1)]), d[(3, 3)].then(d[(2, 0)]), d[(3, 0)].then(d[(2, 1)])],
+    )
+    return Z3Result(cone.apex, from_X1, from_X3)
 
 
 class EquivalencesObject:
-    """The object of equivalences Eq = X1 x_Z(3) X3 with its projections
-    U to X1, checked mono, and to_X3 to X3, and the lift s0_lift of the
-    degeneracy X0 -> X1 through it."""
+    """The object of equivalences with its projection U to X1, a mono,
+    and the lift s0_lift of the degeneracy X0 -> X1 through it."""
 
-    __slots__ = ("carrier", "U", "to_X3", "s0_lift", "z")
+    __slots__ = ("carrier", "U", "s0_lift")
 
-    def __init__(
-        self,
-        carrier: Presheaf,
-        U: NatTrans,
-        to_X3: NatTrans,
-        s0_lift: NatTrans,
-        z: Z3Result,
-    ):
+    def __init__(self, carrier: Presheaf, U: NatTrans, s0_lift: NatTrans):
         self.carrier = carrier
         self.U = U  # carrier -> X1, mono
-        self.to_X3 = to_X3  # carrier -> X3
         self.s0_lift = s0_lift  # X0 -> carrier
-        self.z = z
 
 
 def total_degeneracy(X: TruncatedSimplicialObject, n: int) -> NatTrans:
@@ -552,130 +473,59 @@ def total_degeneracy(X: TruncatedSimplicialObject, n: int) -> NatTrans:
     return out
 
 
-def _equivalences_by_pullback(X: TruncatedSimplicialObject, z: Z3Result) -> EquivalencesObject:
-    """Eq as the pullback of X1 -> Z(3) <- X3 by the fibers of the map
-    from X3, with s0_lift the mediating map of (s0, X0 -> X3)."""
-    cone = ps_pullback(z.from_X1, z.from_X3)
-    s0_lift = cone.mediate(X.level[0], [X.degen[(0, 0)], total_degeneracy(X, 3)])
-    return EquivalencesObject(cone.apex, cone.legs[0], cone.legs[2], s0_lift, z)
-
-
-def _equivalence_pairs(X: TruncatedSimplicialObject, c: Element) -> tuple[tuple, tuple]:
-    """The pairs (f, x) of Eq(c) = X1(c) x_Z(3) X3(c) for X the nerve of a
-    category object, in the pullback's order, as (the f, the x).
-
-    A triple x = (f1, f2, f3) lies over the point (e t f, f, e s f) of f
-    exactly when f2 = f, m(f1, f) = e t f and m(f, f3) = e s f: f1 is a
-    section and f3 a retraction of f.  One pass over the pairs (g, h) with
-    m(g, h) = e s g lists both, since there g is a section of h and h a
-    retraction of g.  In the blocks of X3 (``_level3_faces``) the triple
-    is at the start of the block of the pair (f1, f), plus the place of f3
-    among the arrows with its source.  The paper's legs at each x found are
-    checked against f's point."""
-    s, t = X.source.component[c].idx, X.target.component[c].idx
-    e = X.degen[(0, 0)].component[c].idx
-    d20, d21, d22 = (X.face[(2, i)].component[c].idx for i in range(3))
-    d30, d33 = X.face[(3, 0)].component[c].idx, X.face[(3, 3)].component[c].idx
-    X2, X3 = X.level[2].at[c], X.level[3].at[c]
-    # The links of Z(3) on the cone from X3.  d0 d3 at (f1, f2, f3) is f2,
-    # the first arrow of d0 there, and every pair (f2, f3) is d0 of
-    # (e s f2, f2, f3), so s d0 d3 = s d1 d0 over X3 is s d2 = s d1 over X2.
-    _check_z3_link(X, 2, c, pick(t, d21), pick(t, d20))
-    _check_z3_link(X, 2, c, pick(s, d22), pick(s, d21))
-    arrows = range(len(X2.factors[0]))
-    loc = X2.offsets(2, arrows)
-    start = tuple(accumulate(pick(X3.counts[2], d20), initial=0))
-    sections = [[] for _ in arrows]  # f -> the pairs (f1, f) with f1 a section of f
-    retractions = [[] for _ in arrows]  # f -> loc of each retraction of f
-    for p in compress(range(len(d21)), map(eq, d21, pick(e, pick(s, d22)))):
-        sections[d20[p]].append(start[p])
-        retractions[d22[p]].append(loc[d20[p]])
-    firsts, lasts = [], []
-    for f in arrows:
-        if sections[f] and retractions[f]:
-            lasts += [b + r for b in sections[f] for r in retractions[f]]
-            firsts += [f] * (len(lasts) - len(firsts))
-    firsts, lasts = tuple(firsts), tuple(lasts)
-    if lasts:
-        before = pick(d33, lasts)
-        got = (pick(d21, before), pick(d20, before), pick(d21, pick(d30, lasts)))
-        if got != (pick(e, pick(t, firsts)), firsts, pick(e, pick(s, firsts))):
-            raise InternalCheckError("a pair of the object of equivalences is not over Z(3)")
-    return firsts, lasts
-
-
-def _equivalences_of_nerve(X: TruncatedSimplicialObject, z: Z3Result) -> EquivalencesObject:
-    """Eq for the nerve of a category object, from ``_equivalence_pairs``
-    at each stage; its restrictions are those of X1 and X3 on the pairs."""
-    T, X0, X1, X3 = X.topos, X.level[0], X.level[1], X.level[3]
-    s0, top = X.degen[(0, 0)], total_degeneracy(X, 3)
-    at, where, U, to_X3, lift = {}, {}, {}, {}, {}
+def _isomorphisms(C: CategoryObject) -> EquivalencesObject:
+    """The sub-presheaf of C1 of the arrows with a two-sided inverse, from
+    one pass over the composable pairs at each stage: a pair (g, h) whose
+    composite m(g, h) is the identity on s g makes g a section of h and h a
+    retraction of g, and an arrow with both is an isomorphism.  Restriction
+    preserves m and e, so C1's restrictions stay inside; each is checked."""
+    T, C1 = C.topos, C.C1
+    at, place, U, lift = {}, {}, {}, {}
     for c in T.index.objects:
-        firsts, lasts = _equivalence_pairs(X, c)
-        Z, A, B = z.Z.at[c], X1.at[c], X3.at[c]
-        to_Z = z.from_X1.component[c].idx
-
-        def label(f, x, A=A, B=B, Z=Z, to_Z=to_Z):
-            return Tup((A.elements[f], Z.elements[to_Z[f]], B.elements[x]))
-
-        at[c] = E = EquivalenceSet(firsts, lasts, label)
-        where[c] = dict(zip(zip(firsts, lasts), range(len(E))))
-        U[c] = FinFunction.from_idx(E, A, firsts)
-        to_X3[c] = FinFunction.from_idx(E, B, lasts)
-        pairs = zip(s0.component[c].idx, top.component[c].idx)
-        lift[c] = FinFunction.from_idx(X0.at[c], E, _located(where[c], pairs, "the degeneracy"))
+        g, h = C.composable.legs[0].component[c].idx, C.composable.legs[2].component[c].idx
+        e = C.e.component[c].idx
+        unit = tuple(map(eq, C.m.component[c].idx, pick(e, pick(C.s.component[c].idx, g))))
+        isos = tuple(sorted(set(compress(h, unit)) & set(compress(g, unit))))
+        A = C1.at[c]
+        at[c] = FinSet(pick(A.elements, isos))
+        place[c] = dict(zip(isos, range(len(isos))))
+        U[c] = FinFunction.from_idx(at[c], A, isos)
+        lift[c] = FinFunction.from_idx(C.C0.at[c], at[c], pick(place[c], e))
     restrict = {}
     for w in T.index.morphisms:
         c, d = T.index.src(w), T.index.tgt(w)
-        r1, r3 = X1.restrict[w].idx, X3.restrict[w].idx
-        if c == d and r1 == X1.at[c].positions and r3 == X3.at[c].positions:
-            restrict[w] = FinFunction.from_idx(at[c], at[c], at[c].positions)
-            continue
-        pairs = zip(pick(r1, at[d].firsts), pick(r3, at[d].lasts))
-        restrict[w] = FinFunction.from_idx(at[d], at[c], _located(where[c], pairs, "a restriction"))
+        image = tuple(map(place[c].get, pick(C1.restrict[w].idx, U[d].idx)))
+        if None in image:
+            raise InternalCheckError("a restriction leaves the object of equivalences")
+        restrict[w] = FinFunction.from_idx(at[d], at[c], image)
     carrier = Presheaf(T, at, restrict)
-    return EquivalencesObject(
-        carrier,
-        NatTrans(carrier, X1, U),
-        NatTrans(carrier, X3, to_X3),
-        NatTrans(X0, carrier, lift),
-        z,
-    )
-
-
-def _located(where: dict, pairs, what: str) -> tuple:
-    """The positions in Eq of the given (f, x) pairs."""
-    out = tuple(map(where.get, pairs))
-    if None in out:
-        raise InternalCheckError(f"{what} leaves the object of equivalences")
-    return out
+    return EquivalencesObject(carrier, NatTrans(carrier, C1, U), NatTrans(C.C0, carrier, lift))
 
 
 def hoequiv(X: TruncatedSimplicialObject) -> EquivalencesObject:
-    """The object of equivalences: the pullback Eq of X1 -> Z(3) <- X3,
-    whose projection U to X1 is checked mono, with the lift of the
-    degeneracy X0 -> X1 given by (s0, X0 -> X3).  For a nerve built by
-    ``nerve_truncation``, whose levels 2 and 3 are the chains of
-    composable arrows and whose faces are read off their blocks, Eq is
-    joined from the sections and retractions of each arrow
-    (``_equivalence_pairs``) without the map X3 -> Z(3); any other X
-    takes the pullback along that map."""
+    """The object of equivalences, with the lift of the degeneracy
+    X0 -> X1 through it.  For the nerve of a category object C (built by
+    ``nerve_truncation``) it is the sub-presheaf of C1 of isomorphisms
+    (``_isomorphisms``).  Any other X takes the paper's pullback
+    Eq = X1 x_Z(3) X3 of the maps into the invertibility stage, whose
+    projection U to X1 is checked mono, with the lift given by
+    (s0, X0 -> X3); on a nerve the two agree, which the tests check."""
+    if X.nerve_of is not None:
+        return _isomorphisms(X.nerve_of)
     z = z3(X)
-    if X.nerve_of is None:
-        eq = _equivalences_by_pullback(X, z)
-    else:
-        eq = _equivalences_of_nerve(X, z)
-    if not is_mono(eq.U):
+    cone = ps_pullback(z.from_X1, z.from_X3)
+    s0_lift = cone.mediate(X.level[0], [X.degen[(0, 0)], total_degeneracy(X, 3)])
+    if not is_mono(cone.legs[0]):
         raise InternalCheckError("projection from the object of equivalences is not mono")
-    return eq
+    return EquivalencesObject(cone.apex, cone.legs[0], s0_lift)
 
 
 def is_complete(X: TruncatedSimplicialObject, eq: EquivalencesObject | None = None) -> bool:
     """Whether every internal equivalence is an identity: the degeneracy
     X0 -> Eq into the object of equivalences is iso, which reads Eq's
-    pairs only.  The tests compare this with the square X0 -> X3,
-    X0 -> X1 over the invertibility stage being a pullback, by tabulating
-    X3 -> Z(3) and listing the pairs over each of its points."""
+    positions only.  The tests compare this with the square X0 -> X3,
+    X0 -> X1 over the invertibility stage being a pullback, by listing the
+    pairs over each point of Z(3)."""
     if eq is None:
         eq = hoequiv(X)
     return is_iso(eq.s0_lift)

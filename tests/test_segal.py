@@ -58,7 +58,8 @@ from segaltopos.topos import (
     ps_product,
     terminal,
 )
-from segaltopos.univalence import _finset_map, nerve_of_map
+from segaltopos.cli import main
+from segaltopos.univalence import _finset_map, is_univalent, nerve_of_map
 
 STAR_OBJ = Atom("*")
 
@@ -382,26 +383,6 @@ class TestZ3:
         z = z3(constant_singleton_simplicial(finset_topos()))
         assert z.Z.total_size() == 1
 
-    def test_from_X3_is_the_mediating_map(self, corpus_nerves, finset_sweep):
-        # z3 ranks the cone (d1 d3, d0 d3, d1 d0) slot by slot; the paper's
-        # map is the mediating map of that cone into the wide pullback
-        objects = [X for _, _, X, _ in corpus_nerves.values()]
-        objects += [nerve_of_map(p).trunc for p, _ in finset_sweep.values()]
-        objects.append(_punctured_c2_nerve())
-        objects += [
-            constant_singleton_simplicial(T) for T in (finset_topos(), c2_topos(), sierpinski_topos())
-        ]
-        for X in objects:
-            d = X.face
-            z = z3(X)
-            legs = [
-                d[(3, 3)].then(d[(2, 1)]),
-                d[(3, 3)].then(d[(2, 0)]),
-                d[(3, 0)].then(d[(2, 1)]),
-            ]
-            assert z.from_X3 == z.cone.mediate(X.level[3], legs)
-        assert len(objects) == len(corpus_nerves) + 18 + 4
-
 
 class TestHoequiv:
     def test_carrier_matches_invertibility_oracle(self, corpus_nerves):
@@ -420,23 +401,26 @@ class TestHoequiv:
         assert image == {C.id_of(o) for o in C.objects}
 
 
-def assert_join_is_the_pullback(X):
-    """hoequiv's join on the nerve X against the pullback of X1 -> Z(3) <-
-    X3 along the tabulated map from X3: the same pairs in the same order,
-    the same labels and the same restrictions and lift."""
+def without_nerve(X: TruncatedSimplicialObject) -> TruncatedSimplicialObject:
+    """X with the same levels, faces and degeneracies but no ``nerve_of``,
+    so that ``hoequiv`` takes the paper's pullback along Z(3)."""
+    return TruncatedSimplicialObject(X.topos, X.level, X.face, X.degen)
+
+
+def assert_isomorphisms_are_the_pullback(X):
+    """hoequiv's isomorphisms of the nerve X against the pullback of X1 ->
+    Z(3) <- X3: the same arrows in the same order, the same lift and
+    restrictions, and each pullback label (f, z, x) carried by f."""
     assert X.nerve_of is not None
-    eq = hoequiv(X)
-    ref = segal._equivalences_by_pullback(X, z3(X))
+    eq, ref = hoequiv(X), hoequiv(without_nerve(X))
     for c in X.topos.index.objects:
-        assert len(eq.carrier.at[c]) == len(ref.carrier.at[c])
         assert eq.U.component[c].idx == ref.U.component[c].idx
-        assert eq.to_X3.component[c].idx == ref.to_X3.component[c].idx
         assert eq.s0_lift.component[c].idx == ref.s0_lift.component[c].idx
-        assert eq.carrier.at[c] == ref.carrier.at[c]
+        assert eq.carrier.at[c].elements == tuple(x[0] for x in ref.carrier.at[c])
     for w in X.topos.index.morphisms:
         assert eq.carrier.restrict[w].idx == ref.carrier.restrict[w].idx
     assert eq.carrier.validate() == []
-    for f in (eq.U, eq.to_X3, eq.s0_lift):
+    for f in (eq.U, eq.s0_lift):
         assert f.validate() == []
 
 
@@ -449,7 +433,7 @@ class TestEquivalenceJoin:
             nerves += [nerve_of_map(w.morphisms[m]).trunc for m in w.maps.values()]
         assert len(nerves) == len(corpus_nerves) + 18 + 4
         for X in nerves:
-            assert_join_is_the_pullback(X)
+            assert_isomorphisms_are_the_pullback(X)
 
     # Over C3 the domain is one orbit or fixed point: two free C3-sets
     # over a point take seconds to reach the bound.
@@ -469,28 +453,45 @@ class TestEquivalenceJoin:
             X = nerve_of_map(p).trunc
         except ResourceBoundError:
             reject()
-        assert_join_is_the_pullback(X)
+        assert_isomorphisms_are_the_pullback(X)
 
-    def test_a_nerve_never_tabulates_X3_to_Z3(self, monkeypatch, corpus_nerves, finset_sweep):
-        def tabulated(*args):
-            raise AssertionError("the map X3 -> Z(3) was tabulated")
+    def test_a_rebuilt_nerve_takes_the_pullback(self, monkeypatch, corpus_nerves):
+        calls = []
+        stage = segal.z3
 
-        monkeypatch.setattr(segal, "_z3_from_X3", tabulated)
-        nerves = [X for _, _, X, _ in corpus_nerves.values()]
-        nerves += [nerve_of_map(p).trunc for p, _ in finset_sweep.values()]
-        for X in nerves:
-            eq = hoequiv(X)
-            is_complete(X, eq)
-        # any other simplicial object takes the pullback, which reads it
-        with pytest.raises(AssertionError, match="tabulated"):
+        def counted(X):
+            calls.append(X)
+            return stage(X)
+
+        monkeypatch.setattr(segal, "z3", counted)
+        C, _, X, _ = corpus_nerves["walking_iso"]
+        Y = without_nerve(X)
+        eq = hoequiv(Y)
+        assert Y.nerve_of is None and calls == [Y]
+        image = set(eq.U.component[STAR_OBJ].table.values())
+        assert image == iso_set(C) == set(hoequiv(X).U.component[STAR_OBJ].table.values())
+        assert len(image) > len(C.objects)
+
+    def test_a_nerve_never_tabulates_X3_to_Z3(self, monkeypatch, capsys, finset_sweep):
+        def built(X):
+            raise AssertionError("Z(3) was built")
+
+        monkeypatch.setattr(segal, "z3", built)
+        for p, report in finset_sweep.values():
+            assert is_univalent(p).univalent == report.univalent
+        for name in ("c2_cat", "chain2_cat"):
+            assert main(["check-complete", "--workspace", "finset", name]) == 0
+        assert "complete: " in capsys.readouterr().out
+        # any other simplicial object takes the pullback along Z(3)
+        with pytest.raises(AssertionError, match="Z\\(3\\) was built"):
             hoequiv(constant_singleton_simplicial(finset_topos()))
 
 
-def square_is_pullback_by_pair_scan(X, eq) -> bool:
+def square_is_pullback_by_pair_scan(X) -> bool:
     """The completeness cross-check by its definition: list every pair
     (w1, w3) over one point of Z(3) and compare them with the images of X0.
     Quadratic in the level sizes; the reference for is_complete."""
-    z = eq.z
+    z = z3(X)
     top = total_degeneracy(X, 3)
     s0 = X.degen[(0, 0)]
     if s0.then(z.from_X1) != top.then(z.from_X3):
@@ -518,12 +519,12 @@ class TestCompleteness:
             X = constant_singleton_simplicial(T)
             eq = hoequiv(X)
             assert is_complete(X, eq)
-            assert square_is_pullback_by_pair_scan(X, eq)
+            assert square_is_pullback_by_pair_scan(X)
 
     def test_agrees_with_pair_scan_on_corpus(self, corpus_nerves):
         verdicts = set()
         for name, (_, _, X, eq) in corpus_nerves.items():
-            verdict = square_is_pullback_by_pair_scan(X, eq)
+            verdict = square_is_pullback_by_pair_scan(X)
             assert is_complete(X, eq) == verdict, name
             verdicts.add(verdict)
         assert verdicts == {False, True}
@@ -532,7 +533,7 @@ class TestCompleteness:
         for sig, (p, report) in finset_sweep.items():
             X = nerve_of_map(p).trunc
             eq = hoequiv(X)
-            assert square_is_pullback_by_pair_scan(X, eq) == report.univalent, sig
+            assert square_is_pullback_by_pair_scan(X) == report.univalent, sig
             assert is_complete(X, eq) == report.univalent, sig
 
     @pytest.mark.parametrize("name", ["c2_cat", "chain2_cat"])
@@ -541,7 +542,7 @@ class TestCompleteness:
     ):
         X = nerve_truncation(bundled_workspaces["finset"].category_objects[name])
         eq = hoequiv(X)
-        assert is_complete(X, eq) == square_is_pullback_by_pair_scan(X, eq)
+        assert is_complete(X, eq) == square_is_pullback_by_pair_scan(X)
 
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from([c2_topos, sierpinski_topos]), st.integers(0, 10**6))
@@ -561,7 +562,7 @@ class TestCompleteness:
         if sum(len(X.level[1].at[c]) * len(X.level[3].at[c]) for c in T.index.objects) > 10**6:
             reject()
         eq = hoequiv(X)
-        assert is_complete(X, eq) == square_is_pullback_by_pair_scan(X, eq)
+        assert is_complete(X, eq) == square_is_pullback_by_pair_scan(X)
 
 
 class TestMappingObjects:

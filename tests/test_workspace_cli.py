@@ -506,6 +506,28 @@ class TestWorkspaceInputContract:
             assert main(["validate", "--workspace", str(ws)]) == 2
         assert err.getvalue() == f"error: workspace {str(ws)!r}: not UTF-8 at byte 0\n"
 
+    def test_deeply_nested_json_exits_two(self, tmp_path):
+        ws = tmp_path / "ws.json"
+        ws.write_text("[" * 100_000 + "]" * 100_000)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["validate", "--workspace", str(ws)]) == 2
+        assert err.getvalue() == f"error: workspace {str(ws)!r}: JSON nested too deeply\n"
+
+    def test_deeply_nested_element_exits_two(self, tmp_path):
+        # valid JSON: the element decoder, not the parser, runs out of stack
+        data = json.loads(resources.files("segaltopos").joinpath("data", "c2.json").read_text())
+        element = ["a", "x"]
+        for _ in range(420):
+            element = ["t", [element]]
+        data["presheaves"]["fixed2"]["at"]['["a","*"]'].append(element)
+        ws = tmp_path / "ws.json"
+        ws.write_text(json.dumps(data))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["validate", "--workspace", str(ws)]) == 2
+        assert err.getvalue() == f"error: workspace {str(ws)!r}: an element is nested too deeply\n"
+
 
 def _field_paths(data, path=()):
     """The path of every member of every object inside a JSON value."""
