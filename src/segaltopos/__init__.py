@@ -50,7 +50,9 @@ from .segal import (
     is_fully_faithful,
     is_hoequiv_morphism,
     is_segal,
+    isomorphisms,
     mapping_object,
+    nerve_level_sizes,
     nerve_truncation,
     to_category_object,
     z3,

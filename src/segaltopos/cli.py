@@ -15,6 +15,7 @@ from .fincat import ResourceBoundError
 from .segal import (
     hoequiv,
     is_complete,
+    nerve_level_sizes,
     nerve_truncation,
     segal_check,
 )
@@ -27,7 +28,7 @@ from .univalence import (
     nerve_of_map,
     pullback_square_homs,
 )
-from .workspace import Workspace, WorkspaceError, decode_workspace
+from .workspace import NestingError, Workspace, WorkspaceError, decode_workspace
 
 
 class CliError(Exception):
@@ -63,8 +64,8 @@ def _load_workspace(arg: str, bound: int | None) -> Workspace:
         data["bound"] = bound
     try:
         return decode_workspace(data)
-    except RecursionError:
-        raise CliError(f"workspace {arg!r}: an element is nested too deeply")
+    except NestingError as exc:
+        raise CliError(f"workspace {arg!r}: {exc}")
 
 
 def _require(w: Workspace, kind: str, name: str):
@@ -140,7 +141,7 @@ def cmd_nerve(w: Workspace, args):
     report = {
         "command": "nerve",
         "name": args.name,
-        "level_sizes": {str(n): nerve.trunc.level[n].total_size() for n in range(4)},
+        "level_sizes": {str(n): v for n, v in nerve_level_sizes(nerve.cat).items()},
         "fiberwise_maps": nerve.M.total.total_size(),
         "ok": True,
     }

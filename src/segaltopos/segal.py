@@ -2,9 +2,14 @@
 Segal and completeness checkers, objects of equivalences, mapping objects,
 composition, final objects, and functor criteria.
 
-The object of equivalences of a nerve is the sub-presheaf of C1 of
-isomorphisms; any other simplicial object takes the paper's pullback
-X1 x_Z(3) X3 along the invertibility stage Z(3).
+The object of equivalences of the nerve of a category object C is the
+sub-presheaf of C1 of isomorphisms (``isomorphisms``), which reads C
+alone, as ``nerve_level_sizes`` counts the nerve's levels without building
+them; a univalence verdict uses only these two.  ``nerve_truncation``
+builds the nerve up to level 3 for ``segal_check`` and the
+check-segal and check-complete commands.  Any simplicial object that is
+not a nerve takes the paper's pullback X1 x_Z(3) X3 along the
+invertibility stage Z(3).
 
 Conventions: level n is the object of n-chains; the source map is d(1,1)
 and the target map is d(1,0); composable pairs are stored as
@@ -269,9 +274,7 @@ def validate_category_object(C: CategoryObject) -> list[str]:
                 report.append(f"left unit law fails at {c!r} on {arrows[f]!r}")
             if comp[(f, e[tgt[f]])] != f:
                 report.append(f"right unit law fails at {c!r} on {arrows[f]!r}")
-        # The composable triples are the elements of X3 at c.
-        triples = sum(len(by_source.get(tgt[f2], ())) for _, f2 in comp)
-        check_bound(triples, C.topos.bound, "associativity")
+        check_bound(composable_triples(C, c), C.topos.bound, "associativity")
         # after[f]: the composites of f with each arrow h from tgt f, "h
         # after f", in the order of by_source.  For a pair (f1, f2) with
         # composite g, the triples (f1, f2, f3) run over the arrows f3 from
@@ -291,6 +294,27 @@ def validate_category_object(C: CategoryObject) -> list[str]:
                             f"({arrows[f1]!r},{arrows[f2]!r},{arrows[f3]!r})"
                         )
     return report
+
+
+def composable_triples(C: CategoryObject, c) -> int:
+    """The number of chains of three composable arrows of C at c, which is
+    |X3(c)| for the nerve of C, without listing them: a composable pair
+    (f1, f2) extends by each arrow out of t f2."""
+    out = [0] * len(C.C0.at[c])
+    for x in C.s.component[c].idx:
+        out[x] += 1
+    return sum(pick(out, pick(C.t.component[c].idx, C.composable.legs[2].component[c].idx)))
+
+
+def nerve_level_sizes(C: CategoryObject) -> dict:
+    """n -> the total size of level n of the nerve of C, for n in 0..3, the
+    sizes ``nerve_truncation`` builds; level 3 is counted, not built."""
+    return {
+        0: C.C0.total_size(),
+        1: C.C1.total_size(),
+        2: C.composable.apex.total_size(),
+        3: sum(composable_triples(C, c) for c in C.topos.index.objects),
+    }
 
 
 def category_object_from_finite_category(C: FiniteCategory) -> CategoryObject:
@@ -473,7 +497,7 @@ def total_degeneracy(X: TruncatedSimplicialObject, n: int) -> NatTrans:
     return out
 
 
-def _isomorphisms(C: CategoryObject) -> EquivalencesObject:
+def isomorphisms(C: CategoryObject) -> EquivalencesObject:
     """The sub-presheaf of C1 of the arrows with a two-sided inverse, from
     one pass over the composable pairs at each stage: a pair (g, h) whose
     composite m(g, h) is the identity on s g makes g a section of h and h a
@@ -506,12 +530,12 @@ def hoequiv(X: TruncatedSimplicialObject) -> EquivalencesObject:
     """The object of equivalences, with the lift of the degeneracy
     X0 -> X1 through it.  For the nerve of a category object C (built by
     ``nerve_truncation``) it is the sub-presheaf of C1 of isomorphisms
-    (``_isomorphisms``).  Any other X takes the paper's pullback
+    (``isomorphisms``).  Any other X takes the paper's pullback
     Eq = X1 x_Z(3) X3 of the maps into the invertibility stage, whose
     projection U to X1 is checked mono, with the lift given by
     (s0, X0 -> X3); on a nerve the two agree, which the tests check."""
     if X.nerve_of is not None:
-        return _isomorphisms(X.nerve_of)
+        return isomorphisms(X.nerve_of)
     z = z3(X)
     cone = ps_pullback(z.from_X1, z.from_X3)
     s0_lift = cone.mediate(X.level[0], [X.degen[(0, 0)], total_degeneracy(X, 3)])

@@ -22,6 +22,17 @@ class WorkspaceError(ValueError):
     pass
 
 
+class NestingError(WorkspaceError):
+    """The input nests deeper than the decoder can recurse."""
+
+
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise NestingError("JSON nested too deeply") from None
+
+
 _KINDS = {dict: "an object", list: "a list", str: "a string"}
 
 
@@ -53,6 +64,13 @@ def encode_element(e: Element):
 
 
 def decode_element(data) -> Element:
+    try:
+        return _decode_element(data)
+    except RecursionError:
+        raise NestingError("an element is nested too deeply") from None
+
+
+def _decode_element(data) -> Element:
     if not isinstance(data, list) or len(data) != 2:
         raise WorkspaceError(f"bad element encoding: {data!r}")
     tag, body = data
@@ -61,12 +79,12 @@ def decode_element(data) -> Element:
     if tag == "a":
         return Atom(_expect(body, str, "atom name"))
     if tag == "t":
-        return Tup(decode_element(x) for x in _expect(body, list, "tuple items"))
+        return Tup(_decode_element(x) for x in _expect(body, list, "tuple items"))
     entries = []
     for kv in _expect(body, list, "family entries"):
         if not isinstance(kv, list) or len(kv) != 2:
             raise WorkspaceError(f"bad family entry: {kv!r}")
-        entries.append((decode_element(kv[0]), decode_element(kv[1])))
+        entries.append((_decode_element(kv[0]), _decode_element(kv[1])))
     try:
         return Fam(entries)
     except ValueError as exc:
@@ -79,7 +97,7 @@ def element_key(e: Element) -> str:
 
 def decode_key(s: str) -> Element:
     try:
-        data = json.loads(s)
+        data = _parse_json(s)
     except json.JSONDecodeError as exc:
         raise WorkspaceError(f"bad element key: {s!r}") from exc
     return decode_element(data)
@@ -348,4 +366,4 @@ def dumps_workspace(w: Workspace) -> str:
 
 
 def loads_workspace(text: str) -> Workspace:
-    return decode_workspace(json.loads(text))
+    return decode_workspace(_parse_json(text))

@@ -77,7 +77,7 @@ class TestValidateCategory:
 
 
 def test_errors_survive_pickle():
-    # fan_out carries a worker's exception back by pickle
+    # an error crosses to another process by pickle, as multiprocessing sends it
     exc = pickle.loads(pickle.dumps(ResourceBoundError(5, 3, "fin_limit")))
     assert type(exc) is ResourceBoundError
     assert (exc.size, exc.bound, exc.stage) == (5, 3, "fin_limit")

@@ -40,6 +40,7 @@ from segaltopos.segal import (
     is_hoequiv_morphism,
     is_segal,
     mapping_object,
+    nerve_level_sizes,
     nerve_truncation,
     segal_check,
     segal_map_from_nerves,
@@ -68,6 +69,11 @@ def nerve(name):
     C = corpus_categories()[name]
     cat = category_object_from_finite_category(C)
     return C, cat, nerve_truncation(cat)
+
+
+def map_nerve(p):
+    """The nerve of the fiberwise-map category of p, up to level 3."""
+    return nerve_truncation(nerve_of_map(p).cat)
 
 
 def point(cat, o):
@@ -280,8 +286,8 @@ def test_nerve_faces_and_degeneracies_follow_their_formulas(source, bundled_work
         else:
             w = bundled_workspaces[source[0]]
             p = w.morphisms[w.maps[source[1]]]
-        nerve_of_p = nerve_of_map(p)
-        cat, X = nerve_of_p.cat, nerve_of_p.trunc
+        cat = nerve_of_map(p).cat
+        X = nerve_truncation(cat)
     for c in X.topos.index.objects:
         face, degen = _nerve_by_formulas(cat, c)
         for maps, formulas in ((X.face, face), (X.degen, degen)):
@@ -424,15 +430,25 @@ def assert_isomorphisms_are_the_pullback(X):
         assert f.validate() == []
 
 
+def assert_nerve_is_segal_and_counted(X):
+    """The nerve X, whose simplicial identities nerve_truncation checked, is
+    Segal, and its level sizes are those nerve_level_sizes counts for the
+    verdict."""
+    assert segal_check(X).holds
+    counted = nerve_level_sizes(X.nerve_of)
+    assert counted == {n: X.level[n].total_size() for n in range(4)}
+
+
 class TestEquivalenceJoin:
     def test_agrees_with_the_pullback(self, corpus_nerves, finset_sweep, bundled_workspaces):
         nerves = [X for _, _, X, _ in corpus_nerves.values()]
-        nerves += [nerve_of_map(p).trunc for p, _ in finset_sweep.values()]
-        for bundle in ("c2", "sierpinski", "s3"):
+        nerves += [map_nerve(p) for p, _ in finset_sweep.values()]
+        for bundle in ("finset", "c2", "sierpinski", "s3"):
             w = bundled_workspaces[bundle]
-            nerves += [nerve_of_map(w.morphisms[m]).trunc for m in w.maps.values()]
-        assert len(nerves) == len(corpus_nerves) + 18 + 4
+            nerves += [map_nerve(w.morphisms[m]) for m in w.maps.values()]
+        assert len(nerves) == len(corpus_nerves) + 18 + len(bundled_workspaces["finset"].maps) + 4
         for X in nerves:
+            assert_nerve_is_segal_and_counted(X)
             assert_isomorphisms_are_the_pullback(X)
 
     # Over C3 the domain is one orbit or fixed point: two free C3-sets
@@ -450,9 +466,10 @@ class TestEquivalenceJoin:
             B = terminal(T)
         p = random_map_to(T, rng, B, parts)
         try:
-            X = nerve_of_map(p).trunc
+            X = map_nerve(p)
         except ResourceBoundError:
             reject()
+        assert_nerve_is_segal_and_counted(X)
         assert_isomorphisms_are_the_pullback(X)
 
     def test_a_rebuilt_nerve_takes_the_pullback(self, monkeypatch, corpus_nerves):
@@ -531,7 +548,7 @@ class TestCompleteness:
 
     def test_agrees_with_pair_scan_on_sweep(self, finset_sweep):
         for sig, (p, report) in finset_sweep.items():
-            X = nerve_of_map(p).trunc
+            X = map_nerve(p)
             eq = hoequiv(X)
             assert square_is_pullback_by_pair_scan(X) == report.univalent, sig
             assert is_complete(X, eq) == report.univalent, sig
@@ -553,7 +570,7 @@ class TestCompleteness:
             B = terminal(T)
         p = random_map_to(T, rng, B, 2)
         try:
-            X = nerve_of_map(p).trunc
+            X = map_nerve(p)
         except ResourceBoundError:
             # two free C2-sets over one point have 16 777 216 composable
             # triples, past the default bound

@@ -1,14 +1,12 @@
+import json
 import os
 import random
-import signal
-import time
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from segaltopos import fincat, segal, univalence
+from segaltopos import cli, fincat, segal, univalence
 from segaltopos.elements import Atom, Fam, FinFunction, Tup
-from segaltopos.fanout import FORK_S, fan_out, worker_count
 from segaltopos.fincat import ResourceBoundError
 from segaltopos.corpus import (
     c2_topos,
@@ -19,7 +17,7 @@ from segaltopos.corpus import (
     sierpinski_topos,
 )
 from segaltopos.cli import main
-from segaltopos.segal import TruncatedSimplicialObject
+from segaltopos.segal import TruncatedSimplicialObject, nerve_level_sizes, nerve_truncation
 from segaltopos.topos import (
     InternalCheckError,
     NatTrans,
@@ -53,31 +51,33 @@ from segaltopos.univalence import (
     nerve_of_map,
     presheaf_oracle_univalent,
     pullback_square_homs,
-    verdict_seconds,
 )
 
 STAR_OBJ = Atom("*")
+
+
+def level_sizes(p: NatTrans) -> list:
+    """The sizes of levels 0..3 of the nerve of p's fiberwise-map category,
+    built by nerve_truncation, after checking that the count the verdict
+    reports agrees with them."""
+    cat = nerve_of_map(p).cat
+    X = nerve_truncation(cat)
+    sizes = [X.level[n].total_size() for n in range(4)]
+    assert list(nerve_level_sizes(cat).values()) == sizes
+    return sizes
 
 
 class TestNerveOfMap:
     def test_identity_nerve_is_codiscrete(self):
         # every fiber of an identity is a singleton, so there is exactly one
         # fiberwise map over each pair of points
-        p = _finset_map((1, 1, 1))
-        nerve = nerve_of_map(p)
-        sizes = [nerve.trunc.level[n].total_size() for n in range(4)]
-        assert sizes == [3, 9, 27, 81]
+        assert level_sizes(_finset_map((1, 1, 1))) == [3, 9, 27, 81]
 
     def test_map_to_point_gives_endomorphism_monoid(self):
-        p = _finset_map((2,))
-        nerve = nerve_of_map(p)
-        sizes = [nerve.trunc.level[n].total_size() for n in range(4)]
-        assert sizes == [1, 4, 16, 64]
+        assert level_sizes(_finset_map((2,))) == [1, 4, 16, 64]
 
     def test_empty_map(self):
-        p = _finset_map(())
-        nerve = nerve_of_map(p)
-        assert [nerve.trunc.level[n].total_size() for n in range(4)] == [0, 0, 0, 0]
+        assert level_sizes(_finset_map(())) == [0, 0, 0, 0]
 
     def test_verdict_builds_no_level3_labels(self, monkeypatch):
         # X3(*) of the (3,)-fiber map has 27**3 = 19 683 elements; a verdict
@@ -115,7 +115,7 @@ class TestNerveOfMap:
     def test_repr_is_short_and_builds_no_labels(self, monkeypatch):
         # A failing test's report reprs the objects in its frames; a repr
         # that listed X3(*) here would build 19 683 labels.
-        trunc = nerve_of_map(_finset_map((3,))).trunc
+        trunc = nerve_truncation(nerve_of_map(_finset_map((3,))).cat)
         calls = {"Tup": 0}
         original = Tup.__new__
 
@@ -131,9 +131,9 @@ class TestNerveOfMap:
         assert calls["Tup"] == 0
 
     def test_verdict_ranks_into_the_large_cones_without_listing_them(self, monkeypatch):
-        # The Segal spine cones are only mediated into, so their tuples are
-        # ranked, never listed.  The object of equivalences is read off the
-        # composable pairs, with no cone over X3 at all.
+        # The verdict builds no cone over X3: it reads the composable pairs
+        # and counts the triples.  The Segal check of the nerve mediates
+        # into its spine cones, so their tuples are ranked, never listed.
         listed = []
         column = fincat.RowSet.column
 
@@ -142,27 +142,21 @@ class TestNerveOfMap:
             return column(apex, j)
 
         monkeypatch.setattr(fincat.RowSet, "column", recording)
-        cones = []
-        check = univalence.segal_check
-
-        def checked(X):
-            witness = check(X)
-            cones.extend(witness.cones.values())
-            return witness
-
-        monkeypatch.setattr(univalence, "segal_check", checked)
-        report = is_univalent(_finset_map((3,)))
+        p = _finset_map((3,))
+        report = is_univalent(p)
         assert report.level_sizes[3] == 19683 and not report.univalent
-        assert len(cones) == 2
+        # the six automorphisms of the fiber
+        assert report.carrier_sizes == {repr(STAR_OBJ): 6}
+        assert listed and not any(len(a) == 19683 for a, _ in listed)
+        X = nerve_truncation(nerve_of_map(p).cat)
+        cones = segal.segal_check(X).cones.values()
 
         def slots_listed(cone):
             apex = cone.pointwise[STAR_OBJ].apex
             return {j for a, j in listed if a is apex}
 
         assert [slots_listed(c) for c in cones] == [set(), set()]
-        # the six automorphisms of the fiber
-        assert report.carrier_sizes == {repr(STAR_OBJ): 6}
-        # the composable pairs and X3 are listed: their legs are faces
+        # the nerve's X3 is listed: its legs are faces
         assert any(len(a) == 19683 for a, _ in listed)
 
     def test_bound_is_reached_before_the_triples_are_built(self, bundled_workspaces):
@@ -173,26 +167,48 @@ class TestNerveOfMap:
             is_univalent(unique_to_terminal(w.presheaves["two_free"]))
         assert (exc.value.stage, exc.value.size) == ("associativity", 16777216)
 
-    def test_two_free_category_object_validates_without_its_triples(self, bundled_workspaces, monkeypatch):
+    def test_two_free_category_object_validates_without_its_triples(self, bundled_workspaces):
         # the same 16 777 216 composable triples under a bound above them:
-        # associativity compares rows of m and lists no triple, so this
-        # stays small (CI runs it under a 1 GB address-space limit); the
-        # run stops at the nerve's levels, which would build X3
+        # associativity compares rows of m and the verdict counts the
+        # triples, listing none, so this stays small (CI runs it under a
+        # 1 GB address-space limit)
         X = bundled_workspaces["c2"].presheaves["two_free"]
         big = Presheaf(Topos(X.topos.index, 20_000_000), X.at, X.restrict)
-        built = []
+        report = is_univalent(unique_to_terminal(big))
+        assert not report.univalent
+        assert report.carrier_sizes == {repr(STAR_OBJ): 24}
+        assert report.level_sizes == {0: 1, 1: 256, 2: 65536, 3: 16777216}
 
-        def stop(cat):
-            built.append(cat)
-            raise LookupError("stopped before the nerve")
+    def test_a_verdict_builds_no_nerve(self, monkeypatch, capsys, finset_sweep, bundled_workspaces):
+        # is_univalent and the nerve command read the category object
+        # alone; nerve_truncation and segal_check are the tests' reference
+        for name in ("nerve_truncation", "segal_check"):
+            original = getattr(segal, name)
 
-        monkeypatch.setattr(univalence, "nerve_truncation", stop)
-        with pytest.raises(LookupError, match="stopped before the nerve"):
-            nerve_of_map(unique_to_terminal(big))
-        (cat,) = built
-        assert isinstance(cat, segal.CategoryObject) and cat.topos.bound == 20_000_000
-        assert [len(cat.C1.at[c]) for c in cat.topos.index.objects] == [256]
-        assert [len(cat.composable.apex.at[c]) for c in cat.topos.index.objects] == [65536]
+            def refuse(*args, _name=name):
+                raise AssertionError(f"{_name} was called")
+
+            for module in (segal, univalence, cli):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, refuse)
+        for sig, (p, report) in finset_sweep.items():
+            again = is_univalent(p, name=str(sig))
+            assert (again.univalent, again.level_sizes) == (report.univalent, report.level_sizes), sig
+        decided = 0
+        for bundle in ("finset", "c2", "sierpinski", "s3"):
+            w = bundled_workspaces[bundle]
+            for alias, mname in w.maps.items():
+                report = is_univalent(w.morphisms[mname], name=alias)
+                assert main(["nerve", "--workspace", bundle, alias, "--json"]) == 0
+                out = json.loads(capsys.readouterr().out)
+                assert out["level_sizes"] == {str(n): v for n, v in report.level_sizes.items()}
+                decided += 1
+        assert decided == len(bundled_workspaces["finset"].maps) + 4
+        s3 = bundled_workspaces["s3"]
+        (mname,) = s3.maps.values()
+        report = is_univalent(s3.morphisms[mname])
+        assert report.level_sizes == {0: 1, 1: 27, 2: 729, 3: 19683}
+        assert report.carrier_sizes == {repr(STAR_OBJ): 6} and not report.univalent
 
     def test_source_target_of_unit(self):
         p = _finset_map((0, 2))
@@ -438,7 +454,7 @@ class TestValidateOnce:
         _counting(monkeypatch, segal, "validate_category_object", calls)
         _counting(monkeypatch, TruncatedSimplicialObject, "validate", calls)
         is_univalent(p, name=name)
-        assert calls == {"validate_category_object": 1, "validate": 1}
+        assert calls == {"validate_category_object": 1, "validate": 0}
 
     @pytest.mark.parametrize(
         "argv,category_checks,simplicial_checks",
@@ -540,8 +556,8 @@ class TestValidateOnce:
             return validate(f)
 
         monkeypatch.setattr(NatTrans, "validate", recorded)
-        nerve = nerve_of_map(w.morphisms[w.maps["free_over_point"]])
-        cat, X = nerve.cat, nerve.trunc
+        cat = nerve_of_map(w.morphisms[w.maps["free_over_point"]]).cat
+        X = nerve_truncation(cat)
         for f in (cat.s, cat.t, cat.e, cat.m):
             assert [label for label, g in checked if g is f] == ["category object"]
         maps = list(X.face.values()) + list(X.degen.values())
@@ -564,7 +580,7 @@ class TestValidateOnce:
             nerve_of_map(w.morphisms[w.maps["free_over_point"]])
 
     def test_segal_check_rejects_corrupted_face(self):
-        X = nerve_of_map(_finset_map((2,))).trunc
+        X = nerve_truncation(nerve_of_map(_finset_map((2,))).cat)
         face = dict(X.face)
         face[(2, 1)] = _swap_two_values(face[(2, 1)])
         with pytest.raises(ValueError, match="invalid simplicial object"):
@@ -628,139 +644,49 @@ class TestFiberSignatures:
         assert all(list(sig) == sorted(sig) and sum(sig) <= max_e and len(sig) <= max_b for sig in sigs)
 
 
-@pytest.fixture
-def deadline():
-    """Fail with TimeoutError instead of hanging when a test takes 30 s."""
-
-    def expire(signum, frame):
-        raise TimeoutError("still running after 30 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 30)
-    yield
-    signal.setitimer(signal.ITIMER_REAL, 0)
-    signal.signal(signal.SIGALRM, previous)
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-# Predicted times of a second a call: on two CPUs a fork always pays.
-SLOW = [1.0]
-
-
 @pytest.fixture(params=[1, 2], ids=["one-cpu", "two-cpus"])
 def cpus(request, monkeypatch):
-    """The affinity set fan_out sees: one CPU, or two whatever the machine
-    has, so that the forked path runs on a one-CPU machine too."""
+    """The affinity set the process sees: one CPU, or two whatever the
+    machine has.  The sweep reads neither, and its answers must not
+    change with them."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
     return request.param
 
 
-@pytest.mark.usefixtures("deadline")
+def _deciding(monkeypatch, fails=()):
+    """Record the signatures is_univalent decides, in order, and make it
+    raise ValueError(signature) on those in fails."""
+    decided = []
+    decide = univalence.is_univalent
+
+    def recorded(p, name="p", run_oracle=True):
+        decided.append(name)
+        if name in fails:
+            raise ValueError(name)
+        return decide(p, name, run_oracle)
+
+    monkeypatch.setattr(univalence, "is_univalent", recorded)
+    return decided
+
+
 class TestFanOut:
-    def test_results_come_back_in_input_order(self, cpus):
-        assert fan_out(lambda i: (i, i * i), range(39, -1, -1), SLOW * 40) == [(i, i * i) for i in range(40)]
-        _no_child_left()
+    """The sweep decides its maps one after the other in signature order,
+    in one process, whatever CPUs it may use."""
 
-    def test_smallest_failing_index_is_raised(self, cpus):
-        def fn(i):
-            if i in (3, 7, 12):
-                raise ValueError(i)
-            return i
+    def test_results_come_back_in_input_order(self, monkeypatch, cpus):
+        decided = _deciding(monkeypatch)
+        found = enumerate_univalent(finset_topos(), 3, 3)
+        assert decided == [str(sig) for sig in fiber_signatures(3, 3)]
+        assert [sig for sig, _ in found] == [(), (0,), (0, 1), (1,)]
 
+    def test_smallest_failing_index_is_raised(self, monkeypatch, cpus):
+        # the first failing signature ends the sweep
+        decided = _deciding(monkeypatch, fails={"(0, 2)", "(1, 1)", "(3,)"})
         with pytest.raises(ValueError) as exc:
-            fan_out(fn, range(19, -1, -1), SLOW * 20)
-        assert exc.value.args == (3,)
-        _no_child_left()
-
-    def test_more_tokens_than_a_pipe_holds(self, cpus):
-        n = 20_000  # 80 000 bytes of tokens, and a larger pickle of results
-        assert fan_out(lambda i: i, range(n), SLOW * n) == list(range(n))
-        _no_child_left()
-
-    def test_a_worker_that_dies_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        caller = os.getpid()
-        died_r, died_w = os.pipe()
-
-        def fn(i):
-            if os.getpid() != caller:
-                os.write(died_w, b"x")
-                os._exit(3)
-            os.read(died_r, 1)  # holds the caller until the worker took the other token
-            return i
-
-        try:
-            with pytest.raises(InternalCheckError, match="exited with code 3"):
-                fan_out(fn, range(2), SLOW * 2)
-        finally:
-            os.close(died_r)
-            os.close(died_w)
-        _no_child_left()
-
-    def test_an_interrupted_caller_kills_and_reaps_its_workers(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        caller = os.getpid()
-
-        def fn(i):
-            if os.getpid() == caller:
-                raise KeyboardInterrupt
-            time.sleep(60)  # outlasts the deadline unless the caller kills it
-
-        with pytest.raises(KeyboardInterrupt):
-            fan_out(fn, range(2), SLOW * 2)
-        _no_child_left()
-
-    def test_one_cpu_forks_nothing(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-
-        def no_fork():
-            raise AssertionError("forked with one CPU")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        assert fan_out(lambda i: -i, [4, 3, 2, 1, 0], SLOW * 5) == [0, -1, -2, -3, -4]
-
-    def test_worker_count_weighs_the_forks(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        assert worker_count([]) == worker_count([5.0]) == 1
-        # two calls save half their time on two CPUs: a fork pays when that
-        # is more than it costs
-        assert worker_count([FORK_S * 0.9] * 2) == 1
-        assert worker_count([FORK_S * 1.1] * 2) == 2
-        # a call that takes most of the time bounds what more workers save
-        assert worker_count([1.0, 0.001, 0.001, 0.001]) == 1
-        assert worker_count([1.0] * 8) == 4
-
-    def test_only_the_larger_sweep_forks(self, monkeypatch):
-        # 8 maps of at most 2 elements a fiber take about 15 ms in all, less
-        # than half of which a fork would save; the 18 maps of the
-        # --max-e 3 sweep take about 0.1 s, most of it in three maps
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        predicted = {
-            size: list(map(verdict_seconds, fiber_signatures(size, size))) for size in (2, 3)
-        }
-
-        def saved(seconds):  # by a second worker
-            return sum(seconds) - max(max(seconds), sum(seconds) / 2)
-
-        assert saved(predicted[2]) < FORK_S < saved(predicted[3])
-        forks = []
-        fork = os.fork
-
-        def counted():
-            forks.append(None)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counted)
-        T = finset_topos()
-        assert [sig for sig, _ in enumerate_univalent(T, 2, 2)] == [(), (0,), (0, 1), (1,)]
-        assert forks == []
-        assert [sig for sig, _ in enumerate_univalent(T, 3, 3)] == [(), (0,), (0, 1), (1,)]
-        assert len(forks) == 1
-        _no_child_left()
+            enumerate_univalent(finset_topos(), 3, 3)
+        assert exc.value.args == ("(0, 2)",)
+        sigs = [str(sig) for sig in fiber_signatures(3, 3)]
+        assert decided == sigs[: sigs.index("(0, 2)") + 1]
 
     @pytest.mark.parametrize("max_e,max_b", [(2, 2), (3, 3)])
     def test_enumeration_is_the_same_on_one_cpu(self, monkeypatch, max_e, max_b):
@@ -778,7 +704,6 @@ class TestFanOut:
             sig for sig in fiber_signatures(max_e, max_b) if fiber_oracle_univalent(_finset_map(sig, T))
         ]
         assert [sig for sig, _ in one] == by_oracle
-        _no_child_left()
 
     def test_enumeration_raises_the_error_of_the_smallest_signature(self, cpus):
         # (0, 0, 3), (0, 3) and (3,) each exceed the bound; the first in
@@ -786,7 +711,6 @@ class TestFanOut:
         with pytest.raises(ResourceBoundError) as exc:
             enumerate_univalent(finset_topos(1000), 3, 3)
         assert (exc.value.size, exc.value.stage) == (21273, "associativity")
-        _no_child_left()
 
 
 class TestPullbackSquares:

@@ -379,6 +379,21 @@ def _with_index_objects_five():
     return data
 
 
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def deep_element_workspace() -> str:
+    """The c2 bundle with an element 420 ["t", [...]] levels deep: valid
+    JSON, on which the element decoder, not the parser, runs out of stack."""
+    data = json.loads(resources.files("segaltopos").joinpath("data", "c2.json").read_text())
+    element = ["a", "x"]
+    for _ in range(420):
+        element = ["t", [element]]
+    data["presheaves"]["fixed2"]["at"]['["a","*"]'].append(element)
+    return json.dumps(data)
+
+
 class TestWorkspaceInputContract:
     @pytest.mark.parametrize(
         "data,extra",
@@ -508,25 +523,32 @@ class TestWorkspaceInputContract:
 
     def test_deeply_nested_json_exits_two(self, tmp_path):
         ws = tmp_path / "ws.json"
-        ws.write_text("[" * 100_000 + "]" * 100_000)
+        ws.write_text(DEEP_JSON)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             assert main(["validate", "--workspace", str(ws)]) == 2
         assert err.getvalue() == f"error: workspace {str(ws)!r}: JSON nested too deeply\n"
 
     def test_deeply_nested_element_exits_two(self, tmp_path):
-        # valid JSON: the element decoder, not the parser, runs out of stack
-        data = json.loads(resources.files("segaltopos").joinpath("data", "c2.json").read_text())
-        element = ["a", "x"]
-        for _ in range(420):
-            element = ["t", [element]]
-        data["presheaves"]["fixed2"]["at"]['["a","*"]'].append(element)
         ws = tmp_path / "ws.json"
-        ws.write_text(json.dumps(data))
+        ws.write_text(deep_element_workspace())
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             assert main(["validate", "--workspace", str(ws)]) == 2
         assert err.getvalue() == f"error: workspace {str(ws)!r}: an element is nested too deeply\n"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (DEEP_JSON, "JSON nested too deeply"),
+            (deep_element_workspace(), "an element is nested too deeply"),
+        ],
+        ids=["json", "element"],
+    )
+    def test_deep_nesting_is_a_workspace_error(self, text, message):
+        with pytest.raises(WorkspaceError) as exc:
+            loads_workspace(text)
+        assert str(exc.value) == message
 
 
 def _field_paths(data, path=()):
@@ -568,15 +590,14 @@ def _cold_start(key: str, unused: tuple) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize("key", ["check-univalent --workspace finset u_sub", "validate --workspace c2"])
 def test_cli_process_loads_no_dataclasses_and_no_builders(key):
-    # only the enumerations use the fan-out
-    unused = ("dataclasses", "segaltopos.bundles", "segaltopos.corpus", "segaltopos.fanout")
+    unused = ("dataclasses", "segaltopos.bundles", "segaltopos.corpus")
     proc = _cold_start(key, unused)
     assert proc.stderr.endswith("loaded:")
     assert (proc.stdout, proc.returncode) == (GOLDEN[key]["stdout"], GOLDEN[key]["exit"])
 
 
 def test_a_sweep_that_does_not_fork_loads_no_pickle_or_signal():
-    # 8 maps of at most 2 elements a fiber run in a plain loop
+    # the sweep decides its maps in a plain loop, in this process
     key = "poset --workspace finset --max-e 2 --max-b 2"
     proc = _cold_start(key, ("pickle", "signal"))
     assert proc.stderr.endswith("loaded:")
