@@ -12,14 +12,8 @@ import sys
 from importlib import resources
 
 from .fincat import ResourceBoundError
-from .segal import (
-    hoequiv,
-    is_complete,
-    nerve_level_sizes,
-    nerve_truncation,
-    segal_check,
-)
-from .topos import is_mono
+from .segal import isomorphisms, nerve_level_sizes, nerve_truncation, segal_check
+from .topos import is_iso, is_mono
 from .univalence import (
     check_mono_classification,
     enumerate_univalent,
@@ -28,7 +22,7 @@ from .univalence import (
     nerve_of_map,
     pullback_square_homs,
 )
-from .workspace import NestingError, Workspace, WorkspaceError, decode_workspace
+from .workspace import NestingError, Workspace, WorkspaceError, decode_workspace, parse_json
 
 
 class CliError(Exception):
@@ -47,23 +41,22 @@ def bundle_names() -> list[str]:
 
 def _load_workspace(arg: str, bound: int | None) -> Workspace:
     if arg in bundle_names():
-        data = json.loads(_bundled().joinpath(f"{arg}.json").read_text())
+        text = _bundled().joinpath(f"{arg}.json").read_text()
     else:
         try:
             with open(arg, encoding="utf-8") as fh:
-                data = json.load(fh)
+                text = fh.read()
         except OSError as exc:
             raise CliError(f"cannot read workspace {arg!r}: {exc}")
         except UnicodeDecodeError as exc:
             raise CliError(f"workspace {arg!r}: not UTF-8 at byte {exc.start}")
-        except json.JSONDecodeError as exc:
-            raise CliError(f"workspace {arg!r}: parse error at line {exc.lineno}, column {exc.colno}")
-        except RecursionError:
-            raise CliError(f"workspace {arg!r}: JSON nested too deeply")
-    if bound is not None and isinstance(data, dict):
-        data["bound"] = bound
     try:
+        data = parse_json(text)
+        if bound is not None and isinstance(data, dict):
+            data["bound"] = bound
         return decode_workspace(data)
+    except json.JSONDecodeError as exc:
+        raise CliError(f"workspace {arg!r}: parse error at line {exc.lineno}, column {exc.colno}")
     except NestingError as exc:
         raise CliError(f"workspace {arg!r}: {exc}")
 
@@ -121,15 +114,13 @@ def cmd_check_segal(w: Workspace, args):
 
 def cmd_check_complete(w: Workspace, args):
     C = _require(w, "category object", args.name)
-    trunc = nerve_truncation(C)
-    eq = hoequiv(trunc)
-    complete = is_complete(trunc, eq)
+    eq = isomorphisms(C)
     report = {
         "command": "check-complete",
         "name": args.name,
         "equivalences": eq.carrier.total_size(),
-        "objects": trunc.level[0].total_size(),
-        "complete": complete,
+        "objects": C.C0.total_size(),
+        "complete": is_iso(eq.s0_lift),
         "ok": True,
     }
     return report, True
@@ -250,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common(sub.add_parser("validate", help="validate every structure in the workspace"))
     common(sub.add_parser("check-segal", help="nerve a category object and check the chain-splitting condition"), needs_name=True)
-    common(sub.add_parser("check-complete", help="check that all internal equivalences are identities"), needs_name=True)
+    common(sub.add_parser("check-complete", help="check that every isomorphism of a category object is an identity"), needs_name=True)
     common(sub.add_parser("nerve", help="build the fiberwise-map category of a map"), needs_name=True)
     common(sub.add_parser("check-univalent", help="decide univalence of a named map"), needs_name=True)
     common(sub.add_parser("enumerate-univalent", help="list univalent maps of finite sets within bounds"), bounds=True)

@@ -5,11 +5,12 @@ composition, final objects, and functor criteria.
 The object of equivalences of the nerve of a category object C is the
 sub-presheaf of C1 of isomorphisms (``isomorphisms``), which reads C
 alone, as ``nerve_level_sizes`` counts the nerve's levels without building
-them; a univalence verdict uses only these two.  ``nerve_truncation``
-builds the nerve up to level 3 for ``segal_check`` and the
-check-segal and check-complete commands.  Any simplicial object that is
-not a nerve takes the paper's pullback X1 x_Z(3) X3 along the
-invertibility stage Z(3).
+them; the univalence verdict and the check-complete command use only
+these two.  ``nerve_truncation`` builds the nerve up to level 3 for
+``segal_check`` and the check-segal command.  ``hoequiv`` is the paper's
+pullback X1 x_Z(3) X3 along the invertibility stage Z(3), for any
+simplicial object; it is the reference the tests compare
+``isomorphisms`` with.
 
 Conventions: level n is the object of n-chains; the source map is d(1,1)
 and the target map is d(1,0); composable pairs are stored as
@@ -65,7 +66,8 @@ def wide_pullback(
 class TruncatedSimplicialObject(FrozenRecord):
     """Checked against the simplicial identities when it is built, so no
     consumer checks it again.  ``nerve_of`` is the category object that
-    ``nerve_truncation`` built X from, and None for any other X."""
+    ``nerve_truncation`` built X from, and None for any other X; only
+    ``validate`` reads it."""
 
     __slots__ = ("topos", "level", "face", "degen", "nerve_of")
 
@@ -527,15 +529,12 @@ def isomorphisms(C: CategoryObject) -> EquivalencesObject:
 
 
 def hoequiv(X: TruncatedSimplicialObject) -> EquivalencesObject:
-    """The object of equivalences, with the lift of the degeneracy
-    X0 -> X1 through it.  For the nerve of a category object C (built by
-    ``nerve_truncation``) it is the sub-presheaf of C1 of isomorphisms
-    (``isomorphisms``).  Any other X takes the paper's pullback
+    """The object of equivalences as the paper defines it: the pullback
     Eq = X1 x_Z(3) X3 of the maps into the invertibility stage, whose
-    projection U to X1 is checked mono, with the lift given by
-    (s0, X0 -> X3); on a nerve the two agree, which the tests check."""
-    if X.nerve_of is not None:
-        return isomorphisms(X.nerve_of)
+    projection U to X1 is checked mono, with the lift of the degeneracy
+    X0 -> X1 through it given by (s0, X0 -> X3).  On the nerve of a
+    category object C it agrees with ``isomorphisms(C)``, which the tests
+    check; the verdicts use ``isomorphisms``."""
     z = z3(X)
     cone = ps_pullback(z.from_X1, z.from_X3)
     s0_lift = cone.mediate(X.level[0], [X.degen[(0, 0)], total_degeneracy(X, 3)])
@@ -544,23 +543,18 @@ def hoequiv(X: TruncatedSimplicialObject) -> EquivalencesObject:
     return EquivalencesObject(cone.apex, cone.legs[0], s0_lift)
 
 
-def is_complete(X: TruncatedSimplicialObject, eq: EquivalencesObject | None = None) -> bool:
+def is_complete(X: TruncatedSimplicialObject) -> bool:
     """Whether every internal equivalence is an identity: the degeneracy
-    X0 -> Eq into the object of equivalences is iso, which reads Eq's
-    positions only.  The tests compare this with the square X0 -> X3,
-    X0 -> X1 over the invertibility stage being a pullback, by listing the
-    pairs over each point of Z(3)."""
-    if eq is None:
-        eq = hoequiv(X)
-    return is_iso(eq.s0_lift)
+    X0 -> Eq into the paper's object of equivalences (``hoequiv``) is iso.
+    A reference for the tests; check-complete reads ``isomorphisms``."""
+    return is_iso(hoequiv(X).s0_lift)
 
 
-def is_hoequiv_morphism(X: TruncatedSimplicialObject, f: NatTrans, eq=None) -> bool:
+def is_hoequiv_morphism(X: TruncatedSimplicialObject, f: NatTrans) -> bool:
     """Whether f: D -> X1 factors through the object of equivalences."""
     if f.cod != X.level[1]:
         raise ValueError("the map does not land in level 1")
-    if eq is None:
-        eq = hoequiv(X)
+    eq = hoequiv(X)
     for c, func in f.component.items():
         image = set(eq.U.component[c].idx)
         if any(v not in image for v in func.idx):
@@ -692,11 +686,10 @@ def compose(data: CompositionData, c: Element, f: Element, g: Element) -> Elemen
     return data.to_xz.component[c](chain)
 
 
-def hoequiv_object(X, D, x, y, eq=None):
+def hoequiv_object(X, D, x, y):
     """The object of equivalences between two points, with its mono
     comparison into the mapping object."""
-    if eq is None:
-        eq = hoequiv(X)
+    eq = hoequiv(X)
     prod2 = ps_product([X.level[0]] * 2)
     st = prod2.mediate(eq.carrier, [eq.U.then(X.source), eq.U.then(X.target)])
     pts = prod2.mediate(D, [x, y])
@@ -789,12 +782,11 @@ def is_fully_faithful(F: SegalMap) -> bool:
     return is_iso(comparison)
 
 
-def is_essentially_surjective(F: SegalMap, eq=None) -> bool:
+def is_essentially_surjective(F: SegalMap) -> bool:
     """Every point of the codomain receives an equivalence from the image,
     naturally: the source-of-equivalence evaluation admits a section."""
-    W, V = F.dom, F.cod
-    if eq is None:
-        eq = hoequiv(V)
+    V = F.cod
+    eq = hoequiv(V)
     cone = ps_pullback(F.component[0], eq.U.then(V.source))
     to_v0 = cone.legs[2].then(eq.U).then(V.target)
     ident = NatTrans.identity(V.level[0])

@@ -12,6 +12,7 @@ counted; the nerve itself, as a simplicial object, is not built.
 from __future__ import annotations
 
 from .elements import Atom, FinFunction, FinSet, Tup, pick
+from .fincat import check_bound
 from .topos import (
     DependentProduct,
     InternalCheckError,
@@ -162,16 +163,17 @@ class UnivalenceReport:
         self.oracle_agrees = oracle_agrees
 
 
-def is_univalent(p: NatTrans, name: str = "p", run_oracle: bool = True) -> UnivalenceReport:
+def is_univalent(p: NatTrans, name: str = "p") -> UnivalenceReport:
     """Whether the nerve of the fiberwise-map category of p is complete:
     the unit e: B -> Iso(C1) into its isomorphisms is iso, so every
-    internal isomorphism of fibers is an identity."""
+    internal isomorphism of fibers is an identity.  Over finite sets the
+    fiber oracle decides too, and the report says whether they agree."""
     nerve = nerve_of_map(p)
     eq = isomorphisms(nerve.cat)
     univalent = is_iso(eq.s0_lift)
     oracle = None
     agrees = None
-    if run_oracle and is_finset_topos(p.dom.topos):
+    if is_finset_topos(p.dom.topos):
         oracle = fiber_oracle_univalent(p)
         agrees = oracle == univalent
     return UnivalenceReport(
@@ -276,19 +278,30 @@ def arrows_isomorphic(p: NatTrans, q: NatTrans) -> bool:
 def fiber_signatures(max_e: int, max_b: int) -> list[tuple]:
     """The fiber signatures of the maps of finite sets with |E| <= max_e
     and |B| <= max_b: the non-decreasing tuples of at most max_b fiber
-    sizes that sum to at most max_e, in sorted order."""
+    sizes that sum to at most max_e, in sorted order: that of a depth-first
+    walk listing each tuple before its extensions, smaller sizes first."""
     out = []
+    stack = [()]
+    while stack:
+        sig = stack.pop()
+        out.append(sig)
+        if len(sig) < max_b:
+            start = sig[-1] if sig else 0
+            stack.extend(sig + (size,) for size in range(max_e - sum(sig), start - 1, -1))
+    return out
 
-    def build(prefix, remaining_b, remaining_e):
-        out.append(tuple(prefix))
-        if remaining_b == 0:
-            return
-        start = prefix[-1] if prefix else 0
-        for size in range(start, remaining_e + 1):
-            build(prefix + [size], remaining_b - 1, remaining_e - size)
 
-    build([], max_b, max_e)
-    return sorted(out)
+def fiber_signature_count(max_e: int, max_b: int) -> int:
+    """len(fiber_signatures(max_e, max_b)), without listing them: a
+    non-decreasing tuple of k sizes summing to n is a partition of n into
+    at most k parts, counted as one into parts of size at most k."""
+    ways = [1] + [0] * max_e  # ways[n]: partitions of n into parts <= k
+    total = 1  # k = 0: the empty tuple
+    for k in range(1, max_b + 1):
+        for n in range(k, max_e + 1):
+            ways[n] += ways[n - k]
+        total += sum(ways)
+    return total
 
 
 def enumerate_univalent(T: Topos, max_E: int, max_B: int) -> list[tuple[tuple, NatTrans]]:
@@ -300,6 +313,7 @@ def enumerate_univalent(T: Topos, max_E: int, max_B: int) -> list[tuple[tuple, N
     so an error is that of the smallest signature that raises."""
     if not is_finset_topos(T):
         raise ValueError("enumeration is only implemented over the one-point index")
+    check_bound(fiber_signature_count(max_E, max_B), T.bound, "fiber_signatures")
     found = []
     for sig in fiber_signatures(max_E, max_B):
         p = _finset_map(sig, T)
@@ -357,10 +371,10 @@ class BiconditionalVerdict:
 def check_uni_iff_mono(sq: PullbackSquareMorphism) -> BiconditionalVerdict:
     """For a pullback square over a univalent target map: the source map is
     univalent exactly when the base component is mono."""
-    if not is_univalent(sq.p1, run_oracle=False).univalent:
+    if not is_univalent(sq.p1).univalent:
         raise ValueError("target map of the square must be univalent")
     return BiconditionalVerdict(
-        left=is_univalent(sq.p2, run_oracle=False).univalent,
+        left=is_univalent(sq.p2).univalent,
         right=is_mono(sq.f_B),
     )
 
@@ -381,7 +395,7 @@ def check_universal_mono_univalent(T: Topos) -> UniversalMonoVerdict:
     """The point of the subobject classifier is univalent, and its nerve is
     an internal poset."""
     omega, true_arrow = subobject_classifier(T)
-    report = is_univalent(true_arrow, name="true", run_oracle=True)
+    report = is_univalent(true_arrow, name="true")
     nerve = nerve_of_map(true_arrow)
     bb = ps_product([omega, omega])
     st = bb.mediate(nerve.M.total, [nerve.cat.s, nerve.cat.t])
@@ -392,7 +406,7 @@ def check_mono_classification(v: NatTrans) -> BiconditionalVerdict:
     """A mono is univalent exactly when its characteristic map is mono."""
     chi = classify_mono(v)
     return BiconditionalVerdict(
-        left=is_univalent(v, run_oracle=False).univalent,
+        left=is_univalent(v).univalent,
         right=is_mono(chi),
     )
 

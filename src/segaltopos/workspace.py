@@ -26,7 +26,7 @@ class NestingError(WorkspaceError):
     """The input nests deeper than the decoder can recurse."""
 
 
-def _parse_json(text: str):
+def parse_json(text: str):
     try:
         return json.loads(text)
     except RecursionError:
@@ -97,7 +97,7 @@ def element_key(e: Element) -> str:
 
 def decode_key(s: str) -> Element:
     try:
-        data = _parse_json(s)
+        data = parse_json(s)
     except json.JSONDecodeError as exc:
         raise WorkspaceError(f"bad element key: {s!r}") from exc
     return decode_element(data)
@@ -366,4 +366,4 @@ def dumps_workspace(w: Workspace) -> str:
 
 
 def loads_workspace(text: str) -> Workspace:
-    return decode_workspace(_parse_json(text))
+    return decode_workspace(parse_json(text))

@@ -37,7 +37,8 @@ def finset_sweep():
 
 @pytest.fixture(scope="session")
 def corpus_nerves():
-    """Nerve truncation and equivalence object for every corpus category."""
+    """Nerve truncation and the paper's object of equivalences (the
+    pullback hoequiv) for every corpus category."""
     out = {}
     for name, C in corpus_categories().items():
         cat = category_object_from_finite_category(C)

@@ -53,6 +53,7 @@ from segaltopos.segal import (
     composition_data,
     identity_morphism,
     is_complete,
+    isomorphisms,
 )
 from segaltopos.univalence import (
     PullbackSquareMorphism,
@@ -121,7 +122,7 @@ def test_criterion_04_group_action():
     # the equivalence carrier has 6 elements against 1 for B.
     p = unique_to_terminal(s3_natural_action())
     start = time.perf_counter()
-    report = is_univalent(p, name="natural_action", run_oracle=False)
+    report = is_univalent(p, name="natural_action")
     seconds = time.perf_counter() - start
     counts = fiber_iso_counts(p)
     oracle = presheaf_oracle_univalent(p)
@@ -148,9 +149,7 @@ def test_criterion_05_identity_iff_subterminal(bundled_workspaces):
     mismatches = []
     for bundle, w in bundled_workspaces.items():
         for name, X in w.presheaves.items():
-            univalent = is_univalent(
-                NatTrans.identity(X), name=f"id_{name}", run_oracle=False
-            ).univalent
+            univalent = is_univalent(NatTrans.identity(X), name=f"id_{name}").univalent
             if univalent != is_minus1_truncated(X):
                 mismatches.append(f"{bundle}/{name}")
     _report(
@@ -184,10 +183,12 @@ def test_criterion_06_universal_mono():
 def test_criterion_07_equivalence_object_oracle(corpus_nerves):
     bad = []
     for name, (C, cat, X, eq) in corpus_nerves.items():
-        image = set(eq.U.component[STAR_OBJ].table.values())
-        if image != iso_set(C) or eq.carrier.total_size() != len(iso_set(C)):
-            bad.append(f"{name}: carrier")
-        if is_complete(X, eq) != is_gaunt(C):
+        # the verdicts' isomorphisms of C and the paper's pullback on its nerve
+        for found in (isomorphisms(cat), eq):
+            image = set(found.U.component[STAR_OBJ].table.values())
+            if image != iso_set(C) or found.carrier.total_size() != len(iso_set(C)):
+                bad.append(f"{name}: carrier")
+        if is_complete(X) != is_gaunt(C):
             bad.append(f"{name}: completeness")
     ok = not bad and len(corpus_nerves) >= 8
     _report(
@@ -289,9 +290,8 @@ def test_criterion_09_equivalences_mono_and_agreement(corpus_nerves):
             bad.append(f"{name}: U not pointwise injective")
         if not is_mono(eq.U):
             bad.append(f"{name}: U not mono")
-        # is_complete raises internally if the degeneracy-iso and
-        # pullback-square formulations ever disagree
-        if is_complete(X, eq) != is_iso(eq.s0_lift):
+        # the paper's pullback on the nerve against the isomorphisms of C
+        if is_complete(X) != is_iso(isomorphisms(cat).s0_lift):
             bad.append(f"{name}: completeness formulations disagree")
     _report(
         9,

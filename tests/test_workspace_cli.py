@@ -295,6 +295,26 @@ class TestCli:
         assert out == ""
         assert err == "resource bound exceeded in associativity: intermediate size 21273 exceeds bound 1000\n"
 
+    @pytest.mark.parametrize(
+        "command,max_e,max_b,stage,size",
+        [
+            # 2001 signatures of empty fibers, decided without recursing
+            # once per fiber, until 32 points have 32^4 composable triples;
+            # poset enumerates the same way and would take as long again
+            ("enumerate-univalent", "0", "2000", "associativity", 1048576),
+            # counted before any is listed
+            ("enumerate-univalent", "200", "200", "fiber_signatures", 7907315441458917),
+            ("poset", "200", "200", "fiber_signatures", 7907315441458917),
+        ],
+        ids=["many-empty-fibers", "many-signatures", "many-signatures-poset"],
+    )
+    def test_a_large_sweep_exits_three(self, capsys, command, max_e, max_b, stage, size):
+        code, out, err = run_cli(
+            capsys, command, "--workspace", "finset", "--max-e", max_e, "--max-b", max_b
+        )
+        assert (code, out) == (3, "")
+        assert err == f"resource bound exceeded in {stage}: intermediate size {size} exceeds bound 1000000\n"
+
     def test_workspace_from_file(self, capsys, tmp_path):
         path = tmp_path / "ws.json"
         path.write_text(dumps_workspace(build_bundle("finset")))
