@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, compress, repeat
-from operator import add, eq
+from itertools import accumulate, chain, repeat
+from operator import add
 
 from .elements import STAR, Atom, Element, FinFunction, FinSet, Tup, pick
 
@@ -289,29 +289,25 @@ class RowSet(FinSet):
         with one whose slot-j entry is x before slot j and have a smaller
         entry there.  None at a fixed slot, where that is 0 for every x.
 
-        At a preimage slot the candidates for x are the fiber x lies in, so
-        the offsets are computed for the fibers ``entries`` touch only, and
-        kept for the next call."""
+        At a product slot the candidates for x are all of the slot, and at
+        a preimage slot the fiber x lies in; the table of every entry's
+        offset is built on first use and kept."""
         link = self.links[j - 1] if j else None
-        known = self._offsets[j]
-        if link is None:
-            if known is None:
-                known = self._offsets[j] = tuple(accumulate(self.counts[j], initial=0))
-            return pick(known, entries)
-        if link[0] == "fix":
+        if link is not None and link[0] == "fix":
             return None
+        known = self._offsets[j]
         if known is None:
-            known = self._offsets[j] = {}
-        f = link[1]
-        missing = set(entries).difference(known)
-        if missing:
-            fibers = set(map(f.__getitem__, missing))
             ways = self.counts[j]
-            run = dict.fromkeys(fibers, 0)
-            for x in compress(range(len(f)), map(fibers.__contains__, f)):
-                y = f[x]
-                known[x] = run[y]
-                run[y] += ways[x]
+            if link is None:
+                known = tuple(accumulate(ways, initial=0))
+            else:
+                run = [0] * len(self.factors[j - 1])
+                table = []
+                for x, y in enumerate(link[1]):
+                    table.append(run[y])
+                    run[y] += ways[x]
+                known = tuple(table)
+            self._offsets[j] = known
         return pick(known, entries)
 
     def _prefix(self, j: int):
@@ -346,14 +342,12 @@ class RowSet(FinSet):
             self._columns[j] = col
         return col
 
-    def first_outside(self, columns: list, fixed: bool = True):
+    def first_outside(self, columns: list):
         """The first k for which the k-th entries of ``columns``, one
-        column per slot, break a link; None if none does.  With ``fixed``
-        false the fix links are not checked: columns built by applying
-        them cannot break them."""
+        column per slot, break a link; None if none does."""
         bad = None
         for j, link in enumerate(self.links, start=1):
-            if link is None or (link[0] == "fix" and not fixed):
+            if link is None:
                 continue
             kind, f = link
             if kind == "fix":
@@ -384,27 +378,6 @@ class RowSet(FinSet):
         # Counted, so it lists no label.
         sizes = ", ".join(str(len(f)) for f in self.factors)
         return f"RowSet({self.size} rows over factors of sizes ({sizes}))"
-
-    def same_chain(self, other) -> bool:
-        """Whether other is a RowSet over the same factors and links, and so
-        has the same tuples in the same order."""
-        return (
-            isinstance(other, RowSet)
-            and self.factors == other.factors
-            and self.links == other.links
-        )
-
-    def __eq__(self, other):
-        if self is other or self.same_chain(other):
-            return True
-        if isinstance(other, RowSet) and len(self.factors) == len(other.factors):
-            if all(a == b for a, b in zip(self.factors, other.factors)):
-                return self.size == other.size and all(
-                    self.column(j) == other.column(j) for j in range(len(self.factors))
-                )
-        return FinSet.__eq__(self, other)
-
-    __hash__ = FinSet.__hash__
 
 
 class _Projection(FinFunction):
@@ -454,18 +427,11 @@ class LimitCone:
             raise ValueError(
                 f"a cone into this limit takes {len(unfixed)} maps, not {len(maps)}"
             )
-        given = [_column(f, dom, self.legs[j].cod) for j, f in zip(unfixed, maps)]
-        if apex.same_chain(dom) and all(map(eq, given, map(dom.column, unfixed))):
-            # The projections of the limit itself, or of one with the same
-            # tuples: by the universal property the map is the identity.
-            return FinFunction.from_idx(dom, apex, dom.positions)
-        given = iter(given)
+        given = iter([_column(f, dom, self.legs[j].cod) for j, f in zip(unfixed, maps)])
         columns = []
         for fix in fixes:
             columns.append(next(given) if fix is None else pick(fix, columns[-1]))
-        # A fixed column is its link applied to the column before it, so
-        # only the preimage links can fail.
-        bad = apex.first_outside(columns, fixed=False)
+        bad = apex.first_outside(columns)
         if bad is not None:
             raise ValueError(f"cone is not compatible at {dom.elements[bad]!r}")
         return FinFunction.from_idx(dom, apex, apex.rank(columns, len(dom)))

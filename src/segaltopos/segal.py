@@ -6,11 +6,12 @@ The object of equivalences of the nerve of a category object C is the
 sub-presheaf of C1 of isomorphisms (``isomorphisms``), which reads C
 alone, as ``nerve_level_sizes`` counts the nerve's levels without building
 them; the univalence verdict and the check-complete command use only
-these two.  ``nerve_truncation`` builds the nerve up to level 3 for
-``segal_check`` and the check-segal command.  ``hoequiv`` is the paper's
-pullback X1 x_Z(3) X3 along the invertibility stage Z(3), for any
-simplicial object; it is the reference the tests compare
-``isomorphisms`` with.
+these two.  ``nerve_truncation`` builds the nerve up to level 3, its
+faces out of level 3 and degeneracies into levels 2 and 3 mediations into
+limits of composable chains, for ``segal_check``, the check-segal command
+and the tests.  ``hoequiv`` is the paper's pullback X1 x_Z(3) X3 along
+the invertibility stage Z(3), for any simplicial object; it is the
+reference the tests compare ``isomorphisms`` with.
 
 Conventions: level n is the object of n-chains; the source map is d(1,1)
 and the target map is d(1,0); composable pairs are stored as
@@ -19,11 +20,11 @@ and the target map is d(1,0); composable pairs are stored as
 
 from __future__ import annotations
 
-from itertools import chain, compress, repeat
-from operator import add, eq
+from itertools import compress
+from operator import eq
 
 from .elements import Atom, Element, FinFunction, FinSet, STAR, Tup, pick
-from .fincat import FiniteCategory, FrozenRecord, RowSet, check_bound
+from .fincat import FiniteCategory, FrozenRecord, check_bound
 from .topos import (
     DependentProduct,
     InternalCheckError,
@@ -64,20 +65,18 @@ def wide_pullback(
 
 
 class TruncatedSimplicialObject(FrozenRecord):
-    """Checked against the simplicial identities when it is built, so no
-    consumer checks it again.  ``nerve_of`` is the category object that
-    ``nerve_truncation`` built X from, and None for any other X; only
-    ``validate`` reads it."""
+    """Checked when it is built, so no consumer checks it again: each face
+    and degeneracy natural, with the right endpoints, and the simplicial
+    identities among them."""
 
-    __slots__ = ("topos", "level", "face", "degen", "nerve_of")
+    __slots__ = ("topos", "level", "face", "degen")
 
-    def __init__(self, topos: Topos, level: dict, face: dict, degen: dict, nerve_of=None):
+    def __init__(self, topos: Topos, level: dict, face: dict, degen: dict):
         setter = object.__setattr__
         setter(self, "topos", topos)
         setter(self, "level", level)  # n in 0..3 -> Presheaf
         setter(self, "face", face)  # (n, i) -> NatTrans level[n] -> level[n-1]
         setter(self, "degen", degen)  # (n, i) -> NatTrans level[n] -> level[n+1]
-        setter(self, "nerve_of", nerve_of)
         problems = self.validate()
         if problems:
             raise ValueError("invalid simplicial object: " + "; ".join(problems))
@@ -91,14 +90,7 @@ class TruncatedSimplicialObject(FrozenRecord):
         return self.face[(1, 0)]
 
     def validate(self) -> list[str]:
-        """The problems of X as a truncated simplicial object.  The faces
-        and degeneracies of a nerve that are maps of its category object
-        (s, t, e and m) get their endpoints checked but not their
-        naturality: the category object checked that when it was built, and
-        ``NatTrans.validate`` reads only the map, its domain and codomain,
-        none of which changes after it is built."""
-        C = self.nerve_of
-        known = set() if C is None else {id(C.s), id(C.t), id(C.e), id(C.m)}
+        """The problems of X as a truncated simplicial object."""
         report = []
         for n in range(4):
             if n not in self.level:
@@ -116,13 +108,11 @@ class TruncatedSimplicialObject(FrozenRecord):
         for (n, i), f in self.face.items():
             if f.dom != self.level[n] or f.cod != self.level[n - 1]:
                 report.append(f"face ({n},{i}) has wrong endpoints")
-            if id(f) not in known:
-                report.extend(f"face ({n},{i}): {p}" for p in f.validate())
+            report.extend(f"face ({n},{i}): {p}" for p in f.validate())
         for (n, i), f in self.degen.items():
             if f.dom != self.level[n] or f.cod != self.level[n + 1]:
                 report.append(f"degeneracy ({n},{i}) has wrong endpoints")
-            if id(f) not in known:
-                report.extend(f"degeneracy ({n},{i}): {p}" for p in f.validate())
+            report.extend(f"degeneracy ({n},{i}): {p}" for p in f.validate())
         if report:
             return report
         d, s = self.face, self.degen
@@ -334,58 +324,31 @@ def category_object_from_finite_category(C: FiniteCategory) -> CategoryObject:
     return CategoryObject(T, obj0, obj1, s, t, e, cone, m)
 
 
-def _level3_faces(X2: RowSet, X3: RowSet, m: tuple) -> tuple:
-    """The faces d(3,0), d(3,1), d(3,2), d(3,3) of a nerve at one index
-    object, as position tuples X3 -> X2; m is the composite of each pair.
-
-    X3 is X2 cut into blocks: block p is the pair (f1, f2) at position p
-    followed by each of the k = X3.counts[2][f2] arrows f3 out of t f2, in
-    order.  The pairs (f, f3) with f3 out of t f hold the k positions from
-    off[f] = X2.offsets(0, f) on, in the order of f3, and loc[f] =
-    X2.offsets(2, f) is the place of f among the arrows with its source.
-    So d(3,3) repeats p k times, d(3,0) is the run of positions at f = f2,
-    d(3,1) the run at f = m(f1, f2), which ends where f2 does, and d(3,2)
-    is off[f1] plus loc[m(f2, f3)].  Nothing of size |X3| is ranked."""
-    arrows = range(len(X2.factors[0]))
-    off, loc = X2.offsets(0, arrows), X2.offsets(2, arrows)
-    k = X3.counts[2]
-    pairs = X2.positions
-    runs = [pairs[o : o + n] for o, n in zip(off, k)]
-    first, second = X2.column(0), X2.column(2)
-    d33 = tuple(chain.from_iterable(map(repeat, pairs, pick(k, second))))
-    d30 = tuple(chain.from_iterable(pick(runs, second)))
-    d31 = tuple(chain.from_iterable(pick(runs, m)))
-    d32 = tuple(map(add, pick(pick(off, first), d33), pick(pick(loc, m), d30)))
-    return d30, d31, d32, d33
-
-
 def nerve_truncation(C: CategoryObject) -> TruncatedSimplicialObject:
     """The nerve of C up to level 3.  Levels 2 and 3 are the limits of the
-    chains of two and three composable arrows.  Each degeneracy into level
-    2 or 3 is the mediating map into that limit; the faces out of level 3
-    are read off the blocks that the triples form over the pairs
-    (``_level3_faces``), which the simplicial identities check."""
+    chains of two and three composable arrows.  Each degeneracy into
+    level 2 or 3 and each face out of level 3 is the mediating map into
+    one of these limits: a triple (f1, f2, f3) has the faces (f2, f3),
+    (m(f1, f2), f3), (f1, m(f2, f3)) and (f1, f2)."""
     T = C.topos
     X2cone = C.composable
     X3cone = composable_pairs(T, C.C0, C.C1, C.s, C.t, 3)
     X = {0: C.C0, 1: C.C1, 2: X2cone.apex, 3: X3cone.apex}
-    x2 = X2cone.legs  # (f1, middle, f2)
+    x2, x3 = X2cone.legs, X3cone.legs  # (f1, middle, f2), (f1, ., f2, ., f3)
     ident1 = NatTrans.identity(C.C1)
     e_of_s, e_of_t = C.s.then(C.e), C.t.then(C.e)
-    d3 = [NatTrans(X[3], X[2], {}) for _ in range(4)]
-    for c in T.index.objects:
-        X2, X3 = X[2].at[c], X[3].at[c]
-        if X3.factors[:3] != X2.factors or X3.links[:2] != X2.links:
-            raise ValueError("the composable pairs are not the limit of C1 ->t C0 <-s C1")
-        for f, idx in zip(d3, _level3_faces(X2, X3, C.m.component[c].idx)):
-            f.component[c] = FinFunction.from_idx(X3, X2, idx)
+    d30 = X2cone.mediate(X[3], [x3[2], x3[4]])
+    d33 = X2cone.mediate(X[3], [x3[0], x3[2]])
     face = {
         (1, 0): C.t,
         (1, 1): C.s,
         (2, 0): x2[2],
         (2, 1): C.m,
         (2, 2): x2[0],
-        **{(3, i): f for i, f in enumerate(d3)},
+        (3, 0): d30,
+        (3, 1): X2cone.mediate(X[3], [d33.then(C.m), x3[4]]),
+        (3, 2): X2cone.mediate(X[3], [x3[0], d30.then(C.m)]),
+        (3, 3): d33,
     }
     degen = {
         (0, 0): C.e,
@@ -395,7 +358,7 @@ def nerve_truncation(C: CategoryObject) -> TruncatedSimplicialObject:
         (2, 1): X3cone.mediate(X[2], [x2[0], x2[1].then(C.e), x2[2]]),
         (2, 2): X3cone.mediate(X[2], [x2[0], x2[2], x2[2].then(e_of_t)]),
     }
-    return TruncatedSimplicialObject(T, X, face, degen, nerve_of=C)
+    return TruncatedSimplicialObject(T, X, face, degen)
 
 
 # ---------------------------------------------------------------------------

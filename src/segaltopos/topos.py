@@ -131,13 +131,6 @@ class NatTrans:
                 side = "domain" if before is None else "codomain"
                 report.append(f"no restriction along {u!r} in the {side}")
                 continue
-            if (
-                c == d
-                and _is_identity_of(before, self.dom.at[c])
-                and _is_identity_of(after, self.cod.at[c])
-            ):
-                # Both sides are the component at c itself.
-                continue
             lhs = self.component[c].compose(before)
             rhs = after.compose(self.component[d])
             if lhs != rhs:
@@ -168,12 +161,6 @@ class NatTrans:
     @staticmethod
     def identity(X: Presheaf) -> "NatTrans":
         return NatTrans(X, X, {c: FinFunction.identity(s) for c, s in X.at.items()})
-
-
-def _is_identity_of(f: FinFunction, s: FinSet) -> bool:
-    """Whether f is the identity of s by reference: an endomap of s whose
-    positions are the ones s shares with its identity."""
-    return f.dom is s and f.cod is s and f.idx is s.positions
 
 
 def nat_inverse(f: NatTrans) -> NatTrans:
@@ -311,7 +298,7 @@ def is_minus1_truncated(X: Presheaf) -> bool:
 # natural transformation enumeration
 
 
-def enumerate_nat_trans(X: Presheaf, Y: Presheaf, over=None, limit=None):
+def enumerate_nat_trans(X: Presheaf, Y: Presheaf, over=None):
     """Yield all natural transformations X -> Y in a deterministic order.
 
     over=(g, h) restricts to transformations t with h∘t = g, for
@@ -349,10 +336,7 @@ def enumerate_nat_trans(X: Presheaf, Y: Presheaf, over=None, limit=None):
                 stack.append((d, X.restrict[u](x), Y.restrict[u](y)))
         return True
 
-    count = 0
-
     def search(i):
-        nonlocal count
         while i < len(slots) and slots[i] in assign:
             i += 1
         if i == len(slots):
@@ -362,9 +346,6 @@ def enumerate_nat_trans(X: Presheaf, Y: Presheaf, over=None, limit=None):
                 )
                 for c in idx.objects
             }
-            count += 1
-            if limit is not None:
-                check_bound(count, limit, "enumerate_nat_trans")
             yield NatTrans(X, Y, comp)
             return
         c, x = slots[i]
@@ -571,10 +552,10 @@ def dependent_product(f: NatTrans, x: SliceMap) -> DependentProduct:
         for b in B.at[c]:
             L, pr = comma_presheaf(f, c, b)
             fans[(c, b)] = FinSet(k for d in idx.objects for k in L.at[d]).elements
-            for t in enumerate_nat_trans(L, x.total, over=(pr, x.proj), limit=T.bound):
+            for t in enumerate_nat_trans(L, x.total, over=(pr, x.proj)):
                 fam = Fam((k, t.component[d](k)) for d in idx.objects for k in L.at[d])
                 elems.append(Tup((b, fam)))
-        check_bound(len(elems), T.bound, "dependent_product")
+                check_bound(len(elems), T.bound, "dependent_product")
         at[c] = FinSet(elems)
     total = Presheaf(T, at, {})
     proj = NatTrans(

@@ -8,7 +8,6 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from segaltopos import fincat
 from segaltopos.elements import Atom, FinFunction, FinSet, Tup, atoms
 from segaltopos.fincat import (
     FiniteCategory,
@@ -365,7 +364,7 @@ def test_offsets_on_demand_match_the_full_table(chain, data):
     apex = fin_limit(*chain).apex
     for j, factor in enumerate(apex.factors):
         full = _offset_table(apex, j)
-        # the second ask reuses the fibers the first one computed
+        # the second ask reads the table the first one built
         for _ in range(2):
             entries = data.draw(st.lists(st.integers(0, len(factor) - 1), max_size=5)) if len(factor) else []
             want = None if full is None else tuple(full[x] for x in entries)
@@ -416,7 +415,7 @@ def test_own_projections_mediate_by_the_identity(chain, data):
     assert twin.apex is not apex and twin.apex == apex
     for dom, legs in ((apex, cone.legs), (twin.apex, twin.legs)):
         med = cone.mediate(dom, [legs[j] for j in free])
-        assert med.idx == full and med.idx is dom.positions
+        assert med.idx == full
         assert med.dom is dom and med.cod is apex
     # one entry of one leg changed: the full path ranks the new tuples or
     # names the element whose tuple left the limit
@@ -441,24 +440,6 @@ def test_own_projections_mediate_by_the_identity(chain, data):
                 name = re.escape(repr(apex.elements[bad]))
                 with pytest.raises(ValueError, match=rf"^cone is not compatible at {name}$"):
                     cone.mediate(apex, maps)
-
-
-def test_own_projections_skip_the_rank(monkeypatch):
-    A, X = atoms("a", "b", "c"), atoms("x", "y")
-    f = FinFunction(A, X, {Atom("a"): Atom("x"), Atom("b"): Atom("y"), Atom("c"): Atom("x")})
-    cone = fin_limit(*_zigzag([A, A], [X], [f, f]))
-    legs = [cone.legs[0], cone.legs[2]]
-
-    def refused(*args, **kwargs):
-        raise AssertionError("the identity needs no rank")
-
-    monkeypatch.setattr(fincat.RowSet, "rank", refused)
-    monkeypatch.setattr(fincat.RowSet, "first_outside", refused)
-    assert cone.mediate(cone.apex, legs) == FinFunction.identity(cone.apex)
-    # a leg that is not the limit's own still takes the full path
-    swapped = FinFunction.from_idx(cone.apex, A, tuple(reversed(cone.legs[0].idx)))
-    with pytest.raises(AssertionError, match="no rank"):
-        cone.mediate(cone.apex, [swapped, legs[1]])
 
 
 def _unfixed_slots(sets, links) -> list:

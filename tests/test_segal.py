@@ -73,8 +73,9 @@ def nerve(name):
 
 
 def map_nerve(p):
-    """The nerve of the fiberwise-map category of p, up to level 3."""
-    return nerve_truncation(nerve_of_map(p).cat)
+    """The fiberwise-map category of p and its nerve up to level 3."""
+    cat = nerve_of_map(p).cat
+    return cat, nerve_truncation(cat)
 
 
 def point(cat, o):
@@ -134,15 +135,15 @@ class TestNerveTruncation:
     def test_level3_needs_the_chain_of_composable_pairs(self):
         # over the one object of c2 the product C1 x C0 x C1 has the same
         # tuples as the composable pairs, so it makes a valid category
-        # object; but its links are not those of the first three slots of
-        # the triples, which the faces out of level 3 are read off
+        # object; but a map into it takes all three slots, not the two
+        # arrows the faces out of level 3 are given by
         cat = category_object_from_finite_category(corpus_categories()["c2"])
         product = ps_product([cat.C1, cat.C0, cat.C1])
         pairs, arrows = product.apex.at[STAR_OBJ], cat.C1.at[STAR_OBJ]
         composite = FinFunction.from_idx(pairs, arrows, cat.m.component[STAR_OBJ].idx)
         m = NatTrans(product.apex, cat.C1, {STAR_OBJ: composite})
         other = CategoryObject(cat.topos, cat.C0, cat.C1, cat.s, cat.t, cat.e, product, m)
-        with pytest.raises(ValueError, match="not the limit of C1 ->t C0 <-s C1"):
+        with pytest.raises(ValueError, match="^a cone into this limit takes 3 maps, not 2$"):
             nerve_truncation(other)
 
     def test_records_are_frozen(self):
@@ -410,12 +411,12 @@ class TestHoequiv:
         assert image == {C.id_of(o) for o in C.objects}
 
 
-def assert_isomorphisms_are_the_pullback(X):
-    """The isomorphisms of the category object of the nerve X against
-    hoequiv's pullback of X1 -> Z(3) <- X3: the same arrows in the same
-    order, the same lift and restrictions, and each pullback label
+def assert_isomorphisms_are_the_pullback(cat, X):
+    """The isomorphisms of the category object cat against hoequiv's
+    pullback of X1 -> Z(3) <- X3 on its nerve X: the same arrows in the
+    same order, the same lift and restrictions, and each pullback label
     (f, z, x) carried by f."""
-    eq, ref = isomorphisms(X.nerve_of), hoequiv(X)
+    eq, ref = isomorphisms(cat), hoequiv(X)
     for c in X.topos.index.objects:
         assert eq.U.component[c].idx == ref.U.component[c].idx
         assert eq.s0_lift.component[c].idx == ref.s0_lift.component[c].idx
@@ -427,26 +428,26 @@ def assert_isomorphisms_are_the_pullback(X):
         assert f.validate() == []
 
 
-def assert_nerve_is_segal_and_counted(X):
-    """The nerve X, whose simplicial identities nerve_truncation checked, is
-    Segal, and its level sizes are those nerve_level_sizes counts for the
-    verdict."""
+def assert_nerve_is_segal_and_counted(cat, X):
+    """The nerve X of cat, whose simplicial identities nerve_truncation
+    checked, is Segal, and its level sizes are those nerve_level_sizes
+    counts for the verdict."""
     assert segal_check(X).holds
-    counted = nerve_level_sizes(X.nerve_of)
+    counted = nerve_level_sizes(cat)
     assert counted == {n: X.level[n].total_size() for n in range(4)}
 
 
 class TestEquivalenceJoin:
     def test_agrees_with_the_pullback(self, corpus_nerves, finset_sweep, bundled_workspaces):
-        nerves = [X for _, _, X, _ in corpus_nerves.values()]
+        nerves = [(cat, X) for _, cat, X, _ in corpus_nerves.values()]
         nerves += [map_nerve(p) for p, _ in finset_sweep.values()]
         for bundle in ("finset", "c2", "sierpinski", "s3"):
             w = bundled_workspaces[bundle]
             nerves += [map_nerve(w.morphisms[m]) for m in w.maps.values()]
         assert len(nerves) == len(corpus_nerves) + 18 + len(bundled_workspaces["finset"].maps) + 4
-        for X in nerves:
-            assert_nerve_is_segal_and_counted(X)
-            assert_isomorphisms_are_the_pullback(X)
+        for cat, X in nerves:
+            assert_nerve_is_segal_and_counted(cat, X)
+            assert_isomorphisms_are_the_pullback(cat, X)
 
     # Over C3 the domain is one orbit or fixed point: two free C3-sets
     # over a point take seconds to reach the bound.
@@ -463,11 +464,11 @@ class TestEquivalenceJoin:
             B = terminal(T)
         p = random_map_to(T, rng, B, parts)
         try:
-            X = map_nerve(p)
+            cat, X = map_nerve(p)
         except ResourceBoundError:
             reject()
-        assert_nerve_is_segal_and_counted(X)
-        assert_isomorphisms_are_the_pullback(X)
+        assert_nerve_is_segal_and_counted(cat, X)
+        assert_isomorphisms_are_the_pullback(cat, X)
 
     def test_hoequiv_takes_the_pullback_on_a_nerve(self, monkeypatch, corpus_nerves):
         calls = []
@@ -480,7 +481,8 @@ class TestEquivalenceJoin:
         monkeypatch.setattr(segal, "z3", counted)
         C, cat, X, _ = corpus_nerves["walking_iso"]
         eq = hoequiv(X)
-        assert X.nerve_of is cat and calls == [X]
+        assert X.level[1] is cat.C1 and X.face[(2, 1)] is cat.m and X.degen[(0, 0)] is cat.e
+        assert calls == [X]
         image = set(eq.U.component[STAR_OBJ].table.values())
         assert image == iso_set(C) == set(isomorphisms(cat).U.component[STAR_OBJ].table.values())
         assert len(image) > len(C.objects)
@@ -543,7 +545,7 @@ class TestCompleteness:
 
     def test_agrees_with_pair_scan_on_sweep(self, finset_sweep):
         for sig, (p, report) in finset_sweep.items():
-            X = map_nerve(p)
+            _, X = map_nerve(p)
             assert square_is_pullback_by_pair_scan(X) == report.univalent, sig
             assert is_complete(X) == report.univalent, sig
 
@@ -563,7 +565,7 @@ class TestCompleteness:
             B = terminal(T)
         p = random_map_to(T, rng, B, 2)
         try:
-            X = map_nerve(p)
+            _, X = map_nerve(p)
         except ResourceBoundError:
             # two free C2-sets over one point have 16 777 216 composable
             # triples, past the default bound
@@ -768,3 +770,48 @@ class TestSegalMaps:
         F = self._point_inclusion("walking_iso", "a")
         assert is_fully_faithful(F)
         assert is_essentially_surjective(F)
+
+
+def functors(C, D):
+    """Every functor C -> D as its object and morphism tables, by trying
+    each assignment of objects and then of arrows between their images."""
+    objs, mors = C.objects.elements, C.morphisms.elements
+    for images in product(D.objects, repeat=len(objs)):
+        obj = dict(zip(objs, images))
+        arrows = [D.hom(obj[C.src(f)], obj[C.tgt(f)]) for f in mors]
+        for chosen in product(*arrows):
+            mor = dict(zip(mors, chosen))
+            if all(mor[C.id_of(x)] == D.id_of(obj[x]) for x in objs) and all(
+                mor[h] == D.comp[(mor[g], mor[f])] for (g, f), h in C.comp.items()
+            ):
+                yield obj, mor
+
+
+class TestFunctorCriteriaOracle:
+    def test_against_hom_sets_and_isomorphic_objects(self, corpus_nerves):
+        small = [v for v in corpus_nerves.values() if len(v[0].morphisms) <= 4]
+        found, equivalences = 0, 0
+        for (C, catc, W, eqc), (D, catd, V, eqd) in product(small, repeat=2):
+            for obj, mor in functors(C, D):
+                found += 1
+                F0 = NatTrans(catc.C0, catd.C0, {STAR_OBJ: FinFunction(C.objects, D.objects, obj)})
+                F1 = NatTrans(catc.C1, catd.C1, {STAR_OBJ: FinFunction(C.morphisms, D.morphisms, mor)})
+                F = segal_map_from_nerves(F0, F1, W, V)
+                # hom_C(x, y) -> hom_D(Fx, Fy) is a bijection for all x, y
+                ff = all(
+                    sorted(mor[f] for f in C.hom(x, y)) == sorted(D.hom(obj[x], obj[y]))
+                    for x in C.objects
+                    for y in C.objects
+                )
+                # every object of D is isomorphic to an image object
+                es = all(any(iso_hom_set(D, a, d) for a in set(obj.values())) for d in D.objects)
+                assert is_fully_faithful(F) == ff
+                assert is_essentially_surjective(F) == es
+                # Rezk 2001, Thm 7.7, 1-truncated: between complete nerves a
+                # map is fully faithful and essentially surjective exactly
+                # when it is an isomorphism at every level
+                if is_iso(eqc.s0_lift) and is_iso(eqd.s0_lift):
+                    levelwise = all(is_iso(F.component[n]) for n in range(4))
+                    assert (ff and es) == levelwise
+                    equivalences += levelwise
+        assert (found, equivalences) == (92, 5)

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from segaltopos import topos as topos_module
 from segaltopos.elements import Atom, FinFunction, FinSet, STAR, Tup
 from segaltopos.fincat import ResourceBoundError
 from segaltopos.corpus import (
@@ -42,6 +43,7 @@ from segaltopos.topos import (
     unique_to_terminal,
     yoneda,
 )
+from segaltopos.univalence import _finset_map, nerve_of_map
 
 STAR_OBJ = Atom("*")
 
@@ -236,13 +238,6 @@ class TestEnumerateNatTrans:
         first = [t.component[STAR_OBJ].table for t in enumerate_nat_trans(X, X)]
         second = [t.component[STAR_OBJ].table for t in enumerate_nat_trans(X, X)]
         assert first == second
-
-    def test_limit_raises_resource_bound(self):
-        X, Y = finset_presheaf(["a", "b"]), finset_presheaf(["0", "1", "2"])
-        assert len(list(enumerate_nat_trans(X, Y, limit=9))) == 9
-        with pytest.raises(ResourceBoundError) as exc:
-            list(enumerate_nat_trans(X, Y, limit=8))
-        assert exc.value.stage == "enumerate_nat_trans"
 
 
 class TestExponential:
@@ -475,6 +470,23 @@ class TestPullbackAndDependentProduct:
                 if pi.proj.component[STAR_OBJ](e) == b
             )
             assert fiber_before == fiber_after
+
+    def test_pi_stops_at_the_first_section_past_the_bound(self, monkeypatch):
+        # the fiberwise maps of a (4, 4, 4) map of finite sets: 4^4 = 256
+        # sections over each of the 9 pairs of points, 2 304 in all
+        enumerated = [0]
+        original = topos_module.enumerate_nat_trans
+
+        def counted(*args, **kwargs):
+            for t in original(*args, **kwargs):
+                enumerated[0] += 1
+                yield t
+
+        monkeypatch.setattr(topos_module, "enumerate_nat_trans", counted)
+        with pytest.raises(ResourceBoundError) as exc:
+            nerve_of_map(_finset_map((4, 4, 4), finset_topos(500)))
+        assert (exc.value.stage, exc.value.size) == ("dependent_product", 501)
+        assert 0 < enumerated[0] <= 501
 
     def test_section_count_oracle(self):
         # fibers of Pi_f multiply the fiber sizes of the inner map
