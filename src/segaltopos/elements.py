@@ -3,15 +3,24 @@
 Every computed object (limit, section family, sieve) is a set of Element
 terms, its labels, so that equal constructions produce literally equal
 values.  Inside the kernel an element is its position in the sorted set:
-finite functions are tuples of positions, and limits (fincat.RowSet) are
-counted and listed column by column, their labels built only when code
-that works on labels asks for them.
+finite functions are tuples of positions, limits (fincat.RowSet) are
+counted and listed column by column, and the sections of a dependent
+product are tuples of value positions (a LazyFinSet); their labels are
+built only when code that works on labels asks for them.
 
 Elements are hash-consed: each constructor looks its term up in one
 module-level weak-value table keyed by the already-interned children, so
 equal terms are the same object.  Equality and hashing are therefore the
 built-in identity ones.  The table is not locked: elements are built in one
 thread.
+
+Tuples of positions are built from lists (``tuple([...])``,
+``tuple(list(it))``), not from iterators of unknown length: CPython sizes
+such a tuple by resizing one of ten slots, so each takes a block from one
+free list of small tuples and, once freed, returns it to another.  Those
+lists would then fill up and keep their memory, since only a full garbage
+collection clears them and the kernel leaves no cyclic garbage to start
+one.
 """
 
 from __future__ import annotations
@@ -143,7 +152,16 @@ def pick(seq, positions) -> tuple:
     """The tuple (seq[p] for p in positions)."""
     if len(positions) > 1:
         return itemgetter(*positions)(seq)
-    return tuple(seq[p] for p in positions)
+    return tuple([seq[p] for p in positions])
+
+
+def fibers(idx, size: int) -> list:
+    """For a map given by the positions ``idx`` into a set of ``size``
+    points: the list of positions over each point, ascending."""
+    out = [[] for _ in range(size)]
+    for i, y in enumerate(idx):
+        out[y].append(i)
+    return out
 
 
 class FinSet:
@@ -196,6 +214,36 @@ class FinSet:
     def __repr__(self):
         shown = ", ".join(map(repr, self.elements[:_SHOWN]))
         return f"FinSet({len(self)}: [{shown}{', ...' if len(self) > _SHOWN else ''}])"
+
+
+class LazyFinSet(FinSet):
+    """A finite set known by its size, with a function that lists its
+    labels in sorted order: the labels and their index are built the first
+    time something reads them, as a chain limit's are.  Code that works on
+    positions never does."""
+
+    __slots__ = ("size", "_labels")
+
+    def __init__(self, size: int, labels):
+        self.size = size
+        self._labels = labels
+
+    def __getattr__(self, name):
+        # Called only while the slot `name` is still empty.
+        if name == "elements":
+            self.elements = tuple(self._labels())
+            return self.elements
+        if name == "index":
+            self.index = dict(zip(self.elements, range(self.size)))
+            return self.index
+        return FinSet.__getattr__(self, name)
+
+    def __len__(self):
+        return self.size
+
+    def __repr__(self):
+        # Sized only, so it builds no label.
+        return f"LazyFinSet({self.size} elements)"
 
 
 EMPTY = FinSet(())

@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import accumulate, chain, repeat
 from operator import add
 
-from .elements import STAR, Atom, Element, FinFunction, FinSet, Tup, pick
+from .elements import STAR, Atom, Element, FinFunction, FinSet, Tup, fibers, pick
 
 DEFAULT_BOUND = 10**6
 
@@ -19,9 +19,6 @@ class ResourceBoundError(RuntimeError):
         self.size = size
         self.bound = bound
         self.stage = stage
-
-    def __reduce__(self):
-        return ResourceBoundError, (self.size, self.bound, self.stage)
 
 
 def check_bound(size: int, bound: int, stage: str):
@@ -299,7 +296,7 @@ class RowSet(FinSet):
         if known is None:
             ways = self.counts[j]
             if link is None:
-                known = tuple(accumulate(ways, initial=0))
+                known = tuple(list(accumulate(ways, initial=0)))
             else:
                 run = [0] * len(self.factors[j - 1])
                 table = []
@@ -319,14 +316,12 @@ class RowSet(FinSet):
             before, link = prefixes[-1], self.links[k - 1]
             if link is None:
                 here = range(len(self.factors[k]))
-                prefixes.append(tuple(chain.from_iterable(repeat(here, len(before)))))
+                prefixes.append(tuple(list(chain.from_iterable(repeat(here, len(before))))))
             elif link[0] == "fix":
                 prefixes.append(pick(link[1], before))
             else:
-                fibers = [[] for _ in range(len(self.factors[k - 1]))]
-                for x, y in enumerate(link[1]):
-                    fibers[y].append(x)
-                prefixes.append(tuple(chain.from_iterable(map(fibers.__getitem__, before))))
+                over = fibers(link[1], len(self.factors[k - 1]))
+                prefixes.append(tuple(list(chain.from_iterable(map(over.__getitem__, before)))))
         return prefixes[j]
 
     def column(self, j: int) -> tuple:
@@ -338,7 +333,7 @@ class RowSet(FinSet):
             if j == len(self.factors) - 1:
                 col = tuple(here)  # a tuple already, unless j is 0
             else:
-                col = tuple(chain.from_iterable(map(repeat, here, pick(self.counts[j], here))))
+                col = tuple(list(chain.from_iterable(map(repeat, here, pick(self.counts[j], here)))))
             self._columns[j] = col
         return col
 
@@ -489,4 +484,4 @@ def fin_limit(sets: list, links: list, bound: int = DEFAULT_BOUND) -> LimitCone:
     for size in _partial_sizes(sets, positional):
         check_bound(size, bound, "fin_limit")
     apex = RowSet(tuple(sets), positional)
-    return LimitCone(apex, tuple(_Projection(apex, s, i) for i, s in enumerate(sets)))
+    return LimitCone(apex, tuple([_Projection(apex, s, i) for i, s in enumerate(sets)]))

@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import compress
 from operator import eq
 
-from .elements import Atom, Element, FinFunction, FinSet, STAR, Tup, pick
+from .elements import Atom, Element, FinFunction, LazyFinSet, Tup, pick
 from .fincat import FiniteCategory, FrozenRecord, check_bound
 from .topos import (
     DependentProduct,
@@ -188,9 +188,6 @@ class CategoryObjectError(ValueError):
         super().__init__("invalid category object: " + "; ".join(problems))
         self.problems = problems
 
-    def __reduce__(self):
-        return CategoryObjectError, (self.problems,)
-
 
 class CategoryObject(FrozenRecord):
     """Checked against the category laws when it is built, so no consumer
@@ -253,7 +250,7 @@ def validate_category_object(C: CategoryObject) -> list[str]:
     for c in C.topos.index.objects:
         m = C.m.component[c].idx
         e, src, tgt = C.e.component[c].idx, C.s.component[c].idx, C.t.component[c].idx
-        arrows = C.C1.at[c].elements
+        arrows = C.C1.at[c]  # its labels are read only to report a failure
         # The composable pairs are tuples (f1, x, f2) with x = t(f1) = s(f2);
         # comp[(f1, f2)] is the position of their composite.
         comp = dict(zip(zip(pr1.component[c].idx, pr2.component[c].idx), m))
@@ -263,9 +260,9 @@ def validate_category_object(C: CategoryObject) -> list[str]:
             local.append(len(by_source.setdefault(src[f], [])))
             by_source[src[f]].append(f)
             if comp[(e[src[f]], f)] != f:
-                report.append(f"left unit law fails at {c!r} on {arrows[f]!r}")
+                report.append(f"left unit law fails at {c!r} on {arrows.elements[f]!r}")
             if comp[(f, e[tgt[f]])] != f:
-                report.append(f"right unit law fails at {c!r} on {arrows[f]!r}")
+                report.append(f"right unit law fails at {c!r} on {arrows.elements[f]!r}")
         check_bound(composable_triples(C, c), C.topos.bound, "associativity")
         # after[f]: the composites of f with each arrow h from tgt f, "h
         # after f", in the order of by_source.  For a pair (f1, f2) with
@@ -283,7 +280,7 @@ def validate_category_object(C: CategoryObject) -> list[str]:
                     if a != b:
                         report.append(
                             f"associativity fails at {c!r} on "
-                            f"({arrows[f1]!r},{arrows[f2]!r},{arrows[f3]!r})"
+                            f"({arrows.elements[f1]!r},{arrows.elements[f2]!r},{arrows.elements[f3]!r})"
                         )
     return report
 
@@ -473,17 +470,17 @@ def isomorphisms(C: CategoryObject) -> EquivalencesObject:
     for c in T.index.objects:
         g, h = C.composable.legs[0].component[c].idx, C.composable.legs[2].component[c].idx
         e = C.e.component[c].idx
-        unit = tuple(map(eq, C.m.component[c].idx, pick(e, pick(C.s.component[c].idx, g))))
+        unit = tuple(list(map(eq, C.m.component[c].idx, pick(e, pick(C.s.component[c].idx, g)))))
         isos = tuple(sorted(set(compress(h, unit)) & set(compress(g, unit))))
         A = C1.at[c]
-        at[c] = FinSet(pick(A.elements, isos))
+        at[c] = LazyFinSet(len(isos), lambda A=A, isos=isos: pick(A.elements, isos))
         place[c] = dict(zip(isos, range(len(isos))))
         U[c] = FinFunction.from_idx(at[c], A, isos)
         lift[c] = FinFunction.from_idx(C.C0.at[c], at[c], pick(place[c], e))
     restrict = {}
     for w in T.index.morphisms:
         c, d = T.index.src(w), T.index.tgt(w)
-        image = tuple(map(place[c].get, pick(C1.restrict[w].idx, U[d].idx)))
+        image = tuple(list(map(place[c].get, pick(C1.restrict[w].idx, U[d].idx))))
         if None in image:
             raise InternalCheckError("a restriction leaves the object of equivalences")
         restrict[w] = FinFunction.from_idx(at[d], at[c], image)
@@ -603,14 +600,10 @@ def identity_morphism(X: TruncatedSimplicialObject, D: Presheaf, x: NatTrans) ->
     sigma = mp.cone.mediate(D, [x.then(X.degen[(0, 0)]), NatTrans.identity(D)])
     idx = X.topos.index
     one = terminal(X.topos)
-    component = {
-        c: FinFunction.constant(
-            one.at[c],
-            mp.obj.at[c],
-            mp.pi.section(c, STAR, lambda k: sigma.component[idx.src(k[0])](k[1])),
-        )
-        for c in idx.objects
-    }
+    component = {}
+    for c in idx.objects:
+        values = tuple([sigma.component[d].idx[a] for _, d, a in mp.pi.fans[(c, 0)]])
+        component[c] = FinFunction.from_idx(one.at[c], mp.obj.at[c], (mp.pi.locate(c, 0, values),))
     return NatTrans(one, mp.obj, component)
 
 

@@ -7,7 +7,11 @@ restricts along X(u): X(d) -> X(c).
 
 from __future__ import annotations
 
-from .elements import Element, Fam, FinFunction, FinSet, STAR, Tup, pick
+from bisect import bisect_left, bisect_right
+from functools import partial
+from itertools import islice, product
+
+from .elements import Element, Fam, FinFunction, FinSet, LazyFinSet, STAR, Tup, fibers, pick
 from .fincat import (
     DEFAULT_BOUND,
     FiniteCategory,
@@ -254,10 +258,10 @@ def ps_limit(T: Topos, sets: list[Presheaf], links: list) -> PsLimitCone:
             raise InternalCheckError("induced restriction leaves the limit")
         restrict[w] = FinFunction.from_idx(at[dd], at[c], at[c].rank(columns, len(at[dd])))
     apex = Presheaf(T, at, restrict)
-    legs = tuple(
+    legs = tuple([
         NatTrans(apex, X, {c: pointwise[c].legs[i] for c in idx.objects})
         for i, X in enumerate(sets)
-    )
+    ])
     return PsLimitCone(apex, legs, pointwise)
 
 
@@ -509,88 +513,183 @@ def comma_presheaf(f: NatTrans, c: Element, b: Element) -> tuple[Presheaf, NatTr
 
 
 class DependentProduct(SliceMap):
-    """Pi_f x, a slice over f.cod.  Its element over b at c is a section of x
-    over the fan of b at c (``comma_presheaf``), labelled Tup((b, Fam)): the
-    family sends each key (u: d -> c, a) of the fan to a point of x.total(d)
-    over a.  Only this class and ``dependent_product`` build or read these
-    labels."""
+    """Pi_f x, a slice over B = f.cod, its sections stored by position.
 
-    __slots__ = ("fans",)
+    The fan of a point b of B(c) is the tuple of its keys (u, d, a): a
+    morphism u: d -> c and the position a in f.dom(d) of a point over
+    B(u)(b), in the order of the labels Tup((u, a)).  A section over b is
+    the tuple of its values, key by key: the position in x.total(d) of a
+    point over a, natural in the keys.  ``sections[c]`` lists the
+    sections over each b in turn, each run in lexicographic order, which
+    is the order of their labels Tup((b, Fam)), the family sending each
+    key Tup((u, a)) to its value.  The labels are built only when
+    something reads ``total.at[c].elements``.  Points b are positions in
+    B(c) throughout: ``fans`` is keyed by (c, b)."""
 
-    def __init__(self, total: Presheaf, base: Presheaf, proj: NatTrans, fans: dict):
+    __slots__ = ("x", "fans", "sections", "_found")
+
+    def __init__(self, total, base, proj, x: SliceMap, fans: dict, sections: dict):
         super().__init__(total, base, proj)
-        self.fans = fans  # (c, b) -> the keys of the fan of b at c, in entry order
+        self.x = x
+        self.fans = fans
+        self.sections = sections  # c -> the values of each section, in order
+        self._found = {}  # (c, b) -> the position of each section over b, by its values
 
-    def keys(self, c: Element, b: Element) -> tuple:
-        return self.fans[(c, b)]
+    def locate(self, c: Element, b: int, values: tuple) -> int:
+        """The position of the section over b at c with these values; a
+        family that is not a natural section raises InternalCheckError."""
+        found = self._found.get((c, b))
+        if found is None:
+            owners = self.proj.component[c].idx
+            lo, hi = bisect_left(owners, b), bisect_right(owners, b)
+            found = self._found[(c, b)] = dict(zip(self.sections[c][lo:hi], range(lo, hi)))
+        k = found.get(values)
+        if k is None:
+            raise InternalCheckError(
+                f"a family over point {b} at {c!r} is not a section of the dependent product"
+            )
+        return k
 
-    def section(self, c: Element, b: Element, value) -> Element:
-        """The element over b at c whose family sends each key k to
-        value(k); it must be a natural section."""
-        e = Tup((b, Fam((k, value(k)) for k in self.fans[(c, b)])))
-        if e not in self.total.at[c]:
-            raise InternalCheckError(f"section over {b!r} at {c!r} is not in the dependent product")
-        return e
 
-    @staticmethod
-    def value(e: Element, key: Element) -> Element:
-        """The entry of the element e at one key of its fan."""
-        return e[1].get(key)
+def _natural_sections(candidates: list, links: list):
+    """Yield the natural sections of one fan as tuples of values, in
+    lexicographic order.  ``candidates[i]`` lists the values key i may
+    take, ascending; ``links[i]`` lists pairs (j, table): key j is key i
+    restricted along a morphism, so it takes table[value of key i].  With
+    no links the sections are the product of the candidates."""
+    if not any(links):
+        return product(*candidates)
+    return _extend(candidates, links, [None] * len(candidates), 0)
+
+
+def _extend(candidates: list, links: list, value: list, i: int):
+    """The natural sections that agree with ``value`` on the keys it
+    assigns, which include every key before i: the first free key from i
+    on takes each of its candidates in turn, and the keys linked to it
+    take their values from it."""
+    while i < len(value) and value[i] is not None:
+        i += 1
+    if i == len(value):
+        yield tuple(value)
+        return
+    for y in candidates[i]:
+        value[i], assigned = y, [i]
+        for j, table in links[i]:
+            z = table[y]
+            if value[j] is None:
+                value[j] = z
+                assigned.append(j)
+            elif value[j] != z:
+                break
+        else:
+            yield from _extend(candidates, links, value, i + 1)
+        for j in assigned:
+            value[j] = None
+
+
+def _section_labels(A: Presheaf, X: Presheaf, bases: FinSet, fans: list, owners, sections) -> list:
+    """The labels Tup((b, Fam)) of the sections of one stage of a
+    dependent product, in order; ``fans[b]`` is the fan of b."""
+    keys = [[Tup((u, A.at[d].elements[a])) for u, d, a in fan] for fan in fans]
+    return [
+        Tup((
+            bases.elements[b],
+            Fam(zip(keys[b], [X.at[d].elements[y] for (_, d, _), y in zip(fans[b], values)])),
+        ))
+        for b, values in zip(owners, sections)
+    ]
 
 
 def dependent_product(f: NatTrans, x: SliceMap) -> DependentProduct:
-    """Right adjoint to base change along f, computed by enumerating natural
-    section families over the fan of generalized elements."""
+    """Right adjoint to base change along f: A -> B.  For each point b of
+    B(c) it lists the fan of b (see DependentProduct), the candidate
+    values of each key (u, d, a), which are the points of x.total(d) over
+    a, and the naturality links between keys: the key restricted along
+    v: e -> d is (u v, A(v)(a)), and it takes X(v) of the value.  The
+    natural sections come out of ``_natural_sections`` in the order of
+    their labels, so nothing is sorted, and the running count at c is
+    checked against the bound as they are listed."""
     if x.base != f.dom:
         raise ValueError("slice is not over the domain of f")
     T = f.dom.topos
     idx = T.index
-    B = f.cod
-    at, fans = {}, {}
+    A, B, X = f.dom, f.cod, x.total
+    over_b = {d: fibers(f.component[d].idx, len(B.at[d])) for d in idx.objects}
+    over_a = {d: fibers(x.proj.component[d].idx, len(A.at[d])) for d in idx.objects}
+    into = {c: [] for c in idx.objects}  # c -> (u, d) for each u: d -> c, in label order
+    for u in idx.morphisms:
+        into[idx.tgt(u)].append((u, idx.src(u)))
+    links_into = {
+        d: [(v, A.restrict[v].idx, X.restrict[v].idx) for v, _ in into[d] if not idx.is_identity(v)]
+        for d in idx.objects
+    }
+    at, proj, fans, sections = {}, {}, {}, {}
+    places = {}  # (c, b) -> the place of each key (u, a) in the fan of b
     for c in idx.objects:
-        elems = []
-        for b in B.at[c]:
-            L, pr = comma_presheaf(f, c, b)
-            fans[(c, b)] = FinSet(k for d in idx.objects for k in L.at[d]).elements
-            for t in enumerate_nat_trans(L, x.total, over=(pr, x.proj)):
-                fam = Fam((k, t.component[d](k)) for d in idx.objects for k in L.at[d])
-                elems.append(Tup((b, fam)))
-                check_bound(len(elems), T.bound, "dependent_product")
-        at[c] = FinSet(elems)
+        stage_fans, found, owners = [], [], []
+        for b in range(len(B.at[c])):
+            fan = tuple([(u, d, a) for u, d in into[c] for a in over_b[d][B.restrict[u].idx[b]]])
+            fans[(c, b)] = fan
+            stage_fans.append(fan)
+            place = places[(c, b)] = {(u, a): i for i, (u, _, a) in enumerate(fan)}
+            candidates, links = [], []
+            for i, (u, d, a) in enumerate(fan):
+                here, linked = over_a[d][a], []
+                for v, A_v, X_v in links_into[d]:
+                    j = place[(idx.comp[(u, v)], A_v[a])]
+                    if j == i:
+                        here = [y for y in here if X_v[y] == y]
+                    else:
+                        linked.append((j, X_v))
+                candidates.append(here)
+                links.append(linked)
+            listed = list(islice(_natural_sections(candidates, links), T.bound - len(found) + 1))
+            found += listed
+            owners += [b] * len(listed)
+            check_bound(len(found), T.bound, "dependent_product")
+        owners, sections[c] = tuple(owners), tuple(found)
+        at[c] = LazyFinSet(
+            len(found), partial(_section_labels, A, X, B.at[c], stage_fans, owners, sections[c])
+        )
+        proj[c] = FinFunction.from_idx(at[c], B.at[c], owners)
     total = Presheaf(T, at, {})
-    proj = NatTrans(
-        total,
-        B,
-        {c: FinFunction(at[c], B.at[c], {e: e[0] for e in at[c]}) for c in idx.objects},
-    )
-    pi = DependentProduct(total, B, proj, fans)
+    pi = DependentProduct(total, B, NatTrans(total, B, proj), x, fans, sections)
     # A section restricts along w: c1 -> c2 by precomposing its keys with w.
     for w in idx.morphisms:
         c1, c2 = idx.src(w), idx.tgt(w)
-        table = {
-            e: pi.section(
-                c1,
-                B.restrict[w](e[0]),
-                lambda k: pi.value(e, Tup((idx.comp[(w, k[0])], k[1]))),
-            )
-            for e in at[c2]
-        }
-        total.restrict[w] = FinFunction(at[c2], at[c1], table)
+        if idx.is_identity(w):
+            total.restrict[w] = FinFunction.identity(at[c2])
+            continue
+        gathers, out = {}, []
+        for b, values in zip(proj[c2].idx, sections[c2]):
+            b1 = B.restrict[w].idx[b]
+            gather = gathers.get(b)
+            if gather is None:
+                place = places[(c2, b)]
+                gather = gathers[b] = tuple(
+                    [place[(idx.comp[(w, u)], a)] for u, _, a in fans[(c1, b1)]]
+                )
+            out.append(pi.locate(c1, b1, pick(values, gather)))
+        total.restrict[w] = FinFunction.from_idx(at[c2], at[c1], tuple(out))
     return pi
 
 
 def dependent_product_map(pix: DependentProduct, piy: DependentProduct, h: NatTrans) -> NatTrans:
     """Functorial action of a dependent product on a slice morphism h;
     pix and piy are the products, along one map, of its domain and
-    codomain slices."""
+    codomain slices, so they share their fans and h carries a section's
+    values key by key."""
+    if pix.fans != piy.fans:
+        raise ValueError("the dependent products are not along one map")
     idx = h.dom.topos.index
     component = {}
     for c in idx.objects:
-        table = {
-            e: piy.section(c, b, lambda k: h.component[idx.src(k[0])](pix.value(e, k)))
-            for e, b in pix.proj.component[c].table.items()
-        }
-        component[c] = FinFunction(pix.total.at[c], piy.total.at[c], table)
+        out = []
+        for b, values in zip(pix.proj.component[c].idx, pix.sections[c]):
+            fan = pix.fans[(c, b)]
+            carried = tuple([h.component[d].idx[y] for (_, d, _), y in zip(fan, values)])
+            out.append(piy.locate(c, b, carried))
+        component[c] = FinFunction.from_idx(pix.total.at[c], piy.total.at[c], tuple(out))
     return NatTrans(pix.total, piy.total, component)
 
 
@@ -625,9 +724,12 @@ def exponential(T: Topos, F: Presheaf, G: Presheaf) -> ExponentialObject:
     prod = ps_product([pi.total, F])
     ev_component = {}
     for c in idx.objects:
-        idc, to_G = idx.id_of(c), FG.legs[1].component[c]
-        table = {e: to_G(pi.value(e[0], Tup((idc, e[1])))) for e in prod.apex.at[c]}
-        ev_component[c] = FinFunction(prod.apex.at[c], G.at[c], table)
+        idc, to_G, sections = idx.id_of(c), FG.legs[1].component[c].idx, pi.sections[c]
+        # the place of the key (id_c, x) in the fan of the one point
+        place = {x: i for i, (u, _, x) in enumerate(pi.fans[(c, 0)]) if u == idc}
+        pairs = zip(prod.legs[0].component[c].idx, prod.legs[1].component[c].idx)
+        values = tuple([to_G[sections[e][place[x]]] for e, x in pairs])
+        ev_component[c] = FinFunction.from_idx(prod.apex.at[c], G.at[c], values)
     ev = NatTrans(prod.apex, G, ev_component)
     if ev.validate():
         raise InternalCheckError("evaluation map is not natural")
@@ -639,15 +741,16 @@ def exp_transpose(expo: ExponentialObject, A: Presheaf, h: NatTrans) -> NatTrans
     The transpose of a sends the key (u, x) to (x, h(A(u)(a), x))."""
     idx = A.topos.index
     pi = expo.pi
+    F, FG = pi.x.base, pi.x.total
     component = {}
     for c in idx.objects:
-        table = {
-            a: pi.section(
-                c,
-                STAR,
-                lambda k: Tup((k[1], h.component[idx.src(k[0])](Tup((A.restrict[k[0]](a), k[1]))))),
-            )
-            for a in A.at[c]
-        }
-        component[c] = FinFunction(A.at[c], pi.total.at[c], table)
+        out = []
+        for a in A.at[c]:
+            values = []
+            for u, d, xp in pi.fans[(c, 0)]:
+                x = F.at[d].elements[xp]
+                g = h.component[d](Tup((A.restrict[u](a), x)))
+                values.append(FG.at[d].index[Tup((x, g))])
+            out.append(pi.locate(c, 0, tuple(values)))
+        component[c] = FinFunction.from_idx(A.at[c], pi.total.at[c], tuple(out))
     return NatTrans(A, pi.total, component)

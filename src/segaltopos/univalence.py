@@ -11,7 +11,9 @@ counted; the nerve itself, as a simplicial object, is not built.
 
 from __future__ import annotations
 
-from .elements import Atom, FinFunction, FinSet, Tup, pick
+from operator import getitem
+
+from .elements import Atom, FinFunction, FinSet, pick
 from .fincat import check_bound
 from .topos import (
     DependentProduct,
@@ -74,9 +76,12 @@ def nerve_of_map(p: NatTrans) -> NerveOfMap:
     M = dependent_product(p_times_id, SliceMap(ee.apex, eb.apex, proj))
     s = M.proj.then(bb.legs[0])
     t = M.proj.then(bb.legs[1])
-    e = _identity_section(p, M)
+    identity = NatTrans.identity
+    e = _identity_section(
+        M, eb.legs[0], ee.mediate(E, [identity(E)] * 2), bb.mediate(B, [identity(B)] * 2)
+    )
     cone = composable_pairs(T, B, M.total, s, t, 2)
-    m = _fiberwise_composition(p, M, cone)
+    m = _fiberwise_composition(M, eb.legs[0], ee.legs[1], bb, cone)
     try:
         cat = CategoryObject(T, B, M.total, s, t, e, cone, m)
     except CategoryObjectError as exc:
@@ -86,51 +91,68 @@ def nerve_of_map(p: NatTrans) -> NerveOfMap:
     return NerveOfMap(M, cat)
 
 
-def _identity_section(p: NatTrans, M: DependentProduct) -> NatTrans:
-    """The unit B -> M: over (b, b), the family sending every fiber element
-    to itself, that is each key (u, (e0, b')) to (e0, e0)."""
-    E, B = p.dom, p.cod
-    idx = E.topos.index
+def _identity_section(M: DependentProduct, first: NatTrans, graph: NatTrans, diagonal: NatTrans) -> NatTrans:
+    """The unit B -> M: over (b, b), given by ``diagonal`` B -> B x B,
+    the family sending each key (u, (e0, b')) to graph(e0), for ``first``
+    the projection (e0, b') -> e0 and ``graph`` the diagonal E -> E x E,
+    that is to (e0, e0)."""
     component = {}
-    for c in idx.objects:
-        table = {b: M.section(c, Tup((b, b)), lambda k: Tup((k[1][0], k[1][0]))) for b in B.at[c]}
-        component[c] = FinFunction(B.at[c], M.total.at[c], table)
-    return NatTrans(B, M.total, component)
+    for c, over in diagonal.component.items():
+        out = []
+        for b in over.idx:
+            values = [graph.component[d].idx[first.component[d].idx[a]] for _, d, a in M.fans[(c, b)]]
+            out.append(M.locate(c, b, tuple(values)))
+        component[c] = FinFunction.from_idx(over.dom, M.total.at[c], tuple(out))
+    return NatTrans(diagonal.dom, M.total, component)
 
 
-def _fiberwise_composition(p: NatTrans, M: DependentProduct, cone) -> NatTrans:
+def _fiberwise_composition(M: DependentProduct, first: NatTrans, second: NatTrans, bb, cone) -> NatTrans:
     """m on composable pairs of fiberwise maps, by position.
 
-    The keys of a family over (b, b') at c are the pairs (u: d -> c, e0)
-    with e0 in E(d) over B(u)(b), each with B(u)(b'): as pairs (u, e0) they
-    and their order depend on the source b only.  A family is stored as the
-    tuple that sends the position of each key (u, e0) among the keys of b
-    to the position among the keys of b' of (u, e1), e1 being its value
-    there.  The composite of a pair is then a gather, looked up by its
-    endpoints and that tuple."""
+    M's fan of (b, b') at c has the keys (u: d -> c, (e0, B(u)(b'))) with
+    e0 in E(d) over B(u)(b), ``first`` reading e0 off the pair: as pairs
+    (u, e0) they and their order depend on the source b only.  M stores a
+    family as the positions of its values (e0, e1) in E x E; here it
+    becomes rho, the tuple that sends the place of each key (u, e0) among
+    the keys of b to the place among the keys of b' of (u, e1), ``second``
+    reading e1 off the value.  One table per key turns a value position
+    into that place.  The composite of a pair is then a gather of rho's,
+    looked up among the families over its endpoints (b, b'')."""
+    e0 = {d: f.idx for d, f in first.component.items()}
     component = {}
-    for c in p.dom.topos.index.objects:
-        # b -> the position of each key (u, e0) of b, read off any (b, b')
-        where = {
-            b2[0]: {(k[0], k[1][0]): i for i, k in enumerate(M.keys(c, b2))}
-            for b2 in M.base.at[c]
-        }
-        families = M.total.at[c]
-        stored = []  # position in families -> (source, target, tuple)
-        for f, b2 in M.proj.component[c].table.items():
-            into = where[b2[1]]
-            values = tuple([into[(k[0], M.value(f, k)[1])] for k in M.keys(c, b2)])
-            stored.append((b2[0], b2[1], values))
-        position = dict(zip(stored, range(len(stored))))
+    for c in M.base.topos.index.objects:
+        src, tgt = bb.legs[0].component[c].idx, bb.legs[1].component[c].idx
+        # b -> the place of each key (u, e0) of b, read off any (b, b')
+        where = {}
+        for q, b in enumerate(src):
+            if b not in where:
+                where[b] = {(u, e0[d][a]): i for i, (u, d, a) in enumerate(M.fans[(c, q)])}
+        # q -> the table of each key of the fan of (b, b'), shared by (u, b')
+        tables, shared = [], {}
+        for q, b2 in enumerate(tgt):
+            per_key = []
+            for u, d, _ in M.fans[(c, q)]:
+                table = shared.get((u, b2))
+                if table is None:
+                    into = where[b2]
+                    e1 = second.component[d].idx
+                    table = shared[(u, b2)] = tuple([into.get((u, y)) for y in e1])
+                per_key.append(table)
+            tables.append(per_key)
+        n = len(bb.legs[0].cod.at[c])
+        families = [[{} for _ in range(n)] for _ in range(n)]  # [b][b''] -> {rho: position}
+        owners, rho = M.proj.component[c].idx, []
+        for k, (q, values) in enumerate(zip(owners, M.sections[c])):
+            r = tuple(list(map(getitem, tables[q], values)))
+            rho.append(r)
+            families[src[q]][tgt[q]][r] = k
         out = []
         for i, j in zip(cone.legs[0].component[c].idx, cone.legs[2].component[c].idx):
-            b, _, first = stored[i]
-            _, b_out, second = stored[j]
-            k = position.get((b, b_out, pick(second, first)))
+            k = families[src[owners[i]]][tgt[owners[j]]].get(pick(rho[j], rho[i]))
             if k is None:
                 raise InternalCheckError("composite family is not a product element")
             out.append(k)
-        component[c] = FinFunction.from_idx(cone.apex.at[c], families, tuple(out))
+        component[c] = FinFunction.from_idx(cone.apex.at[c], M.total.at[c], tuple(out))
     return NatTrans(cone.apex, M.total, component)
 
 

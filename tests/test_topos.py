@@ -1,27 +1,35 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
-from segaltopos import topos as topos_module
-from segaltopos.elements import Atom, FinFunction, FinSet, STAR, Tup
-from segaltopos.fincat import ResourceBoundError
+from segaltopos import topos as topos_module, univalence
+from segaltopos.elements import Atom, Fam, FinFunction, FinSet, STAR, Tup
+from segaltopos.fincat import ResourceBoundError, arrow_category
 from segaltopos.corpus import (
+    c2_group,
     c2_topos,
+    c3_group,
+    chain_poset,
     coproduct,
     finset_function,
     finset_presheaf,
+    idempotent_monoid,
     random_coproduct_presheaf,
     random_map_to,
+    s3_group,
     s3_natural_action,
     s3_topos,
     sierpinski_topos,
+    walking_iso,
 )
 from segaltopos.topos import (
     NatTrans,
     Presheaf,
     SliceMap,
+    Topos,
     classify_mono,
+    comma_presheaf,
     constant_presheaf,
     dependent_product,
     enumerate_nat_trans,
@@ -38,12 +46,13 @@ from segaltopos.topos import (
     ps_product,
     ps_pullback,
     pullback_functor,
+    slice_exponential,
     subobject_classifier,
     terminal,
     unique_to_terminal,
     yoneda,
 )
-from segaltopos.univalence import _finset_map, nerve_of_map
+from segaltopos.univalence import _finset_map, is_univalent, nerve_of_map
 
 STAR_OBJ = Atom("*")
 
@@ -474,19 +483,19 @@ class TestPullbackAndDependentProduct:
     def test_pi_stops_at_the_first_section_past_the_bound(self, monkeypatch):
         # the fiberwise maps of a (4, 4, 4) map of finite sets: 4^4 = 256
         # sections over each of the 9 pairs of points, 2 304 in all
-        enumerated = [0]
-        original = topos_module.enumerate_nat_trans
+        listed = [0]
+        original = topos_module._natural_sections
 
-        def counted(*args, **kwargs):
-            for t in original(*args, **kwargs):
-                enumerated[0] += 1
-                yield t
+        def counted(*args):
+            for values in original(*args):
+                listed[0] += 1
+                yield values
 
-        monkeypatch.setattr(topos_module, "enumerate_nat_trans", counted)
+        monkeypatch.setattr(topos_module, "_natural_sections", counted)
         with pytest.raises(ResourceBoundError) as exc:
             nerve_of_map(_finset_map((4, 4, 4), finset_topos(500)))
         assert (exc.value.stage, exc.value.size) == ("dependent_product", 501)
-        assert 0 < enumerated[0] <= 501
+        assert 0 < listed[0] <= 501
 
     def test_section_count_oracle(self):
         # fibers of Pi_f multiply the fiber sizes of the inner map
@@ -526,3 +535,178 @@ class TestPullbackAndDependentProduct:
                 if checked % 6 == 0:
                     break
         assert checked >= 18
+
+
+def labelled_dependent_product(f: NatTrans, x: SliceMap):
+    """The dependent product built on labels, as a reference: for each
+    point b of f.cod at c, the fan of b is the comma presheaf, its natural
+    sections over x come from enumerate_nat_trans, each is labelled
+    Tup((b, Fam)), and FinSet sorts them.  Returns the sets, the fans
+    (keyed by (c, b), their keys sorted) and each restriction as a dict
+    from labels to labels."""
+    T = f.dom.topos
+    idx, B = T.index, f.cod
+    at, fans = {}, {}
+    for c in idx.objects:
+        labels = []
+        for b in B.at[c]:
+            L, pr = comma_presheaf(f, c, b)
+            fans[(c, b)] = FinSet(k for d in idx.objects for k in L.at[d]).elements
+            for t in enumerate_nat_trans(L, x.total, over=(pr, x.proj)):
+                fam = Fam((k, t.component[d](k)) for d in idx.objects for k in L.at[d])
+                labels.append(Tup((b, fam)))
+        at[c] = FinSet(labels)
+    restrict = {}
+    for w in idx.morphisms:
+        c1, c2 = idx.src(w), idx.tgt(w)
+        table = restrict[w] = {}
+        for e in at[c2]:
+            b1 = B.restrict[w](e[0])
+            keys = fans[(c1, b1)]
+            table[e] = Tup((b1, Fam((k, e[1].get(Tup((idx.comp[(w, k[0])], k[1])))) for k in keys)))
+    return at, fans, restrict
+
+
+def assert_is_the_labelled_reference(pi, f: NatTrans, x: SliceMap) -> None:
+    """pi, built by position, has the labels of the reference in order, and
+    the same projection, fans and restrictions."""
+    at, fans, restrict = labelled_dependent_product(f, x)
+    idx, A, B = f.dom.topos.index, f.dom, f.cod
+    assert set(pi.fans) == {(c, b) for c in idx.objects for b in range(len(B.at[c]))}
+    for c in idx.objects:
+        assert len(pi.total.at[c]) == len(at[c])
+        assert pi.total.at[c].elements == at[c].elements
+        assert pi.total.at[c].index == at[c].index
+        assert pi.proj.component[c].table == {e: e[0] for e in at[c]}
+        for b, point in enumerate(B.at[c]):
+            keys = tuple(Tup((u, A.at[d].elements[a])) for u, d, a in pi.fans[(c, b)])
+            assert keys == fans[(c, point)]
+    for w in idx.morphisms:
+        assert pi.total.restrict[w].table == restrict[w]
+    assert pi.total.validate() == [] and pi.proj.validate() == []
+
+
+def fiberwise_map_inputs(p: NatTrans):
+    """The map p x id: E x B -> B x B and the slice E x E -> E x B whose
+    dependent product is the fiberwise-map object of p, as nerve_of_map
+    builds them."""
+    E, B = p.dom, p.cod
+    ee, eb, bb = ps_product([E, E]), ps_product([E, B]), ps_product([B, B])
+    proj = eb.mediate(ee.apex, [ee.legs[0], ee.legs[1].then(p)])
+    p_times_id = bb.mediate(eb.apex, [eb.legs[0].then(p), eb.legs[1]])
+    return p_times_id, SliceMap(ee.apex, eb.apex, proj)
+
+
+@pytest.fixture
+def enumeration_paths(monkeypatch):
+    """Whether each fan that dependent_product enumerates has links between
+    different keys (the search) or none (the plain product)."""
+    seen = []
+    original = topos_module._natural_sections
+
+    def recorded(candidates, links):
+        seen.append(any(links))
+        return original(candidates, links)
+
+    monkeypatch.setattr(topos_module, "_natural_sections", recorded)
+    return seen
+
+
+INDEXES = {
+    "c2": c2_group,
+    "c3": c3_group,
+    "s3": s3_group,
+    "sierpinski": arrow_category,
+    "walking_iso": walking_iso,
+    "idempotent": idempotent_monoid,
+    "chain3": lambda: chain_poset(3),
+}
+
+
+class TestPositionalDependentProduct:
+    """dependent_product, which stores sections by position, against the
+    labelled construction it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(INDEXES)), st.integers(0, 10**6))
+    def test_random_maps(self, index, seed):
+        # a bound keeps the reference's enumeration short
+        T, rng = Topos(INDEXES[index](), 2000), random.Random(seed)
+        B = random_coproduct_presheaf(T, rng, 2)[0]
+        if B.total_size() == 0:
+            B = terminal(T)
+        f = random_map_to(T, rng, B, 2)
+        x = random_map_to(T, rng, f.dom, 3)
+        xs = SliceMap(x.dom, f.dom, x)
+        try:
+            pi = dependent_product(f, xs)
+        except ResourceBoundError:
+            reject()
+        assert_is_the_labelled_reference(pi, f, xs)
+
+    def test_bundle_maps(self, bundled_workspaces, enumeration_paths):
+        for w in bundled_workspaces.values():
+            for mname in w.maps.values():
+                p = w.morphisms[mname]
+                assert_is_the_labelled_reference(nerve_of_map(p).M, *fiberwise_map_inputs(p))
+        # finite sets reach only the plain product; the free C2-sets link
+        # the key (e, a) to (g, a.g)
+        assert set(enumeration_paths) == {False, True}
+
+    @pytest.mark.parametrize("topos", [finset_topos, c2_topos, sierpinski_topos])
+    def test_exponentials(self, topos, enumeration_paths):
+        T = topos()
+        presheaves = _representables_and_a_sum(T)
+        for F in presheaves:
+            for G in presheaves:
+                FG = ps_product([F, G])
+                f, x = unique_to_terminal(F), SliceMap(FG.apex, F, FG.legs[0])
+                assert_is_the_labelled_reference(exponential(T, F, G).pi, f, x)
+        assert any(enumeration_paths) == (topos is not finset_topos)
+
+    @pytest.mark.parametrize("topos", [finset_topos, c2_topos, sierpinski_topos])
+    def test_slice_exponentials(self, topos):
+        T, rng = topos(), random.Random(5)
+        for _ in range(6):
+            B = random_coproduct_presheaf(T, rng, 2)[0]
+            if B.total_size() == 0:
+                B = terminal(T)
+            g, f = (random_map_to(T, rng, B, 2) for _ in range(2))
+            g, f = SliceMap(g.dom, B, g), SliceMap(f.dom, B, f)
+            assert_is_the_labelled_reference(
+                slice_exponential(g, f), g.proj, pullback_functor(g.proj, f)
+            )
+
+    @pytest.mark.parametrize("bundle", ["finset", "s3"])
+    def test_a_verdict_builds_no_section_label(self, monkeypatch, bundled_workspaces, bundle):
+        # the FinSet (3,) map, or the natural S3 action over the point
+        if bundle == "finset":
+            p = _finset_map((3,))
+        else:
+            (mname,) = bundled_workspaces["s3"].maps.values()
+            p = bundled_workspaces["s3"].morphisms[mname]
+        nerves = []
+        build_nerve = univalence.nerve_of_map
+
+        def kept(p):
+            nerves.append(build_nerve(p))
+            return nerves[-1]
+
+        built = [0]
+        original = Fam.__new__
+
+        def counting(cls_, *args):
+            built[0] += 1
+            return original(cls_, *args)
+
+        monkeypatch.setattr(univalence, "nerve_of_map", kept)
+        monkeypatch.setattr(Fam, "__new__", counting)
+        assert is_univalent(p).level_sizes[1] == 27
+        assert built[0] == 0
+        (nerve,) = nerves
+        # reading the labels builds them, one per section, and the spy sees it
+        C1 = {c: s.elements for c, s in nerve.cat.C1.at.items()}
+        assert built[0] == 27
+        at, _, _ = labelled_dependent_product(*fiberwise_map_inputs(p))
+        assert C1 == {c: s.elements for c, s in at.items()}
+

@@ -1,6 +1,5 @@
 import argparse
 import json
-import os
 import random
 
 import pytest
@@ -29,6 +28,7 @@ from segaltopos.topos import (
     is_iso,
     is_minus1_truncated,
     is_mono,
+    ps_product,
     ps_pullback,
     subobject_classifier,
     terminal,
@@ -109,10 +109,13 @@ class TestNerveOfMap:
 
         monkeypatch.setattr(univalence, "_fiberwise_composition", composing)
         report = is_univalent(p)
-        monkeypatch.undo()
         assert report.level_sizes[3] == 19683
         assert report.univalent is False and report.oracle_agrees is True
-        assert 0 < calls["Tup"] < 19683
+        assert calls == {"Tup": 0, "Fam": 0, "composing": 0}
+        # the spies see the labels of C1 once something reads them
+        assert len(nerve_of_map(p).M.total.at[STAR_OBJ].elements) == 27
+        monkeypatch.undo()
+        assert calls["Fam"] == 27 and calls["Tup"] >= 27
         assert calls["composing"] == 0
 
     def test_repr_is_short_and_builds_no_labels(self, monkeypatch):
@@ -297,19 +300,27 @@ class TestFiberwiseComposition:
 
 
 def _keys_are_entry_order(p: NatTrans) -> None:
-    """M.keys lists the keys of every family over b in its entry order, and
-    section reads back through value."""
+    """M.fans lists the keys of every family over b in its entry order, the
+    family's values are the labels of the stored positions, and locate
+    finds the section by those positions."""
     M = nerve_of_map(p).M
+    A, X = M.x.base, M.x.total
     for c in p.dom.topos.index.objects:
-        for e, b in M.proj.component[c].table.items():
-            entries = dict(e[1].entries)
-            assert list(M.keys(c, b)) == list(entries)
-            assert M.section(c, b, entries.__getitem__) is e
-            assert all(M.value(e, k) is v for k, v in entries.items())
+        owners = M.proj.component[c].idx
+        for k, (e, b, values) in enumerate(zip(M.total.at[c], owners, M.sections[c])):
+            fan = M.fans[(c, b)]
+            assert [key for key, _ in e[1].entries] == [
+                Tup((u, A.at[d].elements[a])) for u, d, a in fan
+            ]
+            assert [v for _, v in e[1].entries] == [
+                X.at[d].elements[y] for (_, d, _), y in zip(fan, values)
+            ]
+            assert M.locate(c, b, values) == k
 
 
 class TestSectionKeys:
-    """_fiberwise_composition relies on M.keys(c, b) being in entry order."""
+    """_fiberwise_composition relies on M.fans listing each family's keys
+    in its entry order."""
 
     def test_finset_map(self):
         _keys_are_entry_order(_finset_map((3,)))
@@ -523,24 +534,20 @@ class TestValidateOnce:
         # the free C2-set.  It is natural, so only the unit laws tell it
         # from the identity.
         p = build(bundled_workspaces)
-        E, B = p.dom, p.cod
-        idx = E.topos.index
+        E = p.dom
         (h,) = [
             f
             for f in enumerate_nat_trans(E, E, over=(p, p))
             if is_iso(f) and f != NatTrans.identity(E)
         ]
 
-        def value(key):  # key (u: d -> c, (x, b)) with x in E(d)
-            x = key[1][0]
-            return Tup((x, h.component[idx.src(key[0])](x)))
+        identity_section = univalence._identity_section
 
-        def wrong_unit(p, M):
-            component = {}
-            for c in idx.objects:
-                table = {b: M.section(c, Tup((b, b)), value) for b in B.at[c]}
-                component[c] = FinFunction(B.at[c], M.total.at[c], table)
-            return NatTrans(B, M.total, component)
+        def wrong_unit(M, first, graph, diagonal):
+            # each key (u, (x, b)) goes to (x, h(x)), on the graph of h,
+            # in place of (x, x), on the graph of the identity
+            graph_of_h = ps_product([E, E]).mediate(E, [NatTrans.identity(E), h])
+            return identity_section(M, first, graph_of_h, diagonal)
 
         monkeypatch.setattr(univalence, "_identity_section", wrong_unit)
         with pytest.raises(InternalCheckError, match="unit law fails"):
@@ -673,15 +680,6 @@ class TestFiberSignatures:
                 assert fiber_signature_count(max_e, max_b) == len(fiber_signatures(max_e, max_b))
 
 
-@pytest.fixture(params=[1, 2], ids=["one-cpu", "two-cpus"])
-def cpus(request, monkeypatch):
-    """The affinity set the process sees: one CPU, or two whatever the
-    machine has.  The sweep reads neither, and its answers must not
-    change with them."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
-    return request.param
-
-
 def _deciding(monkeypatch, fails=()):
     """Record the signatures is_univalent decides, in order, and make it
     raise ValueError(signature) on those in fails."""
@@ -700,15 +698,15 @@ def _deciding(monkeypatch, fails=()):
 
 class TestFanOut:
     """The sweep decides its maps one after the other in signature order,
-    in one process, whatever CPUs it may use."""
+    in one process."""
 
-    def test_results_come_back_in_input_order(self, monkeypatch, cpus):
+    def test_results_come_back_in_input_order(self, monkeypatch):
         decided = _deciding(monkeypatch)
         found = enumerate_univalent(finset_topos(), 3, 3)
         assert decided == [str(sig) for sig in fiber_signatures(3, 3)]
         assert [sig for sig, _ in found] == [(), (0,), (0, 1), (1,)]
 
-    def test_smallest_failing_index_is_raised(self, monkeypatch, cpus):
+    def test_smallest_failing_index_is_raised(self, monkeypatch):
         # the first failing signature ends the sweep
         decided = _deciding(monkeypatch, fails={"(0, 2)", "(1, 1)", "(3,)"})
         with pytest.raises(ValueError) as exc:
@@ -718,23 +716,18 @@ class TestFanOut:
         assert decided == sigs[: sigs.index("(0, 2)") + 1]
 
     @pytest.mark.parametrize("max_e,max_b", [(2, 2), (3, 3)])
-    def test_enumeration_is_the_same_on_one_cpu(self, monkeypatch, max_e, max_b):
+    def test_enumeration_is_the_same_on_one_cpu(self, max_e, max_b):
         T = finset_topos()
-        runs = {"machine": enumerate_univalent(T, max_e, max_b)}
-        for name, affinity in [("one-cpu", {0}), ("two-cpus", {0, 1})]:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, a=affinity: a)
-            runs[name] = enumerate_univalent(T, max_e, max_b)
-        one = runs["one-cpu"]
-        for name, found in runs.items():
-            assert [sig for sig, _ in found] == [sig for sig, _ in one], name
-            # NatTrans equality compares the sets and the tables of the maps
-            assert [p for _, p in found] == [p for _, p in one], name
+        one, again = (enumerate_univalent(T, max_e, max_b) for _ in range(2))
+        assert [sig for sig, _ in again] == [sig for sig, _ in one]
+        # NatTrans equality compares the sets and the tables of the maps
+        assert [p for _, p in again] == [p for _, p in one]
         by_oracle = [
             sig for sig in fiber_signatures(max_e, max_b) if fiber_oracle_univalent(_finset_map(sig, T))
         ]
         assert [sig for sig, _ in one] == by_oracle
 
-    def test_enumeration_raises_the_error_of_the_smallest_signature(self, cpus):
+    def test_enumeration_raises_the_error_of_the_smallest_signature(self):
         # (0, 0, 3), (0, 3) and (3,) each exceed the bound; the first in
         # signature order has 21 273 triples
         with pytest.raises(ResourceBoundError) as exc:
