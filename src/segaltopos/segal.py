@@ -6,12 +6,13 @@ The object of equivalences of the nerve of a category object C is the
 sub-presheaf of C1 of isomorphisms (``isomorphisms``), which reads C
 alone, as ``nerve_level_sizes`` counts the nerve's levels without building
 them; the univalence verdict and the check-complete command use only
-these two.  ``nerve_truncation`` builds the nerve up to level 3, its
-faces out of level 3 and degeneracies into levels 2 and 3 mediations into
-limits of composable chains, for ``segal_check``, the check-segal command
-and the tests.  ``hoequiv`` is the paper's pullback X1 x_Z(3) X3 along
-the invertibility stage Z(3), for any simplicial object; it is the
-reference the tests compare ``isomorphisms`` with.
+these two.  A category object is checked when built, through its
+``rep`` when it has one.  ``nerve_truncation`` builds the nerve up to
+level 3, its faces out of level 3 and degeneracies into levels 2 and 3
+mediations into limits of composable chains, for ``segal_check``, the
+check-segal command and the tests.  ``hoequiv`` is the paper's pullback
+X1 x_Z(3) X3 along the invertibility stage Z(3), for any simplicial
+object; it is the reference the tests compare ``isomorphisms`` with.
 
 Conventions: level n is the object of n-chains; the source map is d(1,1)
 and the target map is d(1,0); composable pairs are stored as
@@ -21,7 +22,7 @@ and the target map is d(1,0); composable pairs are stored as
 from __future__ import annotations
 
 from itertools import compress
-from operator import eq
+from operator import eq, ne
 
 from .elements import Atom, Element, FinFunction, LazyFinSet, Tup, pick
 from .fincat import FiniteCategory, FrozenRecord, check_bound
@@ -191,9 +192,11 @@ class CategoryObjectError(ValueError):
 
 class CategoryObject(FrozenRecord):
     """Checked against the category laws when it is built, so no consumer
-    checks it again."""
+    checks it again.  ``rep``, if set, is a faithful representation {c: rep f
+    for f in C1(c)}: rep f is a tuple mapping range(n(s f)) to range(n(t f)),
+    for n(x) the length of rep e(x)."""
 
-    __slots__ = ("topos", "C0", "C1", "s", "t", "e", "composable", "m")
+    __slots__ = ("topos", "C0", "C1", "s", "t", "e", "composable", "m", "rep")
 
     def __init__(
         self,
@@ -205,6 +208,7 @@ class CategoryObject(FrozenRecord):
         e: NatTrans,
         composable: PsLimitCone,
         m: NatTrans,
+        rep: dict | None = None,
     ):
         setter = object.__setattr__
         setter(self, "topos", topos)
@@ -215,6 +219,7 @@ class CategoryObject(FrozenRecord):
         setter(self, "e", e)
         setter(self, "composable", composable)  # C1 x_{C0} C1, elements (f1, middle, f2)
         setter(self, "m", m)  # composable.apex -> C1, "second after first"
+        setter(self, "rep", rep)
         problems = validate_category_object(self)
         if problems:
             raise CategoryObjectError(problems)
@@ -227,6 +232,9 @@ def composable_pairs(T: Topos, C0, C1, s, t, n: int) -> PsLimitCone:
 
 
 def validate_category_object(C: CategoryObject) -> list[str]:
+    """Naturality and the endpoint laws, then at each stage within the
+    bound on triples the unit and associativity laws: through ``C.rep``
+    when it is set, else arrow by arrow and row by row."""
     report = []
     for name, f in (("s", C.s), ("t", C.t), ("e", C.e), ("m", C.m)):
         report.extend(f"{name}: {p}" for p in f.validate())
@@ -248,12 +256,15 @@ def validate_category_object(C: CategoryObject) -> list[str]:
         # composable only when these endpoint laws hold.
         return report
     for c in C.topos.index.objects:
+        check_bound(composable_triples(C, c), C.topos.bound, "associativity")
         m = C.m.component[c].idx
         e, src, tgt = C.e.component[c].idx, C.s.component[c].idx, C.t.component[c].idx
         arrows = C.C1.at[c]  # its labels are read only to report a failure
-        # The composable pairs are tuples (f1, x, f2) with x = t(f1) = s(f2);
-        # comp[(f1, f2)] is the position of their composite.
-        comp = dict(zip(zip(pr1.component[c].idx, pr2.component[c].idx), m))
+        f1s, f2s = pr1.component[c].idx, pr2.component[c].idx  # of pairs (f1, x, f2), x = t f1 = s f2
+        if C.rep is not None:
+            report.extend(_representation_problems(c, arrows, C.rep[c], src, tgt, e, f1s, f2s, m))
+            continue
+        comp = dict(zip(zip(f1s, f2s), m))  # (f1, f2) -> the position of m(f1, f2)
         by_source = {}
         local = []  # local[f]: the place of f among the arrows from src f
         for f in range(len(arrows)):
@@ -263,7 +274,6 @@ def validate_category_object(C: CategoryObject) -> list[str]:
                 report.append(f"left unit law fails at {c!r} on {arrows.elements[f]!r}")
             if comp[(f, e[tgt[f]])] != f:
                 report.append(f"right unit law fails at {c!r} on {arrows.elements[f]!r}")
-        check_bound(composable_triples(C, c), C.topos.bound, "associativity")
         # after[f]: the composites of f with each arrow h from tgt f, "h
         # after f", in the order of by_source.  For a pair (f1, f2) with
         # composite g, the triples (f1, f2, f3) run over the arrows f3 from
@@ -282,6 +292,29 @@ def validate_category_object(C: CategoryObject) -> list[str]:
                             f"associativity fails at {c!r} on "
                             f"({arrows.elements[f1]!r},{arrows.elements[f2]!r},{arrows.elements[f3]!r})"
                         )
+    return report
+
+
+def _representation_problems(c, arrows, rep, src, tgt, e, f1s, f2s, m) -> list[str]:
+    """The laws at stage c through rep (see ``CategoryObject``): rep e(x) is
+    the identity, f -> (s f, t f, rep f) injective and rep m(f1, f2) = pick(rep
+    f2, rep f1), function composition, so both sides of each law agree."""
+    n = [len(rep[x]) for x in e]
+    report = []
+    for b, x in enumerate(e):
+        if rep[x] != tuple(range(n[b])):
+            report.append(f"unit law fails to follow at {c!r}: rep of {arrows.elements[x]!r} is not the identity")
+    bad = [f for f, r in enumerate(rep) if len(r) != n[src[f]] or not set(r).issubset(range(n[tgt[f]]))]
+    if bad:  # pick would read past the end of a rep
+        return report + [f"rep at {c!r} of {arrows.elements[f]!r} is not a map between its ends" for f in bad]
+    first = {}
+    for f, ends in enumerate(zip(src, tgt, rep)):
+        if first.setdefault(ends, f) != f:
+            report.append(f"rep is not faithful at {c!r}: {arrows.elements[first[ends]]!r} and {arrows.elements[f]!r}")
+    composed = map(pick, pick(rep, f2s), pick(rep, f1s))  # lazy: a rep has a place per key
+    for f1, f2 in compress(zip(f1s, f2s), map(ne, composed, pick(rep, m))):
+        pair = f"({arrows.elements[f1]!r},{arrows.elements[f2]!r})"
+        report.append(f"composition fails at {c!r} on {pair}: its rep is not rep f2 after rep f1")
     return report
 
 

@@ -81,9 +81,9 @@ def nerve_of_map(p: NatTrans) -> NerveOfMap:
         M, eb.legs[0], ee.mediate(E, [identity(E)] * 2), bb.mediate(B, [identity(B)] * 2)
     )
     cone = composable_pairs(T, B, M.total, s, t, 2)
-    m = _fiberwise_composition(M, eb.legs[0], ee.legs[1], bb, cone)
     try:
-        cat = CategoryObject(T, B, M.total, s, t, e, cone, m)
+        m, rep = _fiberwise_composition(M, eb.legs[0], ee.legs[1], bb, cone)
+        cat = CategoryObject(T, B, M.total, s, t, e, cone, m, rep)
     except CategoryObjectError as exc:
         raise InternalCheckError(
             "fiberwise maps do not form a category object: " + exc.problems[0]
@@ -106,8 +106,8 @@ def _identity_section(M: DependentProduct, first: NatTrans, graph: NatTrans, dia
     return NatTrans(diagonal.dom, M.total, component)
 
 
-def _fiberwise_composition(M: DependentProduct, first: NatTrans, second: NatTrans, bb, cone) -> NatTrans:
-    """m on composable pairs of fiberwise maps, by position.
+def _fiberwise_composition(M: DependentProduct, first: NatTrans, second: NatTrans, bb, cone):
+    """(m, {c: rho}): m on composable pairs of fiberwise maps, by position.
 
     M's fan of (b, b') at c has the keys (u: d -> c, (e0, B(u)(b'))) with
     e0 in E(d) over B(u)(b), ``first`` reading e0 off the pair: as pairs
@@ -117,9 +117,11 @@ def _fiberwise_composition(M: DependentProduct, first: NatTrans, second: NatTran
     the keys of b to the place among the keys of b' of (u, e1), ``second``
     reading e1 off the value.  One table per key turns a value position
     into that place.  The composite of a pair is then a gather of rho's,
-    looked up among the families over its endpoints (b, b'')."""
+    looked up among the families over its endpoints (b, b''); rho is the
+    category object's ``rep``.  A value with no key, or one rho for two
+    families, raises ``CategoryObjectError``."""
     e0 = {d: f.idx for d, f in first.component.items()}
-    component = {}
+    component, rep = {}, {}
     for c in M.base.topos.index.objects:
         src, tgt = bb.legs[0].component[c].idx, bb.legs[1].component[c].idx
         # b -> the place of each key (u, e0) of b, read off any (b, b')
@@ -145,7 +147,11 @@ def _fiberwise_composition(M: DependentProduct, first: NatTrans, second: NatTran
         for k, (q, values) in enumerate(zip(owners, M.sections[c])):
             r = tuple(list(map(getitem, tables[q], values)))
             rho.append(r)
-            families[src[q]][tgt[q]][r] = k
+            if None in r:
+                raise CategoryObjectError([f"a value of family {k} at {c!r} has no key"])
+            over = families[src[q]][tgt[q]]
+            if over.setdefault(r, k) != k:
+                raise CategoryObjectError([f"families {over[r]} and {k} at {c!r} share rho"])
         out = []
         for i, j in zip(cone.legs[0].component[c].idx, cone.legs[2].component[c].idx):
             k = families[src[owners[i]]][tgt[owners[j]]].get(pick(rho[j], rho[i]))
@@ -153,7 +159,8 @@ def _fiberwise_composition(M: DependentProduct, first: NatTrans, second: NatTran
                 raise InternalCheckError("composite family is not a product element")
             out.append(k)
         component[c] = FinFunction.from_idx(cone.apex.at[c], M.total.at[c], tuple(out))
-    return NatTrans(cone.apex, M.total, component)
+        rep[c] = tuple(rho)
+    return NatTrans(cone.apex, M.total, component), rep
 
 
 # ---------------------------------------------------------------------------

@@ -181,23 +181,27 @@ def _associativity_by_triples(topos, C1, s, t, composable, m) -> list[str]:
     return report
 
 
-@pytest.mark.parametrize("name", ["c3", "s3", (2,), (1, 2)])
+@pytest.mark.parametrize("name", ["c3", "s3", (2,), (1, 2), "c2"])
 def test_corrupted_composite_fails_associativity_only(name):
     # every change of one composite of two non-identities to another arrow
     # with the same endpoints keeps the unit laws, so only associativity
-    # can fail; the problems are those of the triple-by-triple reference,
-    # and at least one change breaks it
+    # can fail; the problems are those of the triple-by-triple reference.
+    # Checked through a rep (the fiberwise-map object's own, the Cayley rep
+    # of a corpus category), every change is rejected, associative or not,
+    # on the one pair it changed.
     if isinstance(name, tuple):
         # the fiberwise maps of the map of finite sets with these fibers
         cat = nerve_of_map(_finset_map(name)).cat
+        rep = cat.rep
     else:
         cat = category_object_from_finite_category(corpus_categories()[name])
+        rep = _cayley_rep(cat)
     (c,) = cat.topos.index.objects
     ids = set(cat.e.component[c].idx)
     src, tgt = cat.s.component[c], cat.t.component[c]
     pairs = cat.composable.apex.at[c]
     table = cat.m.component[c].table
-    corrupted = 0
+    corrupted = tried = 0
     for pair, h in table.items():
         f1, f2 = pair[0], pair[2]
         if {cat.C1.at[c].index[f1], cat.C1.at[c].index[f2]} & ids:
@@ -205,12 +209,18 @@ def test_corrupted_composite_fails_associativity_only(name):
         for other in cat.C1.at[c]:
             if other is h or (src(other), tgt(other)) != (src(h), tgt(h)):
                 continue
+            tried += 1
             bad_m = NatTrans(
                 cat.composable.apex,
                 cat.C1,
                 {c: FinFunction(pairs, cat.C1.at[c], {**table, pair: other})},
             )
             fields = (cat.topos, cat.C0, cat.C1, cat.s, cat.t, cat.e, cat.composable, bad_m)
+            with pytest.raises(CategoryObjectError) as exc:
+                CategoryObject(*fields, rep)
+            assert exc.value.problems == [
+                f"composition fails at {c!r} on ({f1!r},{f2!r}): its rep is not rep f2 after rep f1"
+            ]
             want = _associativity_by_triples(cat.topos, cat.C1, cat.s, cat.t, cat.composable, bad_m)
             if not want:
                 # some changes give another associative table
@@ -220,7 +230,71 @@ def test_corrupted_composite_fails_associativity_only(name):
                 CategoryObject(*fields)
             assert exc.value.problems == want
             corrupted += 1
-    assert corrupted
+    # every change breaks associativity but C2's g after g = g, which gives
+    # the monoid {e, g} with g idempotent
+    assert tried and tried - corrupted == (name == "c2")
+
+
+def _cayley_rep(cat):
+    """The Cayley representation of a category object over the one-object
+    index: the places of x are the arrows into x, in their order, and rep f
+    sends the place of h to that of "f after h", m(h, f)."""
+    (c,) = cat.topos.index.objects
+    arrows, src, tgt = range(len(cat.C1.at[c])), cat.s.component[c].idx, cat.t.component[c].idx
+    pairs = zip(cat.composable.legs[0].component[c].idx, cat.composable.legs[2].component[c].idx)
+    comp = dict(zip(pairs, cat.m.component[c].idx))
+    into = [[h for h in arrows if tgt[h] == x] for x in range(len(cat.C0.at[c]))]
+    return {c: tuple(tuple(into[tgt[f]].index(comp[(h, f)]) for h in into[src[f]]) for f in arrows)}
+
+
+@pytest.mark.parametrize("name", sorted(corpus_categories()))
+def test_cayley_representation_validates(name):
+    cat = category_object_from_finite_category(corpus_categories()[name])
+    fields = (cat.topos, cat.C0, cat.C1, cat.s, cat.t, cat.e, cat.composable, cat.m)
+    assert validate_category_object(CategoryObject(*fields, _cayley_rep(cat))) == []
+
+
+class TestRepresentationCheck:
+    """Each way the check through rep fails, on the group C2 = {e, g} as a
+    category object, whose Cayley rep sends e to the identity on two places
+    and g to their swap."""
+
+    @staticmethod
+    def problems(rep_e, rep_g):
+        cat = category_object_from_finite_category(corpus_categories()["c2"])
+        (c,) = cat.topos.index.objects
+        (unit,) = cat.e.component[c].idx
+        arrows = cat.C1.at[c].elements
+        rep = {c: tuple(rep_e if f == unit else rep_g for f in range(len(arrows)))}
+        fields = (cat.topos, cat.C0, cat.C1, cat.s, cat.t, cat.e, cat.composable, cat.m)
+        with pytest.raises(CategoryObjectError) as exc:
+            CategoryObject(*fields, rep)
+        return exc.value.problems, c, arrows, arrows[unit], arrows[1 - unit]
+
+    def test_not_faithful(self):
+        # the representation on no places respects units and composition
+        # but cannot tell e from g
+        problems, c, arrows, _, _ = self.problems((), ())
+        assert problems == [f"rep is not faithful at {c!r}: {arrows[0]!r} and {arrows[1]!r}"]
+
+    def test_composite_disagrees_with_pick(self):
+        # faithful, with e the identity, but g after g is e while the
+        # constant map after itself is not the identity
+        problems, c, _, _, g = self.problems((0, 1), (0, 0))
+        assert problems == [
+            f"composition fails at {c!r} on ({g!r},{g!r}): its rep is not rep f2 after rep f1"
+        ]
+
+    def test_unit_not_the_identity(self):
+        problems, c, _, e, _ = self.problems((1, 0), (0, 1))
+        assert problems[0] == f"unit law fails to follow at {c!r}: rep of {e!r} is not the identity"
+        assert all(p.startswith("composition fails") for p in problems[1:])
+
+    @pytest.mark.parametrize("rep_g", [(1,), (-1,), (0, 0), ()], ids=["past", "negative", "long", "short"])
+    def test_not_a_map_into_the_target(self, rep_g):
+        # e is the identity on one place, and g is no map from it to it
+        problems, c, _, _, g = self.problems((0,), rep_g)
+        assert problems == [f"rep at {c!r} of {g!r} is not a map between its ends"]
 
 
 def _nerve_by_formulas(cat, c):

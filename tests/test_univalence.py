@@ -10,14 +10,22 @@ from segaltopos.elements import Atom, Fam, FinFunction, Tup
 from segaltopos.fincat import ResourceBoundError
 from segaltopos.corpus import (
     c2_topos,
+    c3_group,
     finset_function,
     finset_presheaf,
     random_coproduct_presheaf,
     random_map_to,
+    s3_topos,
     sierpinski_topos,
 )
 from segaltopos.cli import main
-from segaltopos.segal import TruncatedSimplicialObject, nerve_level_sizes, nerve_truncation
+from segaltopos.segal import (
+    CategoryObject,
+    TruncatedSimplicialObject,
+    nerve_level_sizes,
+    nerve_truncation,
+    validate_category_object,
+)
 from segaltopos.topos import (
     InternalCheckError,
     NatTrans,
@@ -175,9 +183,10 @@ class TestNerveOfMap:
 
     def test_two_free_category_object_validates_without_its_triples(self, bundled_workspaces):
         # the same 16 777 216 composable triples under a bound above them:
-        # associativity compares rows of m and the verdict counts the
-        # triples, listing none, so this stays small (CI runs it under a
-        # 1 GB address-space limit)
+        # the laws are checked through the fiberwise maps' rep, one pass over
+        # the composable pairs, and the verdict counts the triples, listing
+        # none, so this stays small (CI runs it under a 1 GB address-space
+        # limit)
         X = bundled_workspaces["c2"].presheaves["two_free"]
         big = Presheaf(Topos(X.topos.index, 20_000_000), X.at, X.restrict)
         report = is_univalent(unique_to_terminal(big))
@@ -337,6 +346,53 @@ class TestSectionKeys:
             _keys_are_entry_order(p)
         except ResourceBoundError:
             # as in TestFiberwiseComposition.test_random_maps
+            reject()
+
+
+def _rep_and_row_checks_pass(p: NatTrans) -> None:
+    """The fiberwise-map category object of p passes validation both through
+    its rep and, rebuilt without it, by the unit loop and the row check."""
+    cat = nerve_of_map(p).cat
+    fields = (cat.topos, cat.C0, cat.C1, cat.s, cat.t, cat.e, cat.composable, cat.m)
+    assert cat.rep is not None
+    assert validate_category_object(cat) == []
+    assert validate_category_object(CategoryObject(*fields)) == []
+
+
+class TestRepCheckAgainstRowCheck:
+    """validate_category_object through rep against the row check."""
+
+    def test_sweep_maps(self, finset_sweep):
+        assert len(finset_sweep) == 18
+        for p, _ in finset_sweep.values():
+            _rep_and_row_checks_pass(p)
+
+    @pytest.mark.parametrize("bundle", ["finset", "c2", "sierpinski", "s3"])
+    def test_bundled_maps(self, bundled_workspaces, bundle):
+        w = bundled_workspaces[bundle]
+        assert w.maps
+        for mname in w.maps.values():
+            _rep_and_row_checks_pass(w.morphisms[mname])
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(["c2", "c3", "s3", "sierpinski"]), st.integers(0, 10**6))
+    def test_random_maps(self, index, seed):
+        toposes = {
+            "c2": c2_topos,
+            "c3": lambda bound: Topos(c3_group(), bound),
+            "s3": s3_topos,
+            "sierpinski": sierpinski_topos,
+        }
+        # a bound keeps the row check, which lists the triples, and the
+        # rejected draws short (an S3 map past 10**6 takes seconds)
+        T, rng = toposes[index](20_000), random.Random(seed)
+        B = random_coproduct_presheaf(T, rng, 2)[0]
+        if B.total_size() == 0:
+            B = terminal(T)
+        p = random_map_to(T, rng, B, 2)
+        try:
+            _rep_and_row_checks_pass(p)
+        except ResourceBoundError:
             reject()
 
 
@@ -512,13 +568,34 @@ class TestValidateOnce:
 
     def test_nerve_of_map_rejects_corrupted_composition(self, monkeypatch):
         build = univalence._fiberwise_composition
+
+        def corrupted(*args):
+            m, rep = build(*args)
+            return _swap_two_values(m), rep
+
+        monkeypatch.setattr(univalence, "_fiberwise_composition", corrupted)
+        with pytest.raises(InternalCheckError, match="do not form a category object"):
+            nerve_of_map(_finset_map((2,)))
+
+    @pytest.mark.parametrize(
+        "fibers,problem",
+        # reading e0 off each value (e0, e1) in place of e1: over one point
+        # every family gets the identity rho, and over two points a value
+        # over the source is looked up among the keys of the target
+        [((2,), "families 0 and 1 at .* share rho"), ((1, 1), "a value of family 1 at .* has no key")],
+        ids=["shared-rho", "no-key"],
+    )
+    def test_fiberwise_composition_reports_a_bad_rho(self, monkeypatch, fibers, problem):
+        p = _finset_map(fibers)
+        build = univalence._fiberwise_composition
+        first_of_pair = ps_product([p.dom, p.dom]).legs[0]
         monkeypatch.setattr(
             univalence,
             "_fiberwise_composition",
-            lambda *args: _swap_two_values(build(*args)),
+            lambda M, first, second, bb, cone: build(M, first, first_of_pair, bb, cone),
         )
-        with pytest.raises(InternalCheckError, match="do not form a category object"):
-            nerve_of_map(_finset_map((2,)))
+        with pytest.raises(InternalCheckError, match="fiberwise maps do not form a category object: " + problem):
+            nerve_of_map(p)
 
     @pytest.mark.parametrize(
         "build",
@@ -599,9 +676,10 @@ class TestValidateOnce:
         build = univalence._fiberwise_composition
 
         def corrupted(*args):
-            m = _swap_two_values(build(*args))
+            m, rep = build(*args)
+            m = _swap_two_values(m)
             assert m.validate()
-            return m
+            return m, rep
 
         monkeypatch.setattr(univalence, "_fiberwise_composition", corrupted)
         with pytest.raises(InternalCheckError, match="category object: m: naturality fails"):
