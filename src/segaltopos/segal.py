@@ -7,12 +7,13 @@ sub-presheaf of C1 of isomorphisms (``isomorphisms``), which reads C
 alone, as ``nerve_level_sizes`` counts the nerve's levels without building
 them; the univalence verdict and the check-complete command use only
 these two.  A category object is checked when built, through its
-``rep`` when it has one.  ``nerve_truncation`` builds the nerve up to
-level 3, its faces out of level 3 and degeneracies into levels 2 and 3
-mediations into limits of composable chains, for ``segal_check``, the
-check-segal command and the tests.  ``hoequiv`` is the paper's pullback
-X1 x_Z(3) X3 along the invertibility stage Z(3), for any simplicial
-object; it is the reference the tests compare ``isomorphisms`` with.
+``rep``, or else its Cayley representation.  ``nerve_truncation`` builds
+the nerve up to level 3, its faces out of level 3 and degeneracies into
+levels 2 and 3 mediations into limits of composable chains, for
+``segal_check``, the check-segal command and the tests.  ``hoequiv`` is
+the paper's pullback X1 x_Z(3) X3 along the invertibility stage Z(3), for
+any simplicial object; it is the reference the tests compare
+``isomorphisms`` with.
 
 Conventions: level n is the object of n-chains; the source map is d(1,1)
 and the target map is d(1,0); composable pairs are stored as
@@ -194,7 +195,8 @@ class CategoryObject(FrozenRecord):
     """Checked against the category laws when it is built, so no consumer
     checks it again.  ``rep``, if set, is a faithful representation {c: rep f
     for f in C1(c)}: rep f is a tuple mapping range(n(s f)) to range(n(t f)),
-    for n(x) the length of rep e(x)."""
+    for n(x) the length of rep e(x).  Left unset, the laws are checked
+    through the Cayley representation, computed from m."""
 
     __slots__ = ("topos", "C0", "C1", "s", "t", "e", "composable", "m", "rep")
 
@@ -233,8 +235,8 @@ def composable_pairs(T: Topos, C0, C1, s, t, n: int) -> PsLimitCone:
 
 def validate_category_object(C: CategoryObject) -> list[str]:
     """Naturality and the endpoint laws, then at each stage within the
-    bound on triples the unit and associativity laws: through ``C.rep``
-    when it is set, else arrow by arrow and row by row."""
+    bound on triples the unit and associativity laws, through ``C.rep``
+    when it is set, else through the Cayley representation of m."""
     report = []
     for name, f in (("s", C.s), ("t", C.t), ("e", C.e), ("m", C.m)):
         report.extend(f"{name}: {p}" for p in f.validate())
@@ -252,8 +254,8 @@ def validate_category_object(C: CategoryObject) -> list[str]:
     if C.m.then(C.t) != pr2.then(C.t):
         report.append("target of a composite differs from target of the second factor")
     if report:
-        # The unit and associativity laws below form chains that are
-        # composable only when these endpoint laws hold.
+        # The Cayley representation sends each arrow into s f to an arrow
+        # into t f only when these endpoint laws hold.
         return report
     for c in C.topos.index.objects:
         check_bound(composable_triples(C, c), C.topos.bound, "associativity")
@@ -261,38 +263,24 @@ def validate_category_object(C: CategoryObject) -> list[str]:
         e, src, tgt = C.e.component[c].idx, C.s.component[c].idx, C.t.component[c].idx
         arrows = C.C1.at[c]  # its labels are read only to report a failure
         f1s, f2s = pr1.component[c].idx, pr2.component[c].idx  # of pairs (f1, x, f2), x = t f1 = s f2
-        if C.rep is not None:
-            report.extend(_representation_problems(c, arrows, C.rep[c], src, tgt, e, f1s, f2s, m))
-            continue
-        comp = dict(zip(zip(f1s, f2s), m))  # (f1, f2) -> the position of m(f1, f2)
-        by_source = {}
-        local = []  # local[f]: the place of f among the arrows from src f
-        for f in range(len(arrows)):
-            local.append(len(by_source.setdefault(src[f], [])))
-            by_source[src[f]].append(f)
-            if comp[(e[src[f]], f)] != f:
-                report.append(f"left unit law fails at {c!r} on {arrows.elements[f]!r}")
-            if comp[(f, e[tgt[f]])] != f:
-                report.append(f"right unit law fails at {c!r} on {arrows.elements[f]!r}")
-        # after[f]: the composites of f with each arrow h from tgt f, "h
-        # after f", in the order of by_source.  For a pair (f1, f2) with
-        # composite g, the triples (f1, f2, f3) run over the arrows f3 from
-        # tgt g = tgt f2, and associativity is one comparison of rows:
-        # after[g] against (f3 after f2) after f1, looked up in after[f1]
-        # at the place of f3 after f2, which starts at tgt f1.
-        after = [
-            tuple([comp[(f, h)] for h in by_source.get(tgt[f], ())]) for f in range(len(arrows))
-        ]
-        for (f1, f2), g in comp.items():
-            lhs, rhs = after[g], pick(after[f1], pick(local, after[f2]))
-            if lhs != rhs:
-                for f3, a, b in zip(by_source[tgt[f2]], lhs, rhs):
-                    if a != b:
-                        report.append(
-                            f"associativity fails at {c!r} on "
-                            f"({arrows.elements[f1]!r},{arrows.elements[f2]!r},{arrows.elements[f3]!r})"
-                        )
+        rep = C.rep[c] if C.rep is not None else _cayley_representation(len(C.C0.at[c]), src, tgt, f1s, f2s, m)
+        report.extend(_representation_problems(c, arrows, rep, src, tgt, e, f1s, f2s, m))
     return report
+
+
+def _cayley_representation(objects: int, src, tgt, f1s, f2s, m) -> tuple:
+    """The Cayley representation at one stage (Mac Lane, CWM III.2): the
+    places of x are the arrows into x, in their order, and rep f sends the
+    place of h to that of m(h, f), "f after h".  It passes the checks of
+    ``_representation_problems`` exactly when m obeys the category laws."""
+    place, into = [], [0] * objects
+    for x in tgt:
+        place.append(into[x])
+        into[x] += 1
+    rep = [[None] * into[x] for x in src]  # a None left is a pair missing from the composables
+    for h, f, g in zip(f1s, f2s, m):
+        rep[f][place[h]] = place[g]
+    return tuple(map(tuple, rep))
 
 
 def _representation_problems(c, arrows, rep, src, tgt, e, f1s, f2s, m) -> list[str]:

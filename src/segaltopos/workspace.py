@@ -147,6 +147,9 @@ def decode_category(data: dict) -> FiniteCategory:
         if not isinstance(entry, list) or len(entry) != 3:
             raise WorkspaceError(f"bad composition entry: {entry!r}")
         g, f, h = map(decode_element, entry)
+        if (g, f) in comp:
+            # keeping either entry would make the category depend on their order
+            raise WorkspaceError(f"{where}.comp: composite of {g!r} after {f!r} listed twice")
         comp[(g, f)] = h
     return FiniteCategory(objs, mors, src, tgt, idf, comp)
 

@@ -7,7 +7,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 from segaltopos import segal
 from segaltopos.elements import Atom, FinFunction, FinSet, STAR, Tup
-from segaltopos.fincat import ResourceBoundError
+from segaltopos.fincat import FiniteCategory, ResourceBoundError, validate_category
 from segaltopos.corpus import (
     c2_topos,
     c3_group,
@@ -162,10 +162,11 @@ class TestNerveTruncation:
             validate_category_object(CategoryObject(finset_topos(7), *fields))
 
 
-def _associativity_by_triples(topos, C1, s, t, composable, m) -> list[str]:
-    """Reference for the associativity law: one comparison per composable
-    triple, looked up in a table keyed by pairs of arrows."""
-    report = []
+def _associativity_by_triples(topos, C0, C1, s, t, e, composable, m) -> list[tuple]:
+    """Reference for the associativity law on the fields of a category
+    object: the triples (f1, f2, f3) on which it fails, one comparison per
+    composable triple, looked up in a table keyed by pairs of arrows."""
+    failing = []
     for c in topos.index.objects:
         arrows = C1.at[c].elements
         src, tgt = s.component[c].idx, t.component[c].idx
@@ -174,21 +175,50 @@ def _associativity_by_triples(topos, C1, s, t, composable, m) -> list[str]:
         for (f1, f2), g in comp.items():
             for f3 in range(len(arrows)):
                 if src[f3] == tgt[f2] and comp[(g, f3)] != comp[(f1, comp[(f2, f3)])]:
-                    report.append(
-                        f"associativity fails at {c!r} on "
-                        f"({arrows[f1]!r},{arrows[f2]!r},{arrows[f3]!r})"
-                    )
-    return report
+                    failing.append((arrows[f1], arrows[f2], arrows[f3]))
+    return failing
+
+
+def _composition_problem(c, f1, f2) -> str:
+    return f"composition fails at {c!r} on ({f1!r},{f2!r}): its rep is not rep f2 after rep f1"
+
+
+def _with_composites(cat, table: dict) -> tuple:
+    """The fields of cat, over the one-object index, with m given by table."""
+    (c,) = cat.topos.index.objects
+    pairs = cat.composable.apex.at[c]
+    m = NatTrans(cat.composable.apex, cat.C1, {c: FinFunction(pairs, cat.C1.at[c], table)})
+    return (cat.topos, cat.C0, cat.C1, cat.s, cat.t, cat.e, cat.composable, m)
+
+
+def _problems(*fields) -> list[str]:
+    """The problems of a category object with these fields, [] when none."""
+    try:
+        CategoryObject(*fields)
+    except CategoryObjectError as exc:
+        return exc.problems
+    return []
+
+
+def _pair_problems(cat, failing) -> list[str]:
+    """What the check through a rep reports for these failing triples
+    (h, f1, f2): one problem per composable pair (f1, f2) among them, since
+    rep m(f1, f2) and rep f2 after rep f1 differ at the place of h."""
+    (c,) = cat.topos.index.objects
+    named = {(f1, f2) for _, f1, f2 in failing}
+    pairs = ((p[0], p[2]) for p in cat.composable.apex.at[c])
+    return [_composition_problem(c, f1, f2) for f1, f2 in pairs if (f1, f2) in named]
 
 
 @pytest.mark.parametrize("name", ["c3", "s3", (2,), (1, 2), "c2"])
 def test_corrupted_composite_fails_associativity_only(name):
     # every change of one composite of two non-identities to another arrow
     # with the same endpoints keeps the unit laws, so only associativity
-    # can fail; the problems are those of the triple-by-triple reference.
-    # Checked through a rep (the fiberwise-map object's own, the Cayley rep
-    # of a corpus category), every change is rejected, associative or not,
-    # on the one pair it changed.
+    # can fail.  Checked through a given rep (the fiberwise-map object's
+    # own, the Cayley rep of a corpus category), every change is rejected,
+    # associative or not, on the one pair it changed.  Checked without one,
+    # through the Cayley rep of the changed m, a change is rejected exactly
+    # when the triple-by-triple reference finds a failing triple.
     if isinstance(name, tuple):
         # the fiberwise maps of the map of finite sets with these fibers
         cat = nerve_of_map(_finset_map(name)).cat
@@ -199,7 +229,6 @@ def test_corrupted_composite_fails_associativity_only(name):
     (c,) = cat.topos.index.objects
     ids = set(cat.e.component[c].idx)
     src, tgt = cat.s.component[c], cat.t.component[c]
-    pairs = cat.composable.apex.at[c]
     table = cat.m.component[c].table
     corrupted = tried = 0
     for pair, h in table.items():
@@ -210,29 +239,53 @@ def test_corrupted_composite_fails_associativity_only(name):
             if other is h or (src(other), tgt(other)) != (src(h), tgt(h)):
                 continue
             tried += 1
-            bad_m = NatTrans(
-                cat.composable.apex,
-                cat.C1,
-                {c: FinFunction(pairs, cat.C1.at[c], {**table, pair: other})},
-            )
-            fields = (cat.topos, cat.C0, cat.C1, cat.s, cat.t, cat.e, cat.composable, bad_m)
-            with pytest.raises(CategoryObjectError) as exc:
-                CategoryObject(*fields, rep)
-            assert exc.value.problems == [
-                f"composition fails at {c!r} on ({f1!r},{f2!r}): its rep is not rep f2 after rep f1"
-            ]
-            want = _associativity_by_triples(cat.topos, cat.C1, cat.s, cat.t, cat.composable, bad_m)
-            if not want:
-                # some changes give another associative table
-                assert validate_category_object(CategoryObject(*fields)) == []
-                continue
-            with pytest.raises(CategoryObjectError) as exc:
-                CategoryObject(*fields)
-            assert exc.value.problems == want
-            corrupted += 1
+            fields = _with_composites(cat, {**table, pair: other})
+            assert _problems(*fields, rep) == [_composition_problem(c, f1, f2)]
+            failing = _associativity_by_triples(*fields)
+            assert _problems(*fields) == _pair_problems(cat, failing)
+            corrupted += bool(failing)
     # every change breaks associativity but C2's g after g = g, which gives
     # the monoid {e, g} with g idempotent
     assert tried and tried - corrupted == (name == "c2")
+
+
+def _other_arrows(C, h) -> list:
+    """The arrows of C other than h with the same source and target."""
+    return [k for k in C.morphisms if k != h and (C.src(k), C.tgt(k)) == (C.src(h), C.tgt(h))]
+
+
+@pytest.mark.parametrize(
+    "name",
+    # in the others no two arrows have the same ends
+    [n for n, C in sorted(corpus_categories().items()) if any(_other_arrows(C, h) for h in C.comp.values())],
+)
+@settings(deadline=None)
+@given(data=st.data())
+def test_cayley_check_against_the_references(name, data):
+    # one to three composites of a corpus category, identities' included,
+    # changed to other arrows with the same ends: the check through the
+    # Cayley rep accepts exactly when fincat's brute-force check and the
+    # triple-by-triple reference do, and it names, as failing composition,
+    # exactly the pairs (f1, f2) of the failing triples (h, f1, f2), so at
+    # least one whenever associativity fails
+    C = corpus_categories()[name]
+    comp = dict(C.comp)
+    changeable = sorted(pair for pair, h in C.comp.items() if _other_arrows(C, h))
+    for pair in data.draw(st.lists(st.sampled_from(changeable), min_size=1, max_size=3, unique=True)):
+        comp[pair] = data.draw(st.sampled_from(_other_arrows(C, C.comp[pair])))
+    changed = FiniteCategory(C.objects, C.morphisms, C.src, C.tgt, C.identity, comp)
+    try:
+        category_object_from_finite_category(changed)
+        problems = []
+    except CategoryObjectError as exc:
+        problems = exc.problems
+    cat = category_object_from_finite_category(C)
+    fields = _with_composites(cat, {p: comp[(p[2], p[0])] for p in cat.composable.apex.at[STAR_OBJ]})
+    failing = _associativity_by_triples(*fields)
+    assert (problems == []) == (validate_category(changed) == [] and failing == [])
+    assert [p for p in problems if p.startswith("composition fails")] == _pair_problems(cat, failing)
+    others = [p for p in problems if not p.startswith("composition fails")]
+    assert all(p.startswith(("unit law fails", "rep is not faithful")) for p in others)
 
 
 def _cayley_rep(cat):
@@ -249,7 +302,13 @@ def _cayley_rep(cat):
 
 @pytest.mark.parametrize("name", sorted(corpus_categories()))
 def test_cayley_representation_validates(name):
+    # the reference above is the library's Cayley rep, which checks every
+    # category object built without one
     cat = category_object_from_finite_category(corpus_categories()[name])
+    (c,) = cat.topos.index.objects
+    maps = (cat.s, cat.t, cat.composable.legs[0], cat.composable.legs[2], cat.m)
+    library = segal._cayley_representation(len(cat.C0.at[c]), *(f.component[c].idx for f in maps))
+    assert {c: library} == _cayley_rep(cat)
     fields = (cat.topos, cat.C0, cat.C1, cat.s, cat.t, cat.e, cat.composable, cat.m)
     assert validate_category_object(CategoryObject(*fields, _cayley_rep(cat))) == []
 

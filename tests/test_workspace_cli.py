@@ -533,6 +533,36 @@ class TestWorkspaceInputContract:
         assert err.getvalue().startswith("error: invalid workspace: ")
         assert "morphism fixed2_to_point: no restriction along Atom('e') in the domain" in err.getvalue()
 
+    def test_category_object_breaking_a_law_exits_two(self, capsys, tmp_path):
+        # c2_cat with "g after e" = e: e is no left unit, so the Cayley
+        # representation sends (e, g) and (g, g) to composites that their
+        # factors' representations do not compose to
+        data = copy.deepcopy(FINSET_DATA)
+        table = data["category_objects"]["c2_cat"]["m"]['["a","*"]']
+        table['["t",[["a","e"],["a","*"],["a","g"]]]'] = ["a", "e"]
+        ws = tmp_path / "ws.json"
+        ws.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "validate", "--workspace", str(ws))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: invalid workspace: category object c2_cat: composition fails at Atom('*') on "
+            "(Atom('e'),Atom('g')): its rep is not rep f2 after rep f1; category object c2_cat: "
+            "composition fails at Atom('*') on (Atom('g'),Atom('g')): its rep is not rep f2 after rep f1\n"
+        )
+
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
+    def test_composite_listed_twice_exits_two(self, capsys, tmp_path, first):
+        # the c2 bundle with a second, different value for e after e, before
+        # or after the first: neither order may decide which one counts
+        data = json.loads(resources.files("segaltopos").joinpath("data", "c2.json").read_text())
+        comp = data["index"]["comp"]
+        comp.insert(0 if first else len(comp), [["a", "e"], ["a", "e"], ["a", "g"]])
+        ws = tmp_path / "ws.json"
+        ws.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "validate", "--workspace", str(ws))
+        assert (code, out) == (2, "")
+        assert err == "error: index.comp: composite of Atom('e') after Atom('e') listed twice\n"
+
     def test_non_utf8_file_exits_two(self, tmp_path):
         ws = tmp_path / "ws.json"
         ws.write_bytes(b"\xff\xfe{")
