@@ -170,6 +170,20 @@ def corpus_categories() -> dict:
 # brute-force oracles on finite categories
 
 
+def category_problems_by_triples(C: FiniteCategory) -> list[str]:
+    """The unit laws arrow by arrow and associativity triple by triple: the
+    reference for ``validate_category`` on a C whose structure it accepts."""
+    report = []
+    for f in C.morphisms:
+        if C.comp[(f, C.id_of(C.src(f)))] != f or C.comp[(C.id_of(C.tgt(f)), f)] != f:
+            report.append(f"unit law fails for {f!r}")
+    for (g, f), gf in C.comp.items():
+        for h in C.morphisms:
+            if C.src(h) == C.tgt(g) and C.comp[(h, gf)] != C.comp[(C.comp[(h, g)], f)]:
+                report.append(f"associativity fails on ({h!r},{g!r},{f!r})")
+    return report
+
+
 def iso_set(C: FiniteCategory) -> set:
     """All invertible morphisms, by searching for two-sided inverses."""
     out = set()

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, repeat
-from operator import add
+from itertools import accumulate, chain, compress, repeat
+from operator import add, ne
 
 from .elements import STAR, Atom, Element, FinFunction, FinSet, Tup, fibers, pick
 
@@ -47,8 +47,8 @@ class FiniteCategory(FrozenRecord):
     """A category given by explicit object/morphism tables.
 
     comp maps (g, f) to g∘f and is defined exactly on composable pairs
-    (tgt(f) = src(g)); validation is a separate pass.  Two categories are
-    equal when their tables other than comp are.
+    (tgt(f) = src(g)); ``Topos`` checks its index with ``validate_category``.
+    Two categories are equal when their tables other than comp are.
     """
 
     __slots__ = ("objects", "morphisms", "src", "tgt", "identity", "comp")
@@ -99,7 +99,8 @@ class FiniteCategory(FrozenRecord):
 
 
 def validate_category(C: FiniteCategory) -> list[str]:
-    """Brute-force check of all category axioms; returns the violations."""
+    """The violations of the category axioms in positional order: the
+    structure, then the laws through the Cayley representation of comp."""
     report = []
     if C.src.dom != C.morphisms or C.src.cod != C.objects:
         report.append("src is not a function morphisms -> objects")
@@ -109,44 +110,68 @@ def validate_category(C: FiniteCategory) -> list[str]:
         report.append("identity is not a function objects -> morphisms")
     if report:
         return report
-    for x in C.objects:
-        e = C.identity(x)
-        if C.src(e) != x or C.tgt(e) != x:
-            report.append(f"identity of {x!r} has wrong endpoints")
-    composable = {
-        (g, f)
-        for g in C.morphisms
-        for f in C.morphisms
-        if C.tgt(f) == C.src(g)
-    }
-    if set(C.comp) != composable:
-        missing = composable - set(C.comp)
-        extra = set(C.comp) - composable
-        if missing:
-            report.append(f"comp undefined on {len(missing)} composable pairs, e.g. {sorted(missing)[0]!r}")
-        if extra:
-            report.append(f"comp defined on {len(extra)} non-composable pairs")
+    objects, arrows = C.objects.elements, C.morphisms.elements
+    src, tgt, ident = C.src.idx, C.tgt.idx, C.identity.idx
+    report += [f"identity of {objects[x]!r} has wrong endpoints" for x, e in enumerate(ident) if src[e] != x or tgt[e] != x]
+    # the composable pairs (f1, f2), f1-major, and the keys of "f2 after f1" in comp
+    out = fibers(src, len(objects))
+    f1s = [f for f, y in enumerate(tgt) for _ in out[y]]
+    f2s = [g for y in tgt for g in out[y]]
+    keys = [(arrows[g], arrows[f]) for f, g in zip(f1s, f2s)]
+    missing = [key for key in keys if key not in C.comp]
+    extra = len(C.comp) - len(keys) + len(missing)
+    if missing:
+        report.append(f"comp undefined on {len(missing)} composable pairs, e.g. {min(missing)!r}")
+    if extra:
+        report.append(f"comp defined on {extra} non-composable pairs")
+    if missing or extra:
         return report
-    for (g, f), h in C.comp.items():
-        if h not in C.morphisms:
+    m = [C.morphisms.index.get(C.comp[key]) for key in keys]
+    for (g, f), f1, f2, h in zip(keys, f1s, f2s, m):
+        if h is None:
             report.append(f"comp({g!r},{f!r}) not a morphism")
-        elif C.src(h) != C.src(f) or C.tgt(h) != C.tgt(g):
+        elif src[h] != src[f1] or tgt[h] != tgt[f2]:
             report.append(f"comp({g!r},{f!r}) has wrong endpoints")
-    if report:
-        # The unit and associativity laws look up composites that exist
-        # only when identities and composites have the right endpoints.
+    if report:  # the Cayley representation needs every end right
         return report
-    for f in C.morphisms:
-        if C.comp[(f, C.identity(C.src(f)))] != f:
-            report.append(f"right unit law fails for {f!r}")
-        if C.comp[(C.identity(C.tgt(f)), f)] != f:
-            report.append(f"left unit law fails for {f!r}")
-    for (g, f) in composable:
-        for h in C.morphisms:
-            if C.tgt(g) != C.src(h):
-                continue
-            if C.comp[(h, C.comp[(g, f)])] != C.comp[(C.comp[(h, g)], f)]:
-                report.append(f"associativity fails on ({h!r},{g!r},{f!r})")
+    rep = cayley_representation(len(objects), src, tgt, f1s, f2s, m)
+    return representation_problems("", C.morphisms, rep, src, tgt, ident, f1s, f2s, m)
+
+
+def cayley_representation(objects: int, src, tgt, f1s, f2s, m) -> tuple:
+    """The Cayley representation (Mac Lane, CWM III.2): the places of x are
+    the arrows into x, in order, and rep f sends the place of h to that of
+    m(h, f); it passes ``representation_problems`` exactly when m is lawful."""
+    place, into = [], [0] * objects
+    for x in tgt:
+        place.append(into[x])
+        into[x] += 1
+    rep = [[None] * into[x] for x in src]  # a None left is a pair missing from the composables
+    for h, f, g in zip(f1s, f2s, m):
+        rep[f][place[h]] = place[g]
+    return tuple(map(tuple, rep))
+
+
+def representation_problems(where, arrows, rep, src, tgt, e, f1s, f2s, m) -> list[str]:
+    """The laws through rep, each problem placed by ``where``: rep e(x) is the
+    identity, f -> (src f, tgt f, rep f) injective and rep m(f1, f2) = pick(rep
+    f2, rep f1), function composition, so both sides of each law agree."""
+    n = [len(rep[x]) for x in e]
+    report = []
+    for b, x in enumerate(e):
+        if rep[x] != tuple(range(n[b])):
+            report.append(f"unit law fails to follow{where}: rep of {arrows.elements[x]!r} is not the identity")
+    bad = [f for f, r in enumerate(rep) if len(r) != n[src[f]] or not set(r).issubset(range(n[tgt[f]]))]
+    if bad:  # pick would read past the end of a rep
+        return report + [f"rep{where} of {arrows.elements[f]!r} is not a map between its ends" for f in bad]
+    first = {}
+    for f, ends in enumerate(zip(src, tgt, rep)):
+        if first.setdefault(ends, f) != f:
+            report.append(f"rep is not faithful{where}: {arrows.elements[first[ends]]!r} and {arrows.elements[f]!r}")
+    composed = map(pick, pick(rep, f2s), pick(rep, f1s))  # lazy: a rep has a place per key
+    for f1, f2 in compress(zip(f1s, f2s), map(ne, composed, pick(rep, m))):
+        pair = f"({arrows.elements[f1]!r},{arrows.elements[f2]!r})"
+        report.append(f"composition fails{where} on {pair}: its rep is not rep f2 after rep f1")
     return report
 
 

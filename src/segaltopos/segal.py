@@ -23,10 +23,10 @@ and the target map is d(1,0); composable pairs are stored as
 from __future__ import annotations
 
 from itertools import compress
-from operator import eq, ne
+from operator import eq
 
 from .elements import Atom, Element, FinFunction, LazyFinSet, Tup, pick
-from .fincat import FiniteCategory, FrozenRecord, check_bound
+from .fincat import FiniteCategory, FrozenRecord, cayley_representation, check_bound, representation_problems
 from .topos import (
     DependentProduct,
     InternalCheckError,
@@ -259,50 +259,11 @@ def validate_category_object(C: CategoryObject) -> list[str]:
         return report
     for c in C.topos.index.objects:
         check_bound(composable_triples(C, c), C.topos.bound, "associativity")
-        m = C.m.component[c].idx
-        e, src, tgt = C.e.component[c].idx, C.s.component[c].idx, C.t.component[c].idx
+        e, src, tgt, m = C.e.component[c].idx, C.s.component[c].idx, C.t.component[c].idx, C.m.component[c].idx
         arrows = C.C1.at[c]  # its labels are read only to report a failure
         f1s, f2s = pr1.component[c].idx, pr2.component[c].idx  # of pairs (f1, x, f2), x = t f1 = s f2
-        rep = C.rep[c] if C.rep is not None else _cayley_representation(len(C.C0.at[c]), src, tgt, f1s, f2s, m)
-        report.extend(_representation_problems(c, arrows, rep, src, tgt, e, f1s, f2s, m))
-    return report
-
-
-def _cayley_representation(objects: int, src, tgt, f1s, f2s, m) -> tuple:
-    """The Cayley representation at one stage (Mac Lane, CWM III.2): the
-    places of x are the arrows into x, in their order, and rep f sends the
-    place of h to that of m(h, f), "f after h".  It passes the checks of
-    ``_representation_problems`` exactly when m obeys the category laws."""
-    place, into = [], [0] * objects
-    for x in tgt:
-        place.append(into[x])
-        into[x] += 1
-    rep = [[None] * into[x] for x in src]  # a None left is a pair missing from the composables
-    for h, f, g in zip(f1s, f2s, m):
-        rep[f][place[h]] = place[g]
-    return tuple(map(tuple, rep))
-
-
-def _representation_problems(c, arrows, rep, src, tgt, e, f1s, f2s, m) -> list[str]:
-    """The laws at stage c through rep (see ``CategoryObject``): rep e(x) is
-    the identity, f -> (s f, t f, rep f) injective and rep m(f1, f2) = pick(rep
-    f2, rep f1), function composition, so both sides of each law agree."""
-    n = [len(rep[x]) for x in e]
-    report = []
-    for b, x in enumerate(e):
-        if rep[x] != tuple(range(n[b])):
-            report.append(f"unit law fails to follow at {c!r}: rep of {arrows.elements[x]!r} is not the identity")
-    bad = [f for f, r in enumerate(rep) if len(r) != n[src[f]] or not set(r).issubset(range(n[tgt[f]]))]
-    if bad:  # pick would read past the end of a rep
-        return report + [f"rep at {c!r} of {arrows.elements[f]!r} is not a map between its ends" for f in bad]
-    first = {}
-    for f, ends in enumerate(zip(src, tgt, rep)):
-        if first.setdefault(ends, f) != f:
-            report.append(f"rep is not faithful at {c!r}: {arrows.elements[first[ends]]!r} and {arrows.elements[f]!r}")
-    composed = map(pick, pick(rep, f2s), pick(rep, f1s))  # lazy: a rep has a place per key
-    for f1, f2 in compress(zip(f1s, f2s), map(ne, composed, pick(rep, m))):
-        pair = f"({arrows.elements[f1]!r},{arrows.elements[f2]!r})"
-        report.append(f"composition fails at {c!r} on {pair}: its rep is not rep f2 after rep f1")
+        rep = C.rep[c] if C.rep is not None else cayley_representation(len(C.C0.at[c]), src, tgt, f1s, f2s, m)
+        report.extend(representation_problems(f" at {c!r}", arrows, rep, src, tgt, e, f1s, f2s, m))
     return report
 
 

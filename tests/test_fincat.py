@@ -26,6 +26,7 @@ from segaltopos.corpus import (
     random_coproduct_presheaf,
     random_map_to,
     sierpinski_topos,
+    walking_iso,
 )
 from segaltopos.topos import ps_limit, terminal, yoneda
 
@@ -59,7 +60,7 @@ class TestValidateCategory:
         comp[(Atom("r"), Atom("r"))] = Atom("e")
         broken = FiniteCategory(C.objects, C.morphisms, C.src, C.tgt, C.identity, comp)
         report = validate_category(broken)
-        assert any("associativity" in line for line in report)
+        assert "composition fails on (Atom('r'),Atom('r')): its rep is not rep f2 after rep f1" in report
 
     def test_corpus_all_valid(self):
         for name, C in corpus_categories().items():
@@ -71,6 +72,28 @@ class TestValidateCategory:
         del comp[(Atom("g"), Atom("g"))]
         broken = FiniteCategory(C.objects, C.morphisms, C.src, C.tgt, C.identity, comp)
         assert any("undefined" in line for line in validate_category(broken))
+
+    @pytest.mark.parametrize(
+        "identities,changed,expected",
+        [
+            ({"a": "f"}, {}, "identity of Atom('a') has wrong endpoints"),
+            ({}, {("f", "f"): "f"}, "comp defined on 1 non-composable pairs"),
+            ({}, {("g", "f"): "ib"}, "comp(Atom('g'),Atom('f')) has wrong endpoints"),
+            ({}, {("g", "f"): "x"}, "comp(Atom('g'),Atom('f')) not a morphism"),
+        ],
+        ids=["identity-ends", "non-composable", "composite-ends", "composite-not-a-morphism"],
+    )
+    def test_structural_failure_reported_alone(self, identities, changed, expected):
+        # each breaks the structure of the walking isomorphism, and the
+        # report holds its one line and no law line after it
+        C = walking_iso()
+        ident = {o: C.identity(o) for o in C.objects}
+        ident.update({Atom(o): Atom(m) for o, m in identities.items()})
+        comp = dict(C.comp)
+        comp.update({(Atom(g), Atom(f)): Atom(h) for (g, f), h in changed.items()})
+        idf = FinFunction(C.objects, C.morphisms, ident)
+        broken = FiniteCategory(C.objects, C.morphisms, C.src, C.tgt, idf, comp)
+        assert validate_category(broken) == [expected]
 
 
 class TestFinProduct:

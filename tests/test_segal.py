@@ -7,10 +7,11 @@ from hypothesis import given, reject, settings, strategies as st
 
 from segaltopos import segal
 from segaltopos.elements import Atom, FinFunction, FinSet, STAR, Tup
-from segaltopos.fincat import FiniteCategory, ResourceBoundError, validate_category
+from segaltopos.fincat import FiniteCategory, ResourceBoundError, cayley_representation, validate_category
 from segaltopos.corpus import (
     c2_topos,
     c3_group,
+    category_problems_by_triples,
     coproduct,
     corpus_categories,
     finset_presheaf,
@@ -264,10 +265,12 @@ def _other_arrows(C, h) -> list:
 def test_cayley_check_against_the_references(name, data):
     # one to three composites of a corpus category, identities' included,
     # changed to other arrows with the same ends: the check through the
-    # Cayley rep accepts exactly when fincat's brute-force check and the
+    # Cayley rep accepts exactly when the corpus's brute-force check and the
     # triple-by-triple reference do, and it names, as failing composition,
     # exactly the pairs (f1, f2) of the failing triples (h, f1, f2), so at
-    # least one whenever associativity fails
+    # least one whenever associativity fails.  fincat's check of the
+    # changed table as an index category accepts exactly when the
+    # brute-force check does.
     C = corpus_categories()[name]
     comp = dict(C.comp)
     changeable = sorted(pair for pair, h in C.comp.items() if _other_arrows(C, h))
@@ -282,7 +285,9 @@ def test_cayley_check_against_the_references(name, data):
     cat = category_object_from_finite_category(C)
     fields = _with_composites(cat, {p: comp[(p[2], p[0])] for p in cat.composable.apex.at[STAR_OBJ]})
     failing = _associativity_by_triples(*fields)
-    assert (problems == []) == (validate_category(changed) == [] and failing == [])
+    by_triples = category_problems_by_triples(changed)
+    assert (problems == []) == (by_triples == [] and failing == [])
+    assert (validate_category(changed) == []) == (by_triples == [])
     assert [p for p in problems if p.startswith("composition fails")] == _pair_problems(cat, failing)
     others = [p for p in problems if not p.startswith("composition fails")]
     assert all(p.startswith(("unit law fails", "rep is not faithful")) for p in others)
@@ -302,12 +307,12 @@ def _cayley_rep(cat):
 
 @pytest.mark.parametrize("name", sorted(corpus_categories()))
 def test_cayley_representation_validates(name):
-    # the reference above is the library's Cayley rep, which checks every
-    # category object built without one
+    # the reference above is fincat's Cayley rep, which checks every index
+    # category and every category object built without one
     cat = category_object_from_finite_category(corpus_categories()[name])
     (c,) = cat.topos.index.objects
     maps = (cat.s, cat.t, cat.composable.legs[0], cat.composable.legs[2], cat.m)
-    library = segal._cayley_representation(len(cat.C0.at[c]), *(f.component[c].idx for f in maps))
+    library = cayley_representation(len(cat.C0.at[c]), *(f.component[c].idx for f in maps))
     assert {c: library} == _cayley_rep(cat)
     fields = (cat.topos, cat.C0, cat.C1, cat.s, cat.t, cat.e, cat.composable, cat.m)
     assert validate_category_object(CategoryObject(*fields, _cayley_rep(cat))) == []

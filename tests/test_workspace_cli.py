@@ -563,6 +563,31 @@ class TestWorkspaceInputContract:
         assert (code, out) == (2, "")
         assert err == "error: index.comp: composite of Atom('e') after Atom('e') listed twice\n"
 
+    def test_invalid_index_category_error_is_the_same_under_every_hash_seed(self, tmp_path):
+        # the c2 bundle with e after e = g: rep e sends both arrows to g,
+        # so it is not the identity, and every composite fails; the line
+        # lists them in the order of the arrows, whatever the hash seed
+        data = json.loads(resources.files("segaltopos").joinpath("data", "c2.json").read_text())
+        for entry in data["index"]["comp"]:
+            if entry[:2] == [["a", "e"], ["a", "e"]]:
+                entry[2] = ["a", "g"]
+        ws = tmp_path / "ws.json"
+        ws.write_text(json.dumps(data))
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "segaltopos.cli", "validate", "--workspace", str(ws)],
+                env=dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=seed),
+                capture_output=True,
+                timeout=60,
+            )
+            for seed in ("1", "2")
+        ]
+        assert [(proc.returncode, proc.stdout) for proc in runs] == [(2, b"")] * 2
+        fails = "composition fails on ({}): its rep is not rep f2 after rep f1"
+        pairs = ["Atom('e'),Atom('e')", "Atom('e'),Atom('g')", "Atom('g'),Atom('e')", "Atom('g'),Atom('g')"]
+        line = "; ".join(["unit law fails to follow: rep of Atom('e') is not the identity"] + [fails.format(p) for p in pairs])
+        assert runs[0].stderr == runs[1].stderr == f"error: invalid index category: {line}\n".encode()
+
     def test_non_utf8_file_exits_two(self, tmp_path):
         ws = tmp_path / "ws.json"
         ws.write_bytes(b"\xff\xfe{")
