@@ -100,7 +100,7 @@ class FiniteCategory(FrozenRecord):
 
 def validate_category(C: FiniteCategory) -> list[str]:
     """The violations of the category axioms in positional order: the
-    structure, then the laws through the Cayley representation of comp."""
+    tables well formed, then ``category_problems`` on their positions."""
     report = []
     if C.src.dom != C.morphisms or C.src.cod != C.objects:
         report.append("src is not a function morphisms -> objects")
@@ -110,11 +110,9 @@ def validate_category(C: FiniteCategory) -> list[str]:
         report.append("identity is not a function objects -> morphisms")
     if report:
         return report
-    objects, arrows = C.objects.elements, C.morphisms.elements
-    src, tgt, ident = C.src.idx, C.tgt.idx, C.identity.idx
-    report += [f"identity of {objects[x]!r} has wrong endpoints" for x, e in enumerate(ident) if src[e] != x or tgt[e] != x]
+    arrows, src, tgt = C.morphisms.elements, C.src.idx, C.tgt.idx
     # the composable pairs (f1, f2), f1-major, and the keys of "f2 after f1" in comp
-    out = fibers(src, len(objects))
+    out = fibers(src, len(C.objects))
     f1s = [f for f, y in enumerate(tgt) for _ in out[y]]
     f2s = [g for y in tgt for g in out[y]]
     keys = [(arrows[g], arrows[f]) for f, g in zip(f1s, f2s)]
@@ -127,21 +125,22 @@ def validate_category(C: FiniteCategory) -> list[str]:
     if missing or extra:
         return report
     m = [C.morphisms.index.get(C.comp[key]) for key in keys]
-    for (g, f), f1, f2, h in zip(keys, f1s, f2s, m):
-        if h is None:
-            report.append(f"comp({g!r},{f!r}) not a morphism")
-        elif src[h] != src[f1] or tgt[h] != tgt[f2]:
-            report.append(f"comp({g!r},{f!r}) has wrong endpoints")
-    if report:  # the Cayley representation needs every end right
+    report += [f"comp({g!r},{f!r}) not a morphism" for (g, f), h in zip(keys, m) if h is None]
+    if report:
         return report
-    rep = cayley_representation(len(objects), src, tgt, f1s, f2s, m)
-    return representation_problems("", C.morphisms, rep, src, tgt, ident, f1s, f2s, m)
+    return category_problems("", C.objects, C.morphisms, None, src, tgt, C.identity.idx, f1s, f2s, m)
+
+
+def join_problems(problems: list[str]) -> str:
+    """The first five problems for an error line, and a count of the rest."""
+    more = f"; and {len(problems) - 5} more" if len(problems) > 5 else ""
+    return "; ".join(problems[:5]) + more
 
 
 def cayley_representation(objects: int, src, tgt, f1s, f2s, m) -> tuple:
     """The Cayley representation (Mac Lane, CWM III.2): the places of x are
     the arrows into x, in order, and rep f sends the place of h to that of
-    m(h, f); it passes ``representation_problems`` exactly when m is lawful."""
+    m(h, f); it passes ``category_problems`` exactly when m is lawful."""
     place, into = [], [0] * objects
     for x in tgt:
         place.append(into[x])
@@ -152,12 +151,22 @@ def cayley_representation(objects: int, src, tgt, f1s, f2s, m) -> tuple:
     return tuple(map(tuple, rep))
 
 
-def representation_problems(where, arrows, rep, src, tgt, e, f1s, f2s, m) -> list[str]:
-    """The laws through rep, each problem placed by ``where``: rep e(x) is the
-    identity, f -> (src f, tgt f, rep f) injective and rep m(f1, f2) = pick(rep
-    f2, rep f1), function composition, so both sides of each law agree."""
+def category_problems(where, objects, arrows, rep, src, tgt, e, f1s, f2s, m) -> list[str]:
+    """The category axioms on positions, each problem placed by ``where``
+    and named by the labels of ``objects`` and ``arrows``.  First the ends:
+    e(x) goes x -> x and m(f1, f2) goes s f1 -> t f2.  If they hold, the
+    laws through rep, or the Cayley representation of m when rep is None:
+    rep e(x) is the identity, f -> (s f, t f, rep f) injective and rep m(f1,
+    f2) = pick(rep f2, rep f1), function composition, so each law holds."""
+    report = [f"identity of {objects.elements[x]!r} has wrong endpoints{where}" for x, i in enumerate(e) if src[i] != x or tgt[i] != x]
+    wrong = map(ne, zip(pick(src, m), pick(tgt, m)), zip(pick(src, f1s), pick(tgt, f2s)))
+    for f1, f2 in compress(zip(f1s, f2s), wrong):
+        report.append(f"comp({arrows.elements[f2]!r},{arrows.elements[f1]!r}) has wrong endpoints{where}")
+    if report:  # the Cayley representation needs every end right
+        return report
+    if rep is None:
+        rep = cayley_representation(len(objects), src, tgt, f1s, f2s, m)
     n = [len(rep[x]) for x in e]
-    report = []
     for b, x in enumerate(e):
         if rep[x] != tuple(range(n[b])):
             report.append(f"unit law fails to follow{where}: rep of {arrows.elements[x]!r} is not the identity")

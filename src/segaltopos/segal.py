@@ -26,7 +26,7 @@ from itertools import compress
 from operator import eq
 
 from .elements import Atom, Element, FinFunction, LazyFinSet, Tup, pick
-from .fincat import FiniteCategory, FrozenRecord, cayley_representation, check_bound, representation_problems
+from .fincat import FiniteCategory, FrozenRecord, category_problems, check_bound, join_problems
 from .topos import (
     DependentProduct,
     InternalCheckError,
@@ -187,12 +187,12 @@ class CategoryObjectError(ValueError):
     """A category object failed validate_category_object."""
 
     def __init__(self, problems: list[str]):
-        super().__init__("invalid category object: " + "; ".join(problems))
+        super().__init__("invalid category object: " + join_problems(problems))
         self.problems = problems
 
 
 class CategoryObject(FrozenRecord):
-    """Checked against the category laws when it is built, so no consumer
+    """Checked against the category axioms when it is built, so no consumer
     checks it again.  ``rep``, if set, is a faithful representation {c: rep f
     for f in C1(c)}: rep f is a tuple mapping range(n(s f)) to range(n(t f)),
     for n(x) the length of rep e(x).  Left unset, the laws are checked
@@ -234,36 +234,26 @@ def composable_pairs(T: Topos, C0, C1, s, t, n: int) -> PsLimitCone:
 
 
 def validate_category_object(C: CategoryObject) -> list[str]:
-    """Naturality and the endpoint laws, then at each stage within the
-    bound on triples the unit and associativity laws, through ``C.rep``
+    """s, t, e and m natural and between the right objects; then, at each
+    stage within the bound on triples, ``fincat.category_problems``: the
+    endpoint axioms, then the unit and associativity laws through ``C.rep``
     when it is set, else through the Cayley representation of m."""
     report = []
-    for name, f in (("s", C.s), ("t", C.t), ("e", C.e), ("m", C.m)):
+    ends = {"C0": C.C0, "C1": C.C1, "C1 x_C0 C1": C.composable.apex}
+    for name, dom, cod in (("s", "C1", "C0"), ("t", "C1", "C0"), ("e", "C0", "C1"), ("m", "C1 x_C0 C1", "C1")):
+        f = getattr(C, name)
         report.extend(f"{name}: {p}" for p in f.validate())
+        if (f.dom, f.cod) != (ends[dom], ends[cod]):
+            report.append(f"{name} is not a map {dom} -> {cod}")
     if report:
         return report
-    ident0 = NatTrans.identity(C.C0)
-    if C.e.then(C.s) != ident0:
-        report.append("s after e is not the identity")
-    if C.e.then(C.t) != ident0:
-        report.append("t after e is not the identity")
-    pr1 = C.composable.legs[0]
-    pr2 = C.composable.legs[2]
-    if C.m.then(C.s) != pr1.then(C.s):
-        report.append("source of a composite differs from source of the first factor")
-    if C.m.then(C.t) != pr2.then(C.t):
-        report.append("target of a composite differs from target of the second factor")
-    if report:
-        # The Cayley representation sends each arrow into s f to an arrow
-        # into t f only when these endpoint laws hold.
-        return report
+    pr1, pr2 = C.composable.legs[0], C.composable.legs[2]
     for c in C.topos.index.objects:
         check_bound(composable_triples(C, c), C.topos.bound, "associativity")
-        e, src, tgt, m = C.e.component[c].idx, C.s.component[c].idx, C.t.component[c].idx, C.m.component[c].idx
-        arrows = C.C1.at[c]  # its labels are read only to report a failure
+        src, tgt, e, m = C.s.component[c].idx, C.t.component[c].idx, C.e.component[c].idx, C.m.component[c].idx
         f1s, f2s = pr1.component[c].idx, pr2.component[c].idx  # of pairs (f1, x, f2), x = t f1 = s f2
-        rep = C.rep[c] if C.rep is not None else cayley_representation(len(C.C0.at[c]), src, tgt, f1s, f2s, m)
-        report.extend(representation_problems(f" at {c!r}", arrows, rep, src, tgt, e, f1s, f2s, m))
+        rep = None if C.rep is None else C.rep[c]
+        report.extend(category_problems(f" at {c!r}", C.C0.at[c], C.C1.at[c], rep, src, tgt, e, f1s, f2s, m))
     return report
 
 

@@ -18,6 +18,7 @@ from .fincat import (
     FrozenRecord,
     check_bound,
     fin_limit,
+    join_problems,
     terminal_category,
     validate_category,
 )
@@ -38,7 +39,7 @@ class Topos(FrozenRecord):
         object.__setattr__(self, "bound", bound)
         problems = validate_category(index)
         if problems:
-            raise ValueError("invalid index category: " + "; ".join(problems))
+            raise ValueError("invalid index category: " + join_problems(problems))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

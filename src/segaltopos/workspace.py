@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .elements import Atom, Element, Fam, FinFunction, FinSet, Tup
-from .fincat import DEFAULT_BOUND, FiniteCategory
+from .fincat import DEFAULT_BOUND, FiniteCategory, join_problems
 from .topos import NatTrans, Presheaf, Topos
 from .segal import CategoryObject, CategoryObjectError, composable_pairs
 
@@ -298,7 +298,7 @@ def encode_workspace(w: Workspace) -> dict:
 
 def _raise_problems(problems: list[str]) -> None:
     if problems:
-        raise WorkspaceError("invalid workspace: " + "; ".join(problems))
+        raise WorkspaceError("invalid workspace: " + join_problems(problems))
 
 
 def decode_workspace(data: dict) -> Workspace:

@@ -15,6 +15,7 @@ from segaltopos.fincat import (
     discrete_category,
     fin_limit,
     group_category,
+    join_problems,
     monoid_category,
     poset_category,
     terminal_category,
@@ -28,7 +29,7 @@ from segaltopos.corpus import (
     sierpinski_topos,
     walking_iso,
 )
-from segaltopos.topos import ps_limit, terminal, yoneda
+from segaltopos.topos import Topos, ps_limit, terminal, yoneda
 
 
 def c2() -> FiniteCategory:
@@ -94,6 +95,27 @@ class TestValidateCategory:
         idf = FinFunction(C.objects, C.morphisms, ident)
         broken = FiniteCategory(C.objects, C.morphisms, C.src, C.tgt, idf, comp)
         assert validate_category(broken) == [expected]
+
+    def test_long_error_line_lists_five_problems_and_a_count(self):
+        # S4 with one composite changed, 1023 after 1023 = 0132 (a after b
+        # maps i to a[b[i]]): the error line of Topos lists the first five
+        # of its 67 problems, in order, and counts the rest
+        names = ["".join(map(str, p)) for p in itertools.permutations(range(4))]
+        S4 = group_category(names, "0123", lambda a, b: "".join(a[int(i)] for i in b))
+        comp = dict(S4.comp)
+        comp[(Atom("1023"), Atom("1023"))] = Atom("0132")
+        broken = FiniteCategory(S4.objects, S4.morphisms, S4.src, S4.tgt, S4.identity, comp)
+        problems = validate_category(broken)
+        assert len(problems) == 67
+        assert problems[0] == "composition fails on (Atom('0132'),Atom('1023')): its rep is not rep f2 after rep f1"
+        with pytest.raises(ValueError) as exc:
+            Topos(broken)
+        assert str(exc.value) == "invalid index category: " + "; ".join(problems[:5]) + "; and 62 more"
+
+    def test_join_problems(self):
+        assert join_problems([]) == ""
+        assert join_problems(list("abcde")) == "a; b; c; d; e"
+        assert join_problems(list("abcdefg")) == "a; b; c; d; e; and 2 more"
 
 
 class TestFinProduct:

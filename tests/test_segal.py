@@ -293,6 +293,61 @@ def test_cayley_check_against_the_references(name, data):
     assert all(p.startswith(("unit law fails", "rep is not faithful")) for p in others)
 
 
+@pytest.mark.parametrize("name", [n for n, C in sorted(corpus_categories().items()) if len(C.morphisms) >= 2])
+@settings(deadline=None)
+@given(data=st.data())
+def test_one_check_of_the_axioms_against_the_composite_reference(name, data):
+    # up to three identities and three composites of a corpus category with
+    # two or more arrows, each changed to any arrow or to another with the
+    # same ends: the endpoint axioms fail only where there are two or more
+    # objects, and the laws only where two arrows share their ends.  The
+    # category object, and the table as an index category, are accepted
+    # exactly when the reference accepts: the endpoint axioms as composites
+    # of natural transformations, then the laws triple by triple.  Each
+    # element a problem names breaks the axiom it names.
+    C = corpus_categories()[name]
+    arrows = list(C.morphisms)
+
+    def changed(table):
+        table = dict(table)
+        for key in data.draw(st.lists(st.sampled_from(sorted(table)), max_size=3, unique=True)):
+            same_ends = _other_arrows(C, table[key])
+            table[key] = data.draw(st.sampled_from(same_ends if same_ends and data.draw(st.booleans()) else arrows))
+        return table
+
+    ident = changed({x: C.id_of(x) for x in C.objects})
+    comp = changed(C.comp)
+    table = FiniteCategory(C.objects, C.morphisms, C.src, C.tgt, FinFunction(C.objects, C.morphisms, ident), comp)
+    cat = category_object_from_finite_category(C)
+    (c,) = cat.topos.index.objects
+    pairs = cat.composable.apex.at[c]
+    e = NatTrans(cat.C0, cat.C1, {c: FinFunction(cat.C0.at[c], cat.C1.at[c], ident)})
+    m = NatTrans(cat.composable.apex, cat.C1, {c: FinFunction(pairs, cat.C1.at[c], {p: comp[(p[2], p[0])] for p in pairs})})
+    problems = _problems(cat.topos, cat.C0, cat.C1, cat.s, cat.t, e, cat.composable, m)
+    ident0, pr1, pr2 = NatTrans.identity(cat.C0), cat.composable.legs[0], cat.composable.legs[2]
+    ends_hold = e.then(cat.s) == ident0 == e.then(cat.t) and m.then(cat.s) == pr1.then(cat.s) and m.then(cat.t) == pr2.then(cat.t)
+    accepts = ends_hold and category_problems_by_triples(table) == []
+    assert (problems == []) == accepts
+    assert (validate_category(table) == []) == accepts
+    # each problem the check can name, with whether its element breaks its
+    # axiom, read only when named: the laws' lookups need the right ends
+    where, breaks = f" at {c!r}", {}
+    for x, u in ident.items():
+        breaks[f"identity of {x!r} has wrong endpoints{where}"] = lambda x=x, u=u: (C.src(u), C.tgt(u)) != (x, x)
+        unit = f"unit law fails to follow{where}: rep of {u!r} is not the identity"
+        breaks[unit] = lambda x=x, u=u: any(comp[(u, k)] != k for k in C.morphisms_into(x))
+    for (g, f), h in comp.items():
+        breaks[f"comp({g!r},{f!r}) has wrong endpoints{where}"] = lambda f=f, g=g, h=h: (C.src(h), C.tgt(h)) != (C.src(f), C.tgt(g))
+        fails = f"composition fails{where} on ({f!r},{g!r}): its rep is not rep f2 after rep f1"
+        breaks[fails] = lambda f=f, g=g, h=h: any(comp[(h, k)] != comp[(g, comp[(f, k)])] for k in C.morphisms_into(C.src(f)))
+    for i, f in enumerate(arrows):
+        for g in arrows[i + 1 :]:
+            # rep f = rep g gives m(e(s f), f) = m(e(s f), g), so a unit law fails
+            faithful = f"rep is not faithful{where}: {f!r} and {g!r}"
+            breaks[faithful] = lambda f=f, g=g, u=ident[C.src(f)]: comp[(f, u)] != f or comp[(g, u)] != g
+    assert all(breaks[p]() for p in problems)
+
+
 def _cayley_rep(cat):
     """The Cayley representation of a category object over the one-object
     index: the places of x are the arrows into x, in their order, and rep f
@@ -359,6 +414,50 @@ class TestRepresentationCheck:
         # e is the identity on one place, and g is no map from it to it
         problems, c, _, _, g = self.problems((0,), rep_g)
         assert problems == [f"rep at {c!r} of {g!r} is not a map between its ends"]
+
+
+class TestCategoryObjectStructure:
+    """The finset bundle's chain2_cat, the poset 0 <= 1, with one structure
+    map broken: the problem names the element that breaks an endpoint
+    axiom, or the map of the wrong type, and no law is checked after it."""
+
+    @staticmethod
+    def problems(bundled_workspaces, **changed) -> list[str]:
+        cat = bundled_workspaces["finset"].category_objects["chain2_cat"]
+        fields = dict(topos=cat.topos, C0=cat.C0, C1=cat.C1, s=cat.s, t=cat.t, e=cat.e, composable=cat.composable, m=cat.m)
+        fields.update({name: make(cat) for name, make in changed.items()})
+        with pytest.raises(CategoryObjectError) as exc:
+            CategoryObject(**fields)
+        assert str(exc.value) == "invalid category object: " + "; ".join(exc.value.problems)
+        return exc.value.problems
+
+    def test_identity_with_wrong_ends(self, bundled_workspaces):
+        def e(cat):  # e(0) = the arrow 0 -> 1
+            table = {Atom("0"): Tup((Atom("0"), Atom("1"))), Atom("1"): Tup((Atom("1"), Atom("1")))}
+            return NatTrans(cat.C0, cat.C1, {STAR_OBJ: FinFunction(cat.C0.at[STAR_OBJ], cat.C1.at[STAR_OBJ], table)})
+
+        assert self.problems(bundled_workspaces, e=e) == ["identity of Atom('0') has wrong endpoints at Atom('*')"]
+
+    def test_composite_with_wrong_ends(self, bundled_workspaces):
+        def m(cat):  # m(id 0, 0 -> 1) = id 0
+            id0, up = Tup((Atom("0"), Atom("0"))), Tup((Atom("0"), Atom("1")))
+            table = dict(cat.m.component[STAR_OBJ].table)
+            table[Tup((id0, Atom("0"), up))] = id0
+            pairs = cat.composable.apex.at[STAR_OBJ]
+            return NatTrans(cat.composable.apex, cat.C1, {STAR_OBJ: FinFunction(pairs, cat.C1.at[STAR_OBJ], table)})
+
+        assert self.problems(bundled_workspaces, m=m) == [
+            "comp(Tup([Atom('0'), Atom('1')]),Tup([Atom('0'), Atom('0')])) has wrong endpoints at Atom('*')"
+        ]
+
+    def test_mistyped_maps(self, bundled_workspaces):
+        # s the identity on C1 and m a map into C0, each natural
+        problems = self.problems(
+            bundled_workspaces,
+            s=lambda cat: NatTrans.identity(cat.C1),
+            m=lambda cat: cat.composable.legs[0].then(cat.s),
+        )
+        assert problems == ["s is not a map C1 -> C0", "m is not a map C1 x_C0 C1 -> C1"]
 
 
 def _nerve_by_formulas(cat, c):

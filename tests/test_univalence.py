@@ -90,6 +90,17 @@ class TestNerveOfMap:
     def test_empty_map(self):
         assert level_sizes(_finset_map(())) == [0, 0, 0, 0]
 
+    def test_level_sizes_follow_the_closed_form(self, finset_sweep):
+        # for fiber sizes k_i there are M(i, j) = k_j ** k_i maps from fiber
+        # i to fiber j, so C1 has the sum of all M(i, j) arrows, and the
+        # composable pairs through fiber j number (sum_i M(i, j)) (sum_l M(j, l))
+        assert len(finset_sweep) == 18
+        for sig, (_, report) in finset_sweep.items():
+            M = [[k_j**k_i for k_j in sig] for k_i in sig]
+            into = [sum(row[j] for row in M) for j in range(len(sig))]
+            assert report.level_sizes[1] == sum(map(sum, M)), sig
+            assert report.level_sizes[2] == sum(into[j] * sum(M[j]) for j in range(len(sig))), sig
+
     def test_verdict_builds_no_level3_labels(self, monkeypatch):
         # X3(*) of the (3,)-fiber map has 27**3 = 19 683 elements; a verdict
         # path that labelled them would call Tup at least that often.  The

@@ -550,6 +550,39 @@ class TestWorkspaceInputContract:
             "composition fails at Atom('*') on (Atom('g'),Atom('g')): its rep is not rep f2 after rep f1\n"
         )
 
+    @pytest.mark.parametrize(
+        "path,value,line",
+        [
+            (
+                # e(0) = the arrow 0 -> 1
+                ("morphisms", "chain2_e", "component", '["a","*"]', '["a","0"]'),
+                ["t", [["a", "0"], ["a", "1"]]],
+                "identity of Atom('0') has wrong endpoints at Atom('*')",
+            ),
+            (
+                # m(id 0, 0 -> 1) = id 0, which does not end at 1
+                ("category_objects", "chain2_cat", "m", '["a","*"]', '["t",[["t",[["a","0"],["a","0"]]],["a","0"],["t",[["a","0"],["a","1"]]]]]'),
+                ["t", [["a", "0"], ["a", "0"]]],
+                "comp(Tup([Atom('0'), Atom('1')]),Tup([Atom('0'), Atom('0')])) has wrong endpoints at Atom('*')",
+            ),
+        ],
+        ids=["identity-ends", "composite-ends"],
+    )
+    def test_category_object_breaking_an_endpoint_axiom_exits_two(self, capsys, tmp_path, path, value, line):
+        # chain2_cat, the poset 0 <= 1, with one value of e or m changed:
+        # the line names the object or the pair whose ends are wrong
+        data = copy.deepcopy(FINSET_DATA)
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        assert path[-1] in node
+        node[path[-1]] = value
+        ws = tmp_path / "ws.json"
+        ws.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "validate", "--workspace", str(ws))
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid workspace: category object chain2_cat: {line}\n"
+
     @pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
     def test_composite_listed_twice_exits_two(self, capsys, tmp_path, first):
         # the c2 bundle with a second, different value for e after e, before
