@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, compress, repeat
+from itertools import chain, compress, repeat
 from operator import add, ne
 
 from .elements import STAR, Atom, Element, FinFunction, FinSet, Tup, fibers, pick
@@ -250,54 +250,57 @@ def arrow_category() -> FiniteCategory:
 
 
 class RowSet(FinSet):
-    """The apex of a chain limit: the tuples over ``factors`` whose entries
-    satisfy ``links`` (as in ``fin_limit``, with position tuples for maps),
-    in lexicographic order.  That is the canonical order of their Tup
-    labels, so the k-th tuple is element k.
+    """The apex of a chain limit: the tuples over ``factors`` in which each
+    link holds, in lexicographic order.  That is the canonical order of
+    their Tup labels, so the k-th tuple is element k.
 
-    Building it only counts: ``counts[j][x]`` is the number of ways to
-    complete a tuple from entry x at slot j on.  The size, the position of
-    a tuple (the sum over its slots of ``offsets(j, ...)`` at its entries)
-    and the columns follow from the counts.  The column of slot j, which
-    lists the slot-j entries of all tuples in order, is built the first
-    time it is asked for, as are the labels and their index.
+    Every link is a pullback over a vertex: ``links[j]`` is (f, g, n), and
+    an entry y at slot j follows the entry x before it when g[y] == f[x]
+    in the vertex of n points.  Slot 0 follows the one empty tuple over a
+    single point.  None in place of f or g is the identity; the slots
+    whose g is, where y is f[x], are ``fixed``.
+
+    Building it counts, in one pass over each slot's entries:
+    ``counts[j][y]`` is the number of ways to complete a tuple from entry y
+    at slot j on, and beside it go each entry's offset (see ``offsets``)
+    and the entries over each vertex point that some tuple completes.  The
+    size, the position of a tuple (the sum over its slots of ``offsets(j,
+    ...)`` at its entries) and the columns follow.  The column of slot j,
+    which lists the slot-j entries of all tuples in order, is built the
+    first time it is asked for, as are the labels and their index.
     """
 
     __slots__ = (
-        "factors", "links", "counts", "size", "_offsets", "_prefixes",
-        "_columns", "__weakref__",
+        "factors", "links", "fixed", "counts", "size", "_offsets", "_fibers",
+        "_prefixes", "_columns", "__weakref__",
     )
 
     def __init__(self, factors: tuple, links: list):
         self.factors = factors
         self.links = links
-        n = len(factors)
-        counts = [None] * n
-        if n:
-            ways = counts[-1] = [1] * len(factors[-1])
-            for j in range(n - 1, 0, -1):
-                link = links[j - 1]
-                if link is None:
-                    ways = [sum(ways)] * len(factors[j - 1])
-                elif link[0] == "fix":
-                    ways = pick(ways, link[1])
-                else:
-                    before = [0] * len(factors[j - 1])
-                    if j == n - 1:
-                        # Every count at the last slot is 1, so the count
-                        # of y is the size of its fiber.
-                        for y in link[1]:
-                            before[y] += 1
-                    else:
-                        for x, y in enumerate(link[1]):
-                            before[y] += ways[x]
-                    ways = before
-                counts[j - 1] = ways
+        self.fixed = frozenset(j for j, (_, g, _) in enumerate(links) if g is None)
+        counts, tables, lives = [None] * len(factors), [None] * len(factors), [None] * len(factors)
+        ways = [1] * len(factors[-1]) if factors else [1]
+        for j in range(len(factors) - 1, -1, -1):
+            counts[j] = ways
+            f, g, n = links[j]
+            if g is not None:  # the ways over each vertex point
+                over, table, live = [0] * n, [], [[] for _ in range(n)]
+                for y, v in enumerate(g):
+                    w = ways[y]
+                    table.append(over[v])
+                    over[v] += w
+                    if w:
+                        live[v].append(y)
+                ways, tables[j], lives[j] = over, table, live
+            if f is not None:
+                ways = pick(ways, f)
         self.counts = counts
-        self.size = sum(counts[0]) if n else 1
-        self._offsets = [None] * n
-        self._prefixes = [range(len(factors[0]))] if n else []
-        self._columns = [None] * n
+        self.size = ways[0]
+        self._offsets = tables
+        self._fibers = lives
+        self._prefixes = []
+        self._columns = [None] * len(factors)
 
     def __getattr__(self, name):
         # Called only while the slot `name` is still empty.
@@ -316,46 +319,28 @@ class RowSet(FinSet):
         return FinSet.__getattr__(self, name)
 
     def offsets(self, j: int, entries) -> tuple | None:
-        """For each slot-j entry x in ``entries``: how many tuples agree
-        with one whose slot-j entry is x before slot j and have a smaller
-        entry there.  None at a fixed slot, where that is 0 for every x.
-
-        At a product slot the candidates for x are all of the slot, and at
-        a preimage slot the fiber x lies in; the table of every entry's
-        offset is built on first use and kept."""
-        link = self.links[j - 1] if j else None
-        if link is not None and link[0] == "fix":
-            return None
-        known = self._offsets[j]
-        if known is None:
-            ways = self.counts[j]
-            if link is None:
-                known = tuple(list(accumulate(ways, initial=0)))
-            else:
-                run = [0] * len(self.factors[j - 1])
-                table = []
-                for x, y in enumerate(link[1]):
-                    table.append(run[y])
-                    run[y] += ways[x]
-                known = tuple(table)
-            self._offsets[j] = known
-        return pick(known, entries)
+        """For each slot-j entry y in ``entries``: how many tuples agree
+        with one whose slot-j entry is y before slot j and have a smaller
+        entry there, the counts of the entries before y over its vertex
+        point.  None at a fixed slot, which adds no offset: y is the only
+        entry over its point."""
+        return None if j in self.fixed else pick(self._offsets[j], entries)
 
     def _prefix(self, j: int):
         """The slot-j entries of the tuples over slots 0..j that satisfy the
-        links among them, one per such tuple, in lexicographic order."""
+        links among them and that some tuple of the limit completes, one
+        per such tuple, in lexicographic order: none is longer than the
+        limit."""
         prefixes = self._prefixes
         while len(prefixes) <= j:
             k = len(prefixes)
-            before, link = prefixes[-1], self.links[k - 1]
-            if link is None:
-                here = range(len(self.factors[k]))
-                prefixes.append(tuple(list(chain.from_iterable(repeat(here, len(before))))))
-            elif link[0] == "fix":
-                prefixes.append(pick(link[1], before))
+            f, g, _ = self.links[k]
+            before = prefixes[-1] if k else (0,)
+            points = before if f is None else pick(f, before)
+            if g is None:  # the entry is the point, completed as x is
+                prefixes.append(points)
             else:
-                over = fibers(link[1], len(self.factors[k - 1]))
-                prefixes.append(tuple(list(chain.from_iterable(map(over.__getitem__, before)))))
+                prefixes.append(tuple(list(chain.from_iterable(map(self._fibers[k].__getitem__, points)))))
         return prefixes[j]
 
     def column(self, j: int) -> tuple:
@@ -375,14 +360,12 @@ class RowSet(FinSet):
         """The first k for which the k-th entries of ``columns``, one
         column per slot, break a link; None if none does."""
         bad = None
-        for j, link in enumerate(self.links, start=1):
-            if link is None:
+        for j in range(1, len(columns)):
+            f, g, n = self.links[j]
+            if n == 1:  # a single point: every two entries agree over it
                 continue
-            kind, f = link
-            if kind == "fix":
-                got, want = pick(f, columns[j - 1]), columns[j]
-            else:
-                got, want = pick(f, columns[j]), columns[j - 1]
+            got = columns[j - 1] if f is None else pick(f, columns[j - 1])
+            want = columns[j] if g is None else pick(g, columns[j])
             if got != want:
                 k = next(k for k, (a, b) in enumerate(zip(got, want)) if a != b)
                 bad = k if bad is None else min(bad, k)
@@ -447,43 +430,19 @@ class LimitCone:
         link fixes are ``maps``, in slot order.  The leg onto a fixed slot
         is its link map after the leg onto the slot before."""
         apex = self.apex
-        fixes = [None] * len(self.legs)  # the link map fixing each slot
-        for j, link in enumerate(apex.links, start=1):
-            if link is not None and link[0] == "fix":
-                fixes[j] = link[1]
-        unfixed = [j for j, fix in enumerate(fixes) if fix is None]
-        if len(maps) != len(unfixed):
+        free = [j for j in range(len(self.legs)) if j not in apex.fixed]
+        if len(maps) != len(free):
             raise ValueError(
-                f"a cone into this limit takes {len(unfixed)} maps, not {len(maps)}"
+                f"a cone into this limit takes {len(free)} maps, not {len(maps)}"
             )
-        given = iter([_column(f, dom, self.legs[j].cod) for j, f in zip(unfixed, maps)])
+        given = iter([_column(f, dom, self.legs[j].cod) for j, f in zip(free, maps)])
         columns = []
-        for fix in fixes:
-            columns.append(next(given) if fix is None else pick(fix, columns[-1]))
+        for j, (f, _, _) in enumerate(apex.links):
+            columns.append(pick(f, columns[-1]) if j in apex.fixed else next(given))
         bad = apex.first_outside(columns)
         if bad is not None:
             raise ValueError(f"cone is not compatible at {dom.elements[bad]!r}")
         return FinFunction.from_idx(dom, apex, apex.rank(columns, len(dom)))
-
-
-def _partial_sizes(sets: list, links: list):
-    """For each slot j, how many tuples over slots 0..j satisfy the links
-    among them."""
-    if not sets:
-        return
-    ways = [1] * len(sets[0])  # ways[x]: how many of them end in x
-    yield len(ways)
-    for s, link in zip(sets[1:], links):
-        if link is None:
-            ways = [sum(ways)] * len(s)
-        elif link[0] == "fix":
-            after = [0] * len(s)
-            for y, z in enumerate(link[1]):
-                after[z] += ways[y]
-            ways = after
-        else:
-            ways = pick(ways, link[1])
-        yield sum(ways)
 
 
 def fin_limit(sets: list, links: list, bound: int = DEFAULT_BOUND) -> LimitCone:
@@ -498,24 +457,28 @@ def fin_limit(sets: list, links: list, bound: int = DEFAULT_BOUND) -> LimitCone:
     - ``("preimage", f)`` with f: sets[j] -> sets[j-1]: the entry ranges
       over the preimage of the one before.
 
-    The tuples are counted, not listed: the bound is checked on the number
-    of partial tuples at each slot, and the apex is a RowSet that lists
-    its columns only when something asks for them.
+    Each is translated once into a pullback over a vertex (as in RowSet):
+    a product slot lies over a single point, a fixed slot's vertex is the
+    slot itself and a preimage slot's vertex is the slot before.  The
+    tuples are counted, not listed: the bound is checked on the size of
+    the limit, and the apex is a RowSet that lists its columns, none
+    longer than the limit, only when something asks for them.
     """
     if len(links) != len(sets[1:]):
         raise ValueError("a chain needs one link per slot after the first")
-    positional = []
-    for j, link in enumerate(links, start=1):
-        if link is not None:
-            kind, f = link
-            if kind == "fix" and (f.dom, f.cod) == (sets[j - 1], sets[j]):
-                link = (kind, f.idx)
-            elif kind == "preimage" and (f.dom, f.cod) == (sets[j], sets[j - 1]):
-                link = (kind, f.idx)
-            else:
-                raise ValueError(f"the {kind} map at slot {j} has the wrong endpoints")
-        positional.append(link)
-    for size in _partial_sizes(sets, positional):
-        check_bound(size, bound, "fin_limit")
-    apex = RowSet(tuple(sets), positional)
+    sizes = [1, *map(len, sets)]  # slot 0 follows the one empty tuple
+    vertices = []
+    for j, link in zip(range(len(sets)), [None, *links]):
+        if link is None:
+            vertices.append(((0,) * sizes[j], (0,) * sizes[j + 1], 1))
+            continue
+        kind, f = link
+        if kind == "fix" and (f.dom, f.cod) == (sets[j - 1], sets[j]):
+            vertices.append((f.idx, None, sizes[j + 1]))
+        elif kind == "preimage" and (f.dom, f.cod) == (sets[j], sets[j - 1]):
+            vertices.append((None, f.idx, sizes[j]))
+        else:
+            raise ValueError(f"the {kind} map at slot {j} has the wrong endpoints")
+    apex = RowSet(tuple(sets), vertices)
+    check_bound(len(apex), bound, "fin_limit")
     return LimitCone(apex, tuple([_Projection(apex, s, i) for i, s in enumerate(sets)]))

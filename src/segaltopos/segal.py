@@ -236,8 +236,8 @@ def composable_pairs(T: Topos, C0, C1, s, t, n: int) -> PsLimitCone:
 
 def validate_category_object(C: CategoryObject) -> list[str]:
     """s, t, e and m natural and between the right objects; then, at each
-    stage, the legs of ``composable`` pairs (f1, f2) of C1 with t f1 = s f2,
-    and ``fincat.category_problems``: the endpoint axioms, then the unit and
+    stage, ``composable`` a cone of three legs, the first and last pairs
+    (f1, f2) of C1 with t f1 = s f2, and ``fincat.category_problems``: the endpoint axioms, then the unit and
     associativity laws through ``C.rep`` when set, else through the Cayley
     representation of m.  No bound: nothing is built, no law reads a triple."""
     report = []
@@ -249,12 +249,13 @@ def validate_category_object(C: CategoryObject) -> list[str]:
             report.append(f"{name} is not a map {dom} -> {cod}")
     if report:
         return report
-    pr1, pr2 = C.composable.legs[0], C.composable.legs[2]
+    legs = C.composable.legs
     for c in C.topos.index.objects:
         src, tgt, e, m = C.s.component[c].idx, C.t.component[c].idx, C.e.component[c].idx, C.m.component[c].idx
-        f1, f2 = pr1.component[c], pr2.component[c]  # of pairs (f1, x, f2), x = t f1 = s f2
+        # the legs onto f1 and f2 of pairs (f1, x, f2), x = t f1 = s f2
+        f1, f2 = (legs[0].component[c], legs[2].component[c]) if len(legs) == 3 else (None, None)
         arrows = C.C1.at[c]
-        if (f1.dom, f1.cod, f2.dom, f2.cod) != (C.composable.apex.at[c], arrows) * 2 or pick(tgt, f1.idx) != pick(src, f2.idx):
+        if f1 is None or (f1.dom, f1.cod, f2.dom, f2.cod) != (C.composable.apex.at[c], arrows) * 2 or pick(tgt, f1.idx) != pick(src, f2.idx):
             report.append(f"composable is not C1 x_C0 C1 at {c!r}")
             continue
         rep = None if C.rep is None else C.rep[c]

@@ -203,33 +203,21 @@ def decode_nat_trans(dom: Presheaf, cod: Presheaf, data: dict) -> NatTrans:
 
 
 class Workspace:
-    """A topos and named structures in it; each dict left out starts empty."""
+    """A topos and named structures in it, each added by name."""
 
     __slots__ = (
         "topos", "presheaves", "morphisms", "morphism_ends", "category_objects",
         "category_object_refs", "maps",
     )
 
-    def __init__(
-        self,
-        topos: Topos,
-        presheaves: dict | None = None,
-        morphisms: dict | None = None,
-        morphism_ends: dict | None = None,
-        category_objects: dict | None = None,
-        category_object_refs: dict | None = None,
-        maps: dict | None = None,
-    ):
+    def __init__(self, topos: Topos):
         self.topos = topos
-        self.presheaves = {} if presheaves is None else presheaves
-        self.morphisms = {} if morphisms is None else morphisms  # name -> NatTrans
-        # name -> (dom, cod) names
-        self.morphism_ends = {} if morphism_ends is None else morphism_ends
-        # name -> CategoryObject
-        self.category_objects = {} if category_objects is None else category_objects
-        # name -> ref dict
-        self.category_object_refs = {} if category_object_refs is None else category_object_refs
-        self.maps = {} if maps is None else maps  # alias -> morphism name
+        self.presheaves = {}
+        self.morphisms = {}  # name -> NatTrans
+        self.morphism_ends = {}  # name -> (dom, cod) names
+        self.category_objects = {}  # name -> CategoryObject
+        self.category_object_refs = {}  # name -> ref dict
+        self.maps = {}  # alias -> morphism name
 
     def add_presheaf(self, name: str, X: Presheaf):
         self.presheaves[name] = X

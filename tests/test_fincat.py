@@ -155,6 +155,22 @@ def _zigzag(edges, vertices, maps):
 
 
 class TestFinLimit:
+    @pytest.mark.parametrize("shape", ["product", "zigzag"])
+    def test_an_empty_limit_passes_the_bound(self, shape):
+        # both chains have 1 210 000 tuples over their first slots, above
+        # the default bound, and none of them completes: the bound is on
+        # the limit, and no prefix that no tuple completes is listed
+        E, V, EMPTY = _numbered(1100), atoms("v"), FinSet([])
+        if shape == "product":
+            sets, links = [E, E, EMPTY], [None, None]
+        else:
+            to_v = FinFunction.constant(E, V, Atom("v"))
+            sets = [E, V, E, V, EMPTY]
+            links = [("fix", to_v), ("preimage", to_v), ("fix", to_v), ("preimage", FinFunction(EMPTY, V, {}))]
+        apex = fin_limit(sets, links).apex
+        assert len(apex) == 0
+        assert [apex.column(j) for j in range(len(sets))] == [()] * len(sets)
+
     def test_pullback_over_singleton_is_product(self):
         A, B, X = atoms("a", "b"), atoms("c"), atoms("x")
         to_x = [FinFunction.constant(A, X, Atom("x")), FinFunction.constant(B, X, Atom("x"))]
@@ -372,18 +388,29 @@ def test_fin_limit_matches_reference(chain, data):
     assert cone.legs == legs
 
 
-def _offset_table(apex, j):
-    """The rank offsets of every entry of slot j, by one pass over the
-    slot: at a preimage slot, a running sum of counts per fiber."""
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(zigzag_chains(), product_chains()))
+def test_no_prefix_or_column_is_longer_than_the_limit(chain):
+    # the bound checks the size of the limit, so that is all it may build
+    apex = fin_limit(*chain).apex
+    columns = [apex.column(j) for j in range(len(apex.factors))]
+    assert all(len(col) == len(apex) for col in columns)
+    assert all(len(prefix) <= len(apex) for prefix in apex._prefixes)
+
+
+def _offset_table(apex, links, j):
+    """The rank offsets of every entry of slot j of the limit of a chain
+    with these links, by one pass over the slot: at a preimage slot, a
+    running sum of counts per fiber."""
     ways = apex.counts[j]
-    link = apex.links[j - 1] if j else None
+    link = links[j - 1] if j else None
     if link is None:
         return tuple(itertools.accumulate(ways, initial=0))[:-1]
     if link[0] == "fix":
         return None
     run = [0] * len(apex.factors[j - 1])
     table = []
-    for x, y in enumerate(link[1]):
+    for x, y in enumerate(link[1].idx):
         table.append(run[y])
         run[y] += ways[x]
     return tuple(table)
@@ -394,7 +421,7 @@ def _offset_table(apex, j):
 def test_offsets_on_demand_match_the_full_table(chain, data):
     apex = fin_limit(*chain).apex
     for j, factor in enumerate(apex.factors):
-        full = _offset_table(apex, j)
+        full = _offset_table(apex, chain[1], j)
         # the second ask reads the table the first one built
         for _ in range(2):
             entries = data.draw(st.lists(st.integers(0, len(factor) - 1), max_size=5)) if len(factor) else []
@@ -402,10 +429,9 @@ def test_offsets_on_demand_match_the_full_table(chain, data):
             assert apex.offsets(j, entries) == want
 
 
-def _counts_by_loop(apex) -> list:
-    """The completion counts of every slot, worked out backwards with one
-    Python loop per slot."""
-    factors, links = apex.factors, apex.links
+def _counts_by_loop(factors, links) -> list:
+    """The completion counts of every slot of the limit of a chain,
+    worked out backwards with one Python loop per slot."""
     if not factors:
         return []
     ways = [1] * len(factors[-1])
@@ -415,10 +441,10 @@ def _counts_by_loop(apex) -> list:
         if link is None:
             ways = [sum(ways)] * len(factors[j - 1])
         elif link[0] == "fix":
-            ways = [ways[y] for y in link[1]]
+            ways = [ways[y] for y in link[1].idx]
         else:
             before = [0] * len(factors[j - 1])
-            for x, y in enumerate(link[1]):
+            for x, y in enumerate(link[1].idx):
                 before[y] += ways[x]
             ways = before
         counts.insert(0, ways)
@@ -429,7 +455,7 @@ def _counts_by_loop(apex) -> list:
 @given(st.one_of(zigzag_chains(), product_chains()))
 def test_counts_match_the_loop(chain):
     apex = fin_limit(*chain).apex
-    assert [list(ways) for ways in apex.counts] == _counts_by_loop(apex)
+    assert [list(ways) for ways in apex.counts] == _counts_by_loop(*chain)
 
 
 @settings(max_examples=80, deadline=None)

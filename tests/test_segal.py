@@ -465,11 +465,12 @@ class TestCategoryObjectStructure:
         )
         assert problems == ["s is not a map C1 -> C0", "m is not a map C1 x_C0 C1 -> C1"]
 
-    @pytest.mark.parametrize("slots", ["C0 C0 C0", "C1 C0 C1"])
+    @pytest.mark.parametrize("slots", ["C0 C0 C0", "C1 C0 C1", "C1 C1"])
     def test_composable_cone_that_is_not_the_pairs(self, slots):
         # chain3 with its composable pairs replaced by a product and m
-        # constant: the first and last legs must be pairs of arrows with
-        # t f1 = s f2, and no axiom is read off anything else
+        # constant: the cone must have three legs, the first and last
+        # pairs of arrows with t f1 = s f2, and no axiom is read off
+        # anything else
         cat = category_object_from_finite_category(corpus_categories()["chain3"])
         cone = ps_product([getattr(cat, name) for name in slots.split()])
         tuples = cone.apex.at[STAR_OBJ]

@@ -293,6 +293,12 @@ class TestCli:
         assert err.startswith(f"resource bound exceeded in {stage}: intermediate size ")
         assert err.rstrip().endswith(f"exceeds bound {bound}")
 
+    def test_fin_limit_reports_the_size_of_the_limit(self, capsys):
+        # not_univalent_fold's first limit is c2_cat's four composable pairs
+        code, out, err = run_cli(capsys, "check-univalent", "--workspace", "finset", "--bound", "1", "not_univalent_fold")
+        assert (code, out) == (3, "")
+        assert err == "resource bound exceeded in fin_limit: intermediate size 4 exceeds bound 1\n"
+
     @pytest.mark.parametrize("command", ["enumerate-univalent", "poset"])
     def test_enumeration_keeps_the_bound(self, capsys, command):
         # the largest limit the sweep builds is the 795 composable pairs of
