@@ -155,6 +155,17 @@ def pick(seq, positions) -> tuple:
     return tuple([seq[p] for p in positions])
 
 
+def getter(positions):
+    """A function seq -> pick(seq, positions) for a tuple seq, built once
+    to gather many tuples at the same positions.  With 0 or 1 places it
+    slices, so the positions must be in range."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(slice(0, 0))
+
+
 def fibers(idx, size: int) -> list:
     """For a map given by the positions ``idx`` into a set of ``size``
     points: the list of positions over each point, ascending."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import chain, compress, repeat
 from operator import add, ne
 
-from .elements import STAR, Atom, Element, FinFunction, FinSet, Tup, fibers, pick
+from .elements import STAR, Atom, Element, FinFunction, FinSet, Tup, fibers, getter, pick
 
 DEFAULT_BOUND = 10**6
 
@@ -159,9 +159,10 @@ def category_problems(where, objects, arrows, rep, src, tgt, e, f1s, f2s, m) -> 
     rep e(x) is the identity, f -> (s f, t f, rep f) injective and rep m(f1,
     f2) = pick(rep f2, rep f1), function composition, so each law holds."""
     report = [f"identity of {objects.elements[x]!r} has wrong endpoints{where}" for x, i in enumerate(e) if src[i] != x or tgt[i] != x]
-    wrong = map(ne, zip(pick(src, m), pick(tgt, m)), zip(pick(src, f1s), pick(tgt, f2s)))
-    for f1, f2 in compress(zip(f1s, f2s), wrong):
-        report.append(f"comp({arrows.elements[f2]!r},{arrows.elements[f1]!r}) has wrong endpoints{where}")
+    have, want = (pick(src, m), pick(tgt, m)), (pick(src, f1s), pick(tgt, f2s))
+    if have != want:  # whole columns first, pair by pair only to name the failures
+        for f1, f2 in compress(zip(f1s, f2s), map(ne, zip(*have), zip(*want))):
+            report.append(f"comp({arrows.elements[f2]!r},{arrows.elements[f1]!r}) has wrong endpoints{where}")
     if report:  # the Cayley representation needs every end right
         return report
     if rep is None:
@@ -177,10 +178,13 @@ def category_problems(where, objects, arrows, rep, src, tgt, e, f1s, f2s, m) -> 
     for f, ends in enumerate(zip(src, tgt, rep)):
         if first.setdefault(ends, f) != f:
             report.append(f"rep is not faithful{where}: {arrows.elements[first[ends]]!r} and {arrows.elements[f]!r}")
-    composed = map(pick, pick(rep, f2s), pick(rep, f1s))  # lazy: a rep has a place per key
-    for f1, f2 in compress(zip(f1s, f2s), map(ne, composed, pick(rep, m))):
-        pair = f"({arrows.elements[f1]!r},{arrows.elements[f2]!r})"
-        report.append(f"composition fails{where} on {pair}: its rep is not rep f2 after rep f1")
+    gets = [getter(r) for r in rep]
+    composed = tuple([g(r) for g, r in zip(pick(gets, f1s), pick(rep, f2s))])
+    laws = pick(rep, m)
+    if composed != laws:
+        for f1, f2 in compress(zip(f1s, f2s), map(ne, composed, laws)):
+            pair = f"({arrows.elements[f1]!r},{arrows.elements[f2]!r})"
+            report.append(f"composition fails{where} on {pair}: its rep is not rep f2 after rep f1")
     return report
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from operator import getitem
 
-from .elements import Atom, FinFunction, FinSet, pick
+from .elements import Atom, FinFunction, FinSet, getter, pick
 from .fincat import check_bound
 from .topos import (
     DependentProduct,
@@ -118,9 +118,9 @@ def _fiberwise_composition(M: DependentProduct, first: NatTrans, second: NatTran
     the keys of b to the place among the keys of b' of (u, e1), ``second``
     reading e1 off the value.  One table per key turns a value position
     into that place.  The composite of a pair is then a gather of rho's,
-    looked up among the families over its endpoints (b, b''); rho is the
-    category object's ``rep``.  A value with no key, or one rho for two
-    families, raises ``CategoryObjectError``."""
+    by one getter per family, looked up by its endpoints (b, b'') and its
+    rho; rho is the category object's ``rep``.  A value with no key, or
+    one rho for two families, raises ``CategoryObjectError``."""
     e0 = {d: f.idx for d, f in first.component.items()}
     component, rep = {}, {}
     for c in M.base.topos.index.objects:
@@ -142,24 +142,24 @@ def _fiberwise_composition(M: DependentProduct, first: NatTrans, second: NatTran
                     table = shared[(u, b2)] = tuple([into.get((u, y)) for y in e1])
                 per_key.append(table)
             tables.append(per_key)
-        n = len(bb.legs[0].cod.at[c])
-        families = [[{} for _ in range(n)] for _ in range(n)]  # [b][b''] -> {rho: position}
+        lookup = {}  # (b, b'', rho) -> position
         owners, rho = M.proj.component[c].idx, []
         for k, (q, values) in enumerate(zip(owners, M.sections[c])):
             r = tuple(list(map(getitem, tables[q], values)))
             rho.append(r)
             if None in r:
                 raise CategoryObjectError([f"a value of family {k} at {c!r} has no key"])
-            over = families[src[q]][tgt[q]]
-            if over.setdefault(r, k) != k:
-                raise CategoryObjectError([f"families {over[r]} and {k} at {c!r} share rho"])
-        out = []
-        for i, j in zip(cone.legs[0].component[c].idx, cone.legs[2].component[c].idx):
-            k = families[src[owners[i]]][tgt[owners[j]]].get(pick(rho[j], rho[i]))
-            if k is None:
-                raise InternalCheckError("composite family is not a product element")
-            out.append(k)
-        component[c] = FinFunction.from_idx(cone.apex.at[c], M.total.at[c], tuple(out))
+            key = (src[q], tgt[q], r)
+            if lookup.setdefault(key, k) != k:
+                raise CategoryObjectError([f"families {lookup[key]} and {k} at {c!r} share rho"])
+        f1s, f2s = cone.legs[0].component[c].idx, cone.legs[2].component[c].idx
+        gets = [getter(r) for r in rho]
+        composed = [g(r) for g, r in zip(pick(gets, f1s), pick(rho, f2s))]
+        ends = zip(pick(src, pick(owners, f1s)), pick(tgt, pick(owners, f2s)), composed)
+        out = tuple(list(map(lookup.get, ends)))
+        if None in out:
+            raise InternalCheckError("composite family is not a product element")
+        component[c] = FinFunction.from_idx(cone.apex.at[c], M.total.at[c], out)
         rep[c] = tuple(rho)
     return NatTrans(cone.apex, M.total, component), rep
 
@@ -350,20 +350,29 @@ def enumerate_univalent(T: Topos, max_E: int, max_B: int) -> list[tuple[tuple, N
     their sorted fiber sizes are equal, so one map per sorted signature is
     one per class.  Every bound error comes before any map is built: the
     signatures are counted, then the composable pairs of each, in order.
-    Then the maps are built in T and decided in signature order, so an
-    error is that of the smallest signature that raises."""
+
+    Then the maps are built in T and decided by length, in signature order
+    within a length, so an error is that of the first signature in that
+    order that raises.  A signature is decided only when every signature
+    with one fiber deleted was found univalent; otherwise its map is not
+    univalent and is not built.  Deleting fiber i pulls p back along the
+    mono B - {b_i} -> B, and a pullback of a univalent map along a mono is
+    univalent (Gepner & Kock, arXiv 1208.1749): its classifying map is a
+    mono followed by a mono.  By induction one-fiber deletions suffice,
+    and each is itself a signature of the sweep."""
     if not is_finset_topos(T):
         raise ValueError("enumeration is only implemented over the one-point index")
     check_bound(fiber_signature_count(max_E, max_B), T.bound, "fiber_signatures")
     signatures = fiber_signatures(max_E, max_B)
     for sig in signatures:
         check_bound(composable_pair_count(sig), T.bound, "composable_pairs")
-    found = []
-    for sig in signatures:
-        p = _finset_map(sig, T)
-        if is_univalent(p, name=str(sig)).univalent:
-            found.append((sig, p))
-    return found
+    found = {}
+    for sig in sorted(signatures, key=len):
+        if all(sig[:i] + sig[i + 1:] in found for i in range(len(sig))):
+            p = _finset_map(sig, T)
+            if is_univalent(p, name=str(sig)).univalent:
+                found[sig] = p
+    return [(sig, found[sig]) for sig in signatures if sig in found]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from segaltopos.elements import (
     STAR,
     Tup,
     atoms,
+    getter,
+    pick,
 )
 
 
@@ -196,6 +198,13 @@ def dict_functions(draw, dom=None, cod=None):
 
 
 class TestPositionalKernel:
+    @given(st.data())
+    def test_getter_gathers_as_pick_does(self, data):
+        seq = tuple(data.draw(st.lists(st.integers(), min_size=1, max_size=6)))
+        positions = data.draw(st.lists(st.integers(0, len(seq) - 1), max_size=4))
+        got = getter(positions)(seq)
+        assert type(got) is tuple and got == pick(seq, positions)
+
     @given(dict_functions())
     def test_table_view_is_the_input_dict(self, fn):
         dom, cod, table = fn

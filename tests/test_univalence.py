@@ -832,24 +832,82 @@ def _building(monkeypatch):
     return built
 
 
+def _oracle_decides(max_e, max_b):
+    """The signatures the sweep decides, derived from the fiber oracle: by
+    length, in signature order within a length, those whose one-fiber
+    deletions the oracle calls univalent."""
+    univalent = {sig for sig in fiber_signatures(max_e, max_b) if fiber_oracle_univalent(_finset_map(sig))}
+    return [
+        sig
+        for sig in sorted(fiber_signatures(max_e, max_b), key=len)
+        if all(sig[:i] + sig[i + 1:] in univalent for i in range(len(sig)))
+    ]
+
+
+def _deletion_square(sig, i):
+    """The pullback square from the map of sig with fiber i deleted to the
+    map of sig, along the inclusion of bases that skips b_i."""
+    sub = sig[:i] + sig[i + 1:]
+    p2, p1 = _finset_map(sub), _finset_map(sig)
+    shift = [k if k < i else k + 1 for k in range(len(sub))]
+    f_B = finset_function(p2.cod, p1.cod, {f"b{k}": f"b{shift[k]}" for k in range(len(sub))})
+    f_E = finset_function(
+        p2.dom, p1.dom, {f"e{k}_{j}": f"e{shift[k]}_{j}" for k, size in enumerate(sub) for j in range(size)}
+    )
+    return PullbackSquareMorphism(p2, p1, f_E, f_B)
+
+
 class TestFanOut:
-    """The sweep decides its maps one after the other in signature order,
-    in one process."""
+    """The sweep decides its maps one after the other, by length and in
+    signature order within a length, in one process, and only those whose
+    one-fiber deletions are all univalent."""
 
     def test_results_come_back_in_input_order(self, monkeypatch):
         decided = _deciding(monkeypatch)
         found = enumerate_univalent(finset_topos(), 3, 3)
-        assert decided == [str(sig) for sig in fiber_signatures(3, 3)]
+        assert decided == [str(sig) for sig in _oracle_decides(3, 3)]
+        assert decided == ["()", "(0,)", "(1,)", "(2,)", "(3,)", "(0, 0)", "(0, 1)", "(1, 1)"]
         assert [sig for sig, _ in found] == [(), (0,), (0, 1), (1,)]
 
     def test_smallest_failing_index_is_raised(self, monkeypatch):
-        # the first failing signature ends the sweep
-        decided = _deciding(monkeypatch, fails={"(0, 2)", "(1, 1)", "(3,)"})
+        # the first failing signature the sweep decides ends it: (0, 2) is
+        # never decided, and (3,) comes before (1, 1) by length
+        fails = {"(0, 2)", "(1, 1)", "(3,)"}
+        decided = _deciding(monkeypatch, fails=fails)
         with pytest.raises(ValueError) as exc:
             enumerate_univalent(finset_topos(), 3, 3)
-        assert exc.value.args == ("(0, 2)",)
-        sigs = [str(sig) for sig in fiber_signatures(3, 3)]
-        assert decided == sigs[: sigs.index("(0, 2)") + 1]
+        order = [str(sig) for sig in _oracle_decides(3, 3)]
+        first = next(sig for sig in order if sig in fails)
+        assert exc.value.args == (first,) == ("(3,)",)
+        assert decided == order[: order.index(first) + 1]
+
+    @pytest.mark.parametrize("max_e,max_b", [(2, 2), (3, 3), (4, 4), (2, 6)])
+    def test_the_sweep_equals_deciding_every_signature(self, max_e, max_b):
+        T = finset_topos()
+        reference = []
+        for sig in fiber_signatures(max_e, max_b):
+            p = _finset_map(sig, T)
+            if univalence.is_univalent(p, name=str(sig)).univalent:
+                reference.append((sig, p))
+        found = enumerate_univalent(T, max_e, max_b)
+        assert [sig for sig, _ in found] == [sig for sig, _ in reference]
+        # NatTrans equality compares the sets and the tables of the maps
+        assert [p for _, p in found] == [p for _, p in reference]
+
+    @pytest.mark.parametrize("max_e,max_b", [(3, 3), (4, 4), (2, 6)])
+    def test_each_skipped_map_is_a_pullback_of_a_smaller_one_along_a_mono(self, monkeypatch, max_e, max_b):
+        # the certificate of a skipped verdict: a one-fiber deletion that is
+        # not univalent, pulled back from it along a mono of bases
+        built = _building(monkeypatch)
+        found = {sig for sig, _ in enumerate_univalent(finset_topos(), max_e, max_b)}
+        skipped = [sig for sig in fiber_signatures(max_e, max_b) if sig not in built]
+        assert len(skipped) == len(fiber_signatures(max_e, max_b)) - len(_oracle_decides(max_e, max_b)) > 0
+        for sig in skipped:
+            i = next(i for i in range(len(sig)) if sig[:i] + sig[i + 1:] not in found)
+            sq = _deletion_square(sig, i)
+            assert is_pullback_square(sq) and is_mono(sq.f_B), sig
+            assert not univalence.is_univalent(sq.p2).univalent, sig
+            assert not univalence.is_univalent(sq.p1).univalent, sig
 
     @pytest.mark.parametrize("max_e,max_b", [(2, 2), (3, 3)])
     def test_enumeration_is_the_same_on_one_cpu(self, max_e, max_b):
@@ -893,7 +951,7 @@ class TestFanOut:
                 assert exc.stage in ("fiber_signatures", "composable_pairs"), bound
                 assert built == [] and not passes, bound
             else:
-                assert passes and built == fiber_signatures(max_e, max_b), bound
+                assert passes and built == _oracle_decides(max_e, max_b), bound
 
 
 class TestPullbackSquares:
