@@ -13,7 +13,6 @@ from .fincat import (
 from .topos import (
     NatTrans,
     Presheaf,
-    SliceMap,
     Topos,
     classify_mono,
     dependent_product,

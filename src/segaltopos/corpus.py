@@ -7,6 +7,7 @@ import random
 
 from .elements import Atom, Element, FinFunction, FinSet, Tup
 from .fincat import (
+    DEFAULT_BOUND,
     FiniteCategory,
     arrow_category,
     discrete_category,
@@ -60,16 +61,16 @@ def c3_group() -> FiniteCategory:
     )
 
 
-def c2_topos(bound=None) -> Topos:
-    return Topos(c2_group()) if bound is None else Topos(c2_group(), bound)
+def c2_topos(bound=DEFAULT_BOUND) -> Topos:
+    return Topos(c2_group(), bound)
 
 
-def s3_topos(bound=None) -> Topos:
-    return Topos(s3_group()) if bound is None else Topos(s3_group(), bound)
+def s3_topos(bound=DEFAULT_BOUND) -> Topos:
+    return Topos(s3_group(), bound)
 
 
-def sierpinski_topos(bound=None) -> Topos:
-    return Topos(arrow_category()) if bound is None else Topos(arrow_category(), bound)
+def sierpinski_topos(bound=DEFAULT_BOUND) -> Topos:
+    return Topos(arrow_category(), bound)
 
 
 def finset_presheaf(names) -> Presheaf:

@@ -48,7 +48,6 @@ class FiniteCategory(FrozenRecord):
 
     comp maps (g, f) to g∘f and is defined exactly on composable pairs
     (tgt(f) = src(g)); ``Topos`` checks its index with ``validate_category``.
-    Two categories are equal when their tables other than comp are.
     """
 
     __slots__ = ("objects", "morphisms", "src", "tgt", "identity", "comp")
@@ -70,23 +69,8 @@ class FiniteCategory(FrozenRecord):
         setter(self, "identity", identity)
         setter(self, "comp", comp)
 
-    def _key(self) -> tuple:
-        return (self.objects, self.morphisms, self.src, self.tgt, self.identity)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
     def id_of(self, x: Element) -> Element:
         return self.identity(x)
-
-    def compose(self, g: Element, f: Element) -> Element:
-        """g after f."""
-        return self.comp[(g, f)]
 
     def is_identity(self, m: Element) -> bool:
         return self.identity(self.src(m)) == m

@@ -34,7 +34,6 @@ from .topos import (
     NatTrans,
     Presheaf,
     PsLimitCone,
-    SliceMap,
     Topos,
     dependent_product,
     dependent_product_map,
@@ -495,36 +494,36 @@ def is_hoequiv_morphism(X: TruncatedSimplicialObject, f: NatTrans) -> bool:
 
 
 class MappingObject:
-    __slots__ = ("obj", "pi", "pulled", "cone", "X", "n", "factors", "split")
+    __slots__ = ("pi", "cone", "X", "n", "factors", "split")
 
     def __init__(
         self,
-        obj: Presheaf,
         pi: DependentProduct,
-        pulled: SliceMap,
         cone: PsLimitCone,
         X: TruncatedSimplicialObject,
         n: int,
         factors: list,
         split: NatTrans | None,
     ):
-        self.obj = obj  # the mapping object itself (over the terminal)
-        self.pi = pi  # dependent product over the terminal; pi.total == obj
-        self.pulled = pulled  # (x0..xn)^* level[n] over the context D
-        self.cone = cone  # the pullback defining pulled
+        self.pi = pi  # dependent product over the terminal of cone.legs[2]
+        self.cone = cone  # the pullback of level[n] along (x0..xn), over the context D
         self.X = X
         self.n = n
         self.factors = factors  # the n consecutive binary mapping objects, for n >= 2
         self.split = split  # obj -> the product of the factors' objects, iso
 
+    @property
+    def obj(self) -> Presheaf:
+        return self.pi.total  # the mapping object itself (over the terminal)
 
-def _pulled_level(X, D, points, n):
-    """Pullback of level[n] along (x0..xn): D -> X0^(n+1)."""
-    prod = ps_product([X.level[0]] * (n + 1))
-    vertex = prod.mediate(X.level[n], X.vertex_maps(n))
-    pts = prod.mediate(D, points)
-    cone = ps_pullback(vertex, pts)
-    return cone, SliceMap(cone.apex, D, cone.legs[2])
+
+def _over_points(X, top: Presheaf, ends: list, D: Presheaf, points: list):
+    """The pullback of ``top``, an object over X0^k by ``ends``, along the
+    points D -> X0^k, and the dependent product of its leg to D along
+    D -> 1."""
+    prod = ps_product([X.level[0]] * len(points))
+    cone = ps_pullback(prod.mediate(top, ends), prod.mediate(D, points))
+    return cone, dependent_product(unique_to_terminal(D), cone.legs[2])
 
 
 def mapping_object(X: TruncatedSimplicialObject, D: Presheaf, points: list) -> MappingObject:
@@ -533,9 +532,8 @@ def mapping_object(X: TruncatedSimplicialObject, D: Presheaf, points: list) -> M
     n = len(points) - 1
     if not 1 <= n <= 3:
         raise ValueError("mapping objects take 2..4 points")
-    cone, pulled = _pulled_level(X, D, points, n)
-    pi = dependent_product(unique_to_terminal(D), pulled)
-    out = MappingObject(pi.total, pi, pulled, cone, X, n, [], None)
+    cone, pi = _over_points(X, X.level[n], X.vertex_maps(n), D, points)
+    out = MappingObject(pi, cone, X, n, [], None)
     if n >= 2:
         out.factors = [mapping_object(X, D, points[k : k + 2]) for k in range(n)]
         out.split = binary_decomposition(out, out.factors)
@@ -547,7 +545,7 @@ def mapping_object(X: TruncatedSimplicialObject, D: Presheaf, points: list) -> M
 def _edge_slice_map(src: MappingObject, k: int, binary: MappingObject) -> NatTrans:
     """Slice morphism over D induced by the k-th spine edge."""
     edge = src.cone.legs[0].then(src.X.spine_maps(src.n)[k])
-    return binary.cone.mediate(src.cone.apex, [edge, src.pulled.proj])
+    return binary.cone.mediate(src.cone.apex, [edge, src.cone.legs[2]])
 
 
 def binary_decomposition(src: MappingObject, factors: list) -> NatTrans:
@@ -566,13 +564,7 @@ def identity_morphism(X: TruncatedSimplicialObject, D: Presheaf, x: NatTrans) ->
     section sending each key (u: d -> c, a in D(d)) to sigma(a)."""
     mp = mapping_object(X, D, [x, x])
     sigma = mp.cone.mediate(D, [x.then(X.degen[(0, 0)]), NatTrans.identity(D)])
-    idx = X.topos.index
-    one = terminal(X.topos)
-    component = {}
-    for c in idx.objects:
-        values = tuple([sigma.component[d].idx[a] for _, d, a in mp.pi.fans[(c, 0)]])
-        component[c] = FinFunction.from_idx(one.at[c], mp.obj.at[c], (mp.pi.locate(c, 0, values),))
-    return NatTrans(one, mp.obj, component)
+    return mp.pi.transpose(NatTrans.identity(mp.pi.base), lambda d, k, a: sigma.component[d].idx[a])
 
 
 class CompositionData:
@@ -597,7 +589,7 @@ def composition_data(X, D, x, y, z) -> CompositionData:
     map_xz = mapping_object(X, D, [x, z])
     # the inner face sends a two-chain to its composite one-chain
     inner = ternary.cone.legs[0].then(X.face[(2, 1)])
-    h = map_xz.cone.mediate(ternary.cone.apex, [inner, ternary.pulled.proj])
+    h = map_xz.cone.mediate(ternary.cone.apex, [inner, ternary.cone.legs[2]])
     to_xz = dependent_product_map(ternary.pi, map_xz.pi, h)
     return CompositionData(map_xy, map_yz, nat_inverse(ternary.split), to_xz)
 
@@ -614,14 +606,9 @@ def hoequiv_object(X, D, x, y):
     """The object of equivalences between two points, with its mono
     comparison into the mapping object."""
     eq = hoequiv(X)
-    prod2 = ps_product([X.level[0]] * 2)
-    st = prod2.mediate(eq.carrier, [eq.U.then(X.source), eq.U.then(X.target)])
-    pts = prod2.mediate(D, [x, y])
-    cone = ps_pullback(st, pts)
-    pulled = SliceMap(cone.apex, D, cone.legs[2])
-    pi = dependent_product(unique_to_terminal(D), pulled)
+    cone, pi = _over_points(X, eq.carrier, [eq.U.then(X.source), eq.U.then(X.target)], D, [x, y])
     mp = mapping_object(X, D, [x, y])
-    h = mp.cone.mediate(cone.apex, [cone.legs[0].then(eq.U), pulled.proj])
+    h = mp.cone.mediate(cone.apex, [cone.legs[0].then(eq.U), cone.legs[2]])
     comparison = dependent_product_map(pi, mp.pi, h)
     if not is_mono(comparison):
         raise InternalCheckError("equivalence object does not embed into the mapping object")

@@ -41,14 +41,6 @@ class Topos(FrozenRecord):
         if problems:
             raise ValueError("invalid index category: " + join_problems(problems))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.index, self.bound) == (other.index, other.bound)
-
-    def __hash__(self):
-        return hash((self.index, self.bound))
-
 
 def finset_topos(bound: int = DEFAULT_BOUND) -> Topos:
     return Topos(terminal_category(), bound)
@@ -103,11 +95,6 @@ class Presheaf:
 
     def total_size(self) -> int:
         return sum(len(s) for s in self.at.values())
-
-    def elements(self):
-        for c in self.topos.index.objects:
-            for x in self.at[c]:
-                yield c, x
 
 
 class NatTrans:
@@ -464,21 +451,12 @@ def classify_mono(m: NatTrans) -> NatTrans:
 # slices, pullback functor, dependent products
 
 
-class SliceMap:
-    __slots__ = ("total", "base", "proj")
-
-    def __init__(self, total: Presheaf, base: Presheaf, proj: NatTrans):
-        self.total = total
-        self.base = base
-        self.proj = proj
-
-
-def pullback_functor(f: NatTrans, x: SliceMap) -> SliceMap:
-    """Base change of x along f: A -> B."""
-    if x.base != f.cod:
+def pullback_functor(f: NatTrans, x: NatTrans) -> NatTrans:
+    """Base change along f: A -> B of an object over B, given by its
+    projection x; returns the projection of the pullback onto A."""
+    if x.cod != f.cod:
         raise ValueError("slice is not over the codomain of f")
-    cone = ps_pullback(x.proj, f)
-    return SliceMap(cone.apex, f.dom, cone.legs[2])
+    return ps_pullback(x, f).legs[2]
 
 
 def comma_presheaf(f: NatTrans, c: Element, b: Element) -> tuple[Presheaf, NatTrans]:
@@ -513,28 +491,41 @@ def comma_presheaf(f: NatTrans, c: Element, b: Element) -> tuple[Presheaf, NatTr
     return L, pr
 
 
-class DependentProduct(SliceMap):
-    """Pi_f x, a slice over B = f.cod, its sections stored by position.
+class DependentProduct:
+    """Pi_f x, an object over B = f.cod given by its projection ``proj``,
+    its sections stored by position; x is the projection onto f.dom of
+    the object that f is applied to.
 
     The fan of a point b of B(c) is the tuple of its keys (u, d, a): a
     morphism u: d -> c and the position a in f.dom(d) of a point over
     B(u)(b), in the order of the labels Tup((u, a)).  A section over b is
-    the tuple of its values, key by key: the position in x.total(d) of a
+    the tuple of its values, key by key: the position in x.dom(d) of a
     point over a, natural in the keys.  ``sections[c]`` lists the
     sections over each b in turn, each run in lexicographic order, which
     is the order of their labels Tup((b, Fam)), the family sending each
     key Tup((u, a)) to its value.  The labels are built only when
     something reads ``total.at[c].elements``.  Points b are positions in
-    B(c) throughout: ``fans`` is keyed by (c, b)."""
+    B(c) throughout: ``fans`` is keyed by (c, b).  Maps into and out of
+    Pi_f x go through the adjunction f* -| Pi_f: ``transpose`` and
+    ``value``."""
 
-    __slots__ = ("x", "fans", "sections", "_found")
+    __slots__ = ("proj", "x", "fans", "sections", "_found", "_at_identity")
 
-    def __init__(self, total, base, proj, x: SliceMap, fans: dict, sections: dict):
-        super().__init__(total, base, proj)
+    def __init__(self, proj: NatTrans, x: NatTrans, fans: dict, sections: dict):
+        self.proj = proj
         self.x = x
         self.fans = fans
         self.sections = sections  # c -> the values of each section, in order
         self._found = {}  # (c, b) -> the position of each section over b, by its values
+        self._at_identity = {}  # (c, b) -> the place of each key (id_c, a) in the fan of b
+
+    @property
+    def total(self) -> Presheaf:
+        return self.proj.dom
+
+    @property
+    def base(self) -> Presheaf:
+        return self.proj.cod
 
     def locate(self, c: Element, b: int, values: tuple) -> int:
         """The position of the section over b at c with these values; a
@@ -550,6 +541,33 @@ class DependentProduct(SliceMap):
                 f"a family over point {b} at {c!r} is not a section of the dependent product"
             )
         return k
+
+    def transpose(self, over: NatTrans, value) -> NatTrans:
+        """The map K -> Pi_f x that lies over ``over``: K -> B, the
+        transpose of a map f*K -> x.  The section it gives k in K(c)
+        takes the position value(d, K(u)(k), a) in x.dom(d) at each key
+        (u: d -> c, a)."""
+        K = over.dom
+        restrict = {u: g.idx for u, g in K.restrict.items()}
+        component = {}
+        for c, owners in over.component.items():
+            out = []
+            for k, b in enumerate(owners.idx):
+                values = tuple([value(d, restrict[u][k], a) for u, d, a in self.fans[(c, b)]])
+                out.append(self.locate(c, b, values))
+            component[c] = FinFunction.from_idx(K.at[c], self.total.at[c], tuple(out))
+        return NatTrans(K, self.total, component)
+
+    def value(self, c: Element, s: int, a: int) -> int:
+        """The counit f* Pi_f x -> x: the position in x.dom(c) of the value
+        of section s at its key (id_c, a)."""
+        b = self.proj.component[c].idx[s]
+        place = self._at_identity.get((c, b))
+        if place is None:
+            idc = self.total.topos.index.id_of(c)
+            fan = self.fans[(c, b)]
+            place = self._at_identity[(c, b)] = {y: i for i, (u, _, y) in enumerate(fan) if u == idc}
+        return self.sections[c][s][place[a]]
 
 
 def _natural_sections(candidates: list, links: list):
@@ -601,22 +619,23 @@ def _section_labels(A: Presheaf, X: Presheaf, bases: FinSet, fans: list, owners,
     ]
 
 
-def dependent_product(f: NatTrans, x: SliceMap) -> DependentProduct:
-    """Right adjoint to base change along f: A -> B.  For each point b of
-    B(c) it lists the fan of b (see DependentProduct), the candidate
-    values of each key (u, d, a), which are the points of x.total(d) over
-    a, and the naturality links between keys: the key restricted along
-    v: e -> d is (u v, A(v)(a)), and it takes X(v) of the value.  The
-    natural sections come out of ``_natural_sections`` in the order of
-    their labels, so nothing is sorted, and the running count at c is
-    checked against the bound as they are listed."""
-    if x.base != f.dom:
+def dependent_product(f: NatTrans, x: NatTrans) -> DependentProduct:
+    """Right adjoint to base change along f: A -> B, applied to the object
+    X over A with projection x.  For each point b of B(c) it lists the
+    fan of b (see DependentProduct), the candidate values of each key
+    (u, d, a), which are the points of X(d) over a, and the naturality
+    links between keys: the key restricted along v: e -> d is
+    (u v, A(v)(a)), and it takes X(v) of the value.  The natural sections
+    come out of ``_natural_sections`` in the order of their labels, so
+    nothing is sorted, and the running count at c is checked against the
+    bound as they are listed."""
+    if x.cod != f.dom:
         raise ValueError("slice is not over the domain of f")
     T = f.dom.topos
     idx = T.index
-    A, B, X = f.dom, f.cod, x.total
+    A, B, X = f.dom, f.cod, x.dom
     over_b = {d: fibers(f.component[d].idx, len(B.at[d])) for d in idx.objects}
-    over_a = {d: fibers(x.proj.component[d].idx, len(A.at[d])) for d in idx.objects}
+    over_a = {d: fibers(x.component[d].idx, len(A.at[d])) for d in idx.objects}
     into = {c: [] for c in idx.objects}  # c -> (u, d) for each u: d -> c, in label order
     for u in idx.morphisms:
         into[idx.tgt(u)].append((u, idx.src(u)))
@@ -654,7 +673,7 @@ def dependent_product(f: NatTrans, x: SliceMap) -> DependentProduct:
         )
         proj[c] = FinFunction.from_idx(at[c], B.at[c], owners)
     total = Presheaf(T, at, {})
-    pi = DependentProduct(total, B, NatTrans(total, B, proj), x, fans, sections)
+    pi = DependentProduct(NatTrans(total, B, proj), x, fans, sections)
     # A section restricts along w: c1 -> c2 by precomposing its keys with w.
     for w in idx.morphisms:
         c1, c2 = idx.src(w), idx.tgt(w)
@@ -676,29 +695,19 @@ def dependent_product(f: NatTrans, x: SliceMap) -> DependentProduct:
 
 
 def dependent_product_map(pix: DependentProduct, piy: DependentProduct, h: NatTrans) -> NatTrans:
-    """Functorial action of a dependent product on a slice morphism h;
-    pix and piy are the products, along one map, of its domain and
-    codomain slices, so they share their fans and h carries a section's
-    values key by key."""
+    """Functorial action of Pi_f on a map h: X -> Y over f.dom, for pix =
+    Pi_f X and piy = Pi_f Y: the transpose of h after the counit."""
     if pix.fans != piy.fans:
         raise ValueError("the dependent products are not along one map")
-    idx = h.dom.topos.index
-    component = {}
-    for c in idx.objects:
-        out = []
-        for b, values in zip(pix.proj.component[c].idx, pix.sections[c]):
-            fan = pix.fans[(c, b)]
-            carried = tuple([h.component[d].idx[y] for (_, d, _), y in zip(fan, values)])
-            out.append(piy.locate(c, b, carried))
-        component[c] = FinFunction.from_idx(pix.total.at[c], piy.total.at[c], tuple(out))
-    return NatTrans(pix.total, piy.total, component)
+    return piy.transpose(pix.proj, lambda d, k, a: h.component[d].idx[pix.value(d, k, a)])
 
 
-def slice_exponential(g: SliceMap, f: SliceMap) -> DependentProduct:
-    """Internal hom in the slice over the common base: Pi_g of g* f."""
-    if g.base != f.base:
+def slice_exponential(g: NatTrans, f: NatTrans) -> DependentProduct:
+    """Internal hom in the slice over the common base of the projections
+    g and f: Pi_g of g* f."""
+    if g.cod != f.cod:
         raise ValueError("slices are not over the same base")
-    return dependent_product(g.proj, pullback_functor(g.proj, f))
+    return dependent_product(g, pullback_functor(g, f))
 
 
 # ---------------------------------------------------------------------------
@@ -706,52 +715,43 @@ def slice_exponential(g: SliceMap, f: SliceMap) -> DependentProduct:
 
 
 class ExponentialObject:
-    __slots__ = ("obj", "pi", "ev_product", "ev")
+    __slots__ = ("pi", "ev_product", "ev")
 
-    def __init__(self, obj: Presheaf, pi: DependentProduct, ev_product: PsLimitCone, ev: NatTrans):
-        self.obj = obj  # G^F
-        self.pi = pi  # G^F as a slice over the terminal; pi.total == obj
+    def __init__(self, pi: DependentProduct, ev_product: PsLimitCone, ev: NatTrans):
+        self.pi = pi  # G^F as an object over the terminal
         self.ev_product = ev_product  # product of G^F and F
         self.ev = ev  # ev_product.apex -> G
+
+    @property
+    def obj(self) -> Presheaf:
+        return self.pi.total  # G^F
 
 
 def exponential(T: Topos, F: Presheaf, G: Presheaf) -> ExponentialObject:
     """Internal hom G^F: the dependent product of F x G -> F along F -> 1.
     At c it sends each key (u: d -> c, x in F(d)) to a point (x, g) of
-    F x G; evaluation reads g at (id_c, x)."""
-    idx = T.index
+    F x G; evaluation is the counit, which reads (x, g) at (id_c, x),
+    followed by the projection to G."""
     FG = ps_product([F, G])
-    pi = dependent_product(unique_to_terminal(F), SliceMap(FG.apex, F, FG.legs[0]))
+    pi = dependent_product(unique_to_terminal(F), FG.legs[0])
     prod = ps_product([pi.total, F])
-    ev_component = {}
-    for c in idx.objects:
-        idc, to_G, sections = idx.id_of(c), FG.legs[1].component[c].idx, pi.sections[c]
-        # the place of the key (id_c, x) in the fan of the one point
-        place = {x: i for i, (u, _, x) in enumerate(pi.fans[(c, 0)]) if u == idc}
-        pairs = zip(prod.legs[0].component[c].idx, prod.legs[1].component[c].idx)
-        values = tuple([to_G[sections[e][place[x]]] for e, x in pairs])
-        ev_component[c] = FinFunction.from_idx(prod.apex.at[c], G.at[c], values)
-    ev = NatTrans(prod.apex, G, ev_component)
+    counit = {}
+    for c in T.index.objects:
+        read = map(partial(pi.value, c), prod.legs[0].component[c].idx, prod.legs[1].component[c].idx)
+        counit[c] = FinFunction.from_idx(prod.apex.at[c], FG.apex.at[c], tuple(read))
+    ev = NatTrans(prod.apex, FG.apex, counit).then(FG.legs[1])
     if ev.validate():
         raise InternalCheckError("evaluation map is not natural")
-    return ExponentialObject(pi.total, pi, prod, ev)
+    return ExponentialObject(pi, prod, ev)
 
 
 def exp_transpose(expo: ExponentialObject, A: Presheaf, h: NatTrans) -> NatTrans:
     """Transpose A x F -> G to A -> G^F; h.dom must be ps_product([A, F]).apex.
     The transpose of a sends the key (u, x) to (x, h(A(u)(a), x))."""
-    idx = A.topos.index
-    pi = expo.pi
-    F, FG = pi.x.base, pi.x.total
-    component = {}
-    for c in idx.objects:
-        out = []
-        for a in A.at[c]:
-            values = []
-            for u, d, xp in pi.fans[(c, 0)]:
-                x = F.at[d].elements[xp]
-                g = h.component[d](Tup((A.restrict[u](a), x)))
-                values.append(FG.at[d].index[Tup((x, g))])
-            out.append(pi.locate(c, 0, tuple(values)))
-        component[c] = FinFunction.from_idx(A.at[c], pi.total.at[c], tuple(out))
-    return NatTrans(A, pi.total, component)
+    F, FG = expo.pi.x.cod, expo.pi.x.dom
+
+    def value(d, k, xp):
+        x = F.at[d].elements[xp]
+        return FG.at[d].index[Tup((x, h.component[d](Tup((A.at[d].elements[k], x)))))]
+
+    return expo.pi.transpose(unique_to_terminal(A), value)

@@ -21,7 +21,6 @@ from .topos import (
     InternalCheckError,
     NatTrans,
     Presheaf,
-    SliceMap,
     Topos,
     classify_mono,
     comma_presheaf,
@@ -56,7 +55,7 @@ class NerveOfMap:
 
     __slots__ = ("M", "cat")
 
-    def __init__(self, M: SliceMap, cat: CategoryObject):
+    def __init__(self, M: DependentProduct, cat: CategoryObject):
         self.M = M  # fiberwise-map object over B x B
         self.cat = cat
 
@@ -74,7 +73,7 @@ def nerve_of_map(p: NatTrans) -> NerveOfMap:
     bb = ps_product([B, B])
     proj = eb.mediate(ee.apex, [ee.legs[0], ee.legs[1].then(p)])
     p_times_id = bb.mediate(eb.apex, [eb.legs[0].then(p), eb.legs[1]])
-    M = dependent_product(p_times_id, SliceMap(ee.apex, eb.apex, proj))
+    M = dependent_product(p_times_id, proj)
     s = M.proj.then(bb.legs[0])
     t = M.proj.then(bb.legs[1])
     identity = NatTrans.identity
@@ -97,14 +96,7 @@ def _identity_section(M: DependentProduct, first: NatTrans, graph: NatTrans, dia
     the family sending each key (u, (e0, b')) to graph(e0), for ``first``
     the projection (e0, b') -> e0 and ``graph`` the diagonal E -> E x E,
     that is to (e0, e0)."""
-    component = {}
-    for c, over in diagonal.component.items():
-        out = []
-        for b in over.idx:
-            values = [graph.component[d].idx[first.component[d].idx[a]] for _, d, a in M.fans[(c, b)]]
-            out.append(M.locate(c, b, tuple(values)))
-        component[c] = FinFunction.from_idx(over.dom, M.total.at[c], tuple(out))
-    return NatTrans(diagonal.dom, M.total, component)
+    return M.transpose(diagonal, lambda d, k, a: graph.component[d].idx[first.component[d].idx[a]])
 
 
 def _fiberwise_composition(M: DependentProduct, first: NatTrans, second: NatTrans, bb, cone):
@@ -472,8 +464,8 @@ def check_alternative_construction(p: NatTrans) -> bool:
     bb = ps_product([B, B])
     eb = ps_product([E, B])
     be = ps_product([B, E])
-    g = SliceMap(eb.apex, bb.apex, bb.mediate(eb.apex, [eb.legs[0].then(p), eb.legs[1]]))
-    f = SliceMap(be.apex, bb.apex, bb.mediate(be.apex, [be.legs[0], be.legs[1].then(p)]))
+    g = bb.mediate(eb.apex, [eb.legs[0].then(p), eb.legs[1]])
+    f = bb.mediate(be.apex, [be.legs[0], be.legs[1].then(p)])
     alt = slice_exponential(g, f)
     M = nerve_of_map(p).M
     for c in bb.apex.topos.index.objects:

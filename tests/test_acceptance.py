@@ -35,7 +35,6 @@ from segaltopos.corpus import (
 )
 from segaltopos.topos import (
     NatTrans,
-    SliceMap,
     dependent_product,
     finset_topos,
     hom_count,
@@ -365,11 +364,10 @@ def test_criterion_12_adjunction_counts():
                 continue
             g = random_map_to(T, rng, B, 2)
             x = random_map_to(T, rng, f.dom, 2)
-            gs, xs = SliceMap(g.dom, B, g), SliceMap(x.dom, f.dom, x)
-            pi = dependent_product(f, xs)
-            lhs = hom_count(gs.total, pi.total, over=(gs.proj, pi.proj))
-            pb = pullback_functor(f, gs)
-            rhs = hom_count(pb.total, xs.total, over=(pb.proj, xs.proj))
+            pi = dependent_product(f, x)
+            lhs = hom_count(g.dom, pi.total, over=(g, pi.proj))
+            pb = pullback_functor(f, g)
+            rhs = hom_count(pb.dom, x.dom, over=(pb, x))
             if lhs != rhs:
                 failures += 1
             checked += 1

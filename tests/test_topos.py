@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -26,7 +27,6 @@ from segaltopos.corpus import (
 from segaltopos.topos import (
     NatTrans,
     Presheaf,
-    SliceMap,
     Topos,
     classify_mono,
     comma_presheaf,
@@ -444,13 +444,13 @@ class TestPullbackAndDependentProduct:
         p = finset_function(E, B, {"a": "x", "b": "x", "c": "y"})
         pt = finset_presheaf(["x"])
         x = finset_function(pt, B, {"x": "x"})
-        res = pullback_functor(x, SliceMap(E, B, p))
-        assert res.total.total_size() == 2
+        res = pullback_functor(x, p)
+        assert res.dom.total_size() == 2
 
     def test_pullback_of_identity(self):
         B = finset_presheaf(["x", "y"])
-        res = pullback_functor(NatTrans.identity(B), SliceMap(B, B, NatTrans.identity(B)))
-        assert is_iso(res.proj)
+        res = pullback_functor(NatTrans.identity(B), NatTrans.identity(B))
+        assert is_iso(res)
 
     def test_base_change_preserves_monos(self):
         rng = random.Random(3)
@@ -463,14 +463,14 @@ class TestPullbackAndDependentProduct:
                 m = random_map_to(T, rng, B, 2)
                 if not is_mono(m):
                     continue
-                res = pullback_functor(f, SliceMap(m.dom, B, m))
-                assert is_mono(res.proj)
+                res = pullback_functor(f, m)
+                assert is_mono(res)
 
     def test_pi_along_identity(self):
         A = finset_presheaf(["a", "b"])
         X = finset_presheaf(["0", "1", "2"])
         g = finset_function(X, A, {"0": "a", "1": "a", "2": "b"})
-        pi = dependent_product(NatTrans.identity(A), SliceMap(X, A, g))
+        pi = dependent_product(NatTrans.identity(A), g)
         for b in A.at[STAR_OBJ]:
             fiber_before = sum(1 for x in X.at[STAR_OBJ] if g.component[STAR_OBJ](x) == b)
             fiber_after = sum(
@@ -504,7 +504,7 @@ class TestPullbackAndDependentProduct:
         X = finset_presheaf(["x1", "x2", "x3", "x4"])
         f = finset_function(A, B, {"a1": "b1", "a2": "b1", "a3": "b2"})
         g = finset_function(X, A, {"x1": "a1", "x2": "a1", "x3": "a2", "x4": "a3"})
-        pi = dependent_product(f, SliceMap(X, A, g))
+        pi = dependent_product(f, g)
         fibers = {}
         for e in pi.total.at[STAR_OBJ]:
             b = pi.proj.component[STAR_OBJ](e)
@@ -525,11 +525,10 @@ class TestPullbackAndDependentProduct:
                     continue
                 g = random_map_to(T, rng, B, 2)
                 x = random_map_to(T, rng, f.dom, 2)
-                gs, xs = SliceMap(g.dom, B, g), SliceMap(x.dom, f.dom, x)
-                pi = dependent_product(f, xs)
-                lhs = hom_count(gs.total, pi.total, over=(gs.proj, pi.proj))
-                pb = pullback_functor(f, gs)
-                rhs = hom_count(pb.total, xs.total, over=(pb.proj, xs.proj))
+                pi = dependent_product(f, x)
+                lhs = hom_count(g.dom, pi.total, over=(g, pi.proj))
+                pb = pullback_functor(f, g)
+                rhs = hom_count(pb.dom, x.dom, over=(pb, x))
                 assert lhs == rhs
                 checked += 1
                 if checked % 6 == 0:
@@ -537,7 +536,7 @@ class TestPullbackAndDependentProduct:
         assert checked >= 18
 
 
-def labelled_dependent_product(f: NatTrans, x: SliceMap):
+def labelled_dependent_product(f: NatTrans, x: NatTrans):
     """The dependent product built on labels, as a reference: for each
     point b of f.cod at c, the fan of b is the comma presheaf, its natural
     sections over x come from enumerate_nat_trans, each is labelled
@@ -552,7 +551,7 @@ def labelled_dependent_product(f: NatTrans, x: SliceMap):
         for b in B.at[c]:
             L, pr = comma_presheaf(f, c, b)
             fans[(c, b)] = FinSet(k for d in idx.objects for k in L.at[d]).elements
-            for t in enumerate_nat_trans(L, x.total, over=(pr, x.proj)):
+            for t in enumerate_nat_trans(L, x.dom, over=(pr, x)):
                 fam = Fam((k, t.component[d](k)) for d in idx.objects for k in L.at[d])
                 labels.append(Tup((b, fam)))
         at[c] = FinSet(labels)
@@ -567,7 +566,7 @@ def labelled_dependent_product(f: NatTrans, x: SliceMap):
     return at, fans, restrict
 
 
-def assert_is_the_labelled_reference(pi, f: NatTrans, x: SliceMap) -> None:
+def assert_is_the_labelled_reference(pi, f: NatTrans, x: NatTrans) -> None:
     """pi, built by position, has the labels of the reference in order, and
     the same projection, fans and restrictions."""
     at, fans, restrict = labelled_dependent_product(f, x)
@@ -587,14 +586,34 @@ def assert_is_the_labelled_reference(pi, f: NatTrans, x: SliceMap) -> None:
 
 
 def fiberwise_map_inputs(p: NatTrans):
-    """The map p x id: E x B -> B x B and the slice E x E -> E x B whose
+    """The map p x id: E x B -> B x B and the projection E x E -> E x B whose
     dependent product is the fiberwise-map object of p, as nerve_of_map
     builds them."""
     E, B = p.dom, p.cod
     ee, eb, bb = ps_product([E, E]), ps_product([E, B]), ps_product([B, B])
     proj = eb.mediate(ee.apex, [ee.legs[0], ee.legs[1].then(p)])
     p_times_id = bb.mediate(eb.apex, [eb.legs[0].then(p), eb.legs[1]])
-    return p_times_id, SliceMap(ee.apex, eb.apex, proj)
+    return p_times_id, proj
+
+
+def assert_transpose_is_the_adjunction(pi, f: NatTrans, over: NatTrans, tries: int = 6) -> None:
+    """For pi = Pi_f x: transposing the counit ``value`` along the
+    projection gives the identity of pi.total, and for each of the first
+    ``tries`` maps g: f*K -> x over f.dom, with K over f.cod by ``over``,
+    the transpose of g lies over ``over`` and the counit reads g's
+    positions back off it."""
+    assert pi.transpose(pi.proj, pi.value) == NatTrans.identity(pi.total)
+    idx, x = f.dom.topos.index, pi.x
+    cone = ps_pullback(over, f)
+    pairs = {d: list(zip(cone.legs[0].component[d].idx, cone.legs[2].component[d].idx)) for d in idx.objects}
+    for g in islice(enumerate_nat_trans(cone.apex, x.dom, over=(cone.legs[2], x)), tries):
+        # the position g gives the pair (k, a) of f*K(d)
+        given = {d: dict(zip(pairs[d], g.component[d].idx)) for d in idx.objects}
+        t = pi.transpose(over, lambda d, k, a: given[d][(k, a)])
+        assert t.validate() == [] and t.then(pi.proj) == over
+        for c in idx.objects:
+            for (k, a), y in given[c].items():
+                assert pi.value(c, t.component[c].idx[k], a) == y
 
 
 @pytest.fixture
@@ -637,12 +656,11 @@ class TestPositionalDependentProduct:
             B = terminal(T)
         f = random_map_to(T, rng, B, 2)
         x = random_map_to(T, rng, f.dom, 3)
-        xs = SliceMap(x.dom, f.dom, x)
         try:
-            pi = dependent_product(f, xs)
+            pi = dependent_product(f, x)
         except ResourceBoundError:
             reject()
-        assert_is_the_labelled_reference(pi, f, xs)
+        assert_is_the_labelled_reference(pi, f, x)
 
     def test_bundle_maps(self, bundled_workspaces, enumeration_paths):
         for w in bundled_workspaces.values():
@@ -660,7 +678,7 @@ class TestPositionalDependentProduct:
         for F in presheaves:
             for G in presheaves:
                 FG = ps_product([F, G])
-                f, x = unique_to_terminal(F), SliceMap(FG.apex, F, FG.legs[0])
+                f, x = unique_to_terminal(F), FG.legs[0]
                 assert_is_the_labelled_reference(exponential(T, F, G).pi, f, x)
         assert any(enumeration_paths) == (topos is not finset_topos)
 
@@ -672,10 +690,30 @@ class TestPositionalDependentProduct:
             if B.total_size() == 0:
                 B = terminal(T)
             g, f = (random_map_to(T, rng, B, 2) for _ in range(2))
-            g, f = SliceMap(g.dom, B, g), SliceMap(f.dom, B, f)
-            assert_is_the_labelled_reference(
-                slice_exponential(g, f), g.proj, pullback_functor(g.proj, f)
-            )
+            assert_is_the_labelled_reference(slice_exponential(g, f), g, pullback_functor(g, f))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([finset_topos, c2_topos, sierpinski_topos]), st.integers(0, 10**6))
+    def test_transpose_random_maps(self, topos, seed):
+        T, rng = topos(), random.Random(seed)
+        B = random_coproduct_presheaf(T, rng, 2)[0]
+        if B.total_size() == 0:
+            B = terminal(T)
+        f = random_map_to(T, rng, B, 2)
+        x = random_map_to(T, rng, f.dom, 2)
+        try:
+            pi = dependent_product(f, x)
+        except ResourceBoundError:
+            reject()
+        assert_transpose_is_the_adjunction(pi, f, random_map_to(T, rng, B, 2))
+
+    def test_transpose_bundle_maps(self, bundled_workspaces):
+        # the maps f*B -> x over f.dom are the sections of x
+        for w in bundled_workspaces.values():
+            for mname in w.maps.values():
+                p = w.morphisms[mname]
+                f, _ = fiberwise_map_inputs(p)
+                assert_transpose_is_the_adjunction(nerve_of_map(p).M, f, NatTrans.identity(f.cod))
 
     @pytest.mark.parametrize("bundle", ["finset", "s3"])
     def test_a_verdict_builds_no_section_label(self, monkeypatch, bundled_workspaces, bundle):

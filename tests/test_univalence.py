@@ -358,7 +358,7 @@ def _keys_are_entry_order(p: NatTrans) -> None:
     family's values are the labels of the stored positions, and locate
     finds the section by those positions."""
     M = nerve_of_map(p).M
-    A, X = M.x.base, M.x.total
+    A, X = M.x.cod, M.x.dom
     for c in p.dom.topos.index.objects:
         owners = M.proj.component[c].idx
         for k, (e, b, values) in enumerate(zip(M.total.at[c], owners, M.sections[c])):

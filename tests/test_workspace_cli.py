@@ -427,6 +427,15 @@ def deep_element_workspace() -> str:
     return json.dumps(data)
 
 
+def _swap_s_and_e(data):
+    cat = data["category_objects"]["c2_cat"]
+    cat["s"], cat["e"] = cat["e"], cat["s"]
+
+
+# a family that sends the key k to two values
+DUPLICATE_KEY_FAMILY = ["f", [[["a", "k"], ["a", "v"]], [["a", "k"], ["a", "w"]]]]
+
+
 class TestWorkspaceInputContract:
     @pytest.mark.parametrize(
         "data,extra",
@@ -608,6 +617,45 @@ class TestWorkspaceInputContract:
         code, out, err = run_cli(capsys, "validate", "--workspace", str(ws))
         assert (code, out) == (2, "")
         assert err == "error: index.comp: composite of Atom('e') after Atom('e') listed twice\n"
+
+    @pytest.mark.parametrize(
+        "mutate,line",
+        [
+            (
+                lambda d: d["index"]["comp"][0].pop(),
+                "bad composition entry: [['t', [['a', 'id'], ['a', '*']]], ['t', [['a', 'id'], ['a', '*']]]]",
+            ),
+            (
+                lambda d: d["presheaves"]["c2_objects"]["restrict"].update({'["a","zz"]': {}}),
+                "restriction along unknown morphism Atom('zz')",
+            ),
+            (
+                lambda d: d["morphisms"]["c2_e"]["component"].update({'["a","junk"]': {}}),
+                "component at Atom('junk') has no set at an endpoint",
+            ),
+            (_swap_s_and_e, "category object 'c2_cat': s, t or e has the wrong endpoints"),
+            (
+                lambda d: d["presheaves"]["c2_objects"]["at"]['["a","*"]'].append(DUPLICATE_KEY_FAMILY),
+                "duplicate family key Atom('k')",
+            ),
+            (
+                lambda d: d["presheaves"]["c2_objects"]["at"].update({"not json": []}),
+                "bad element key: 'not json'",
+            ),
+        ],
+        ids=["comp-not-a-triple", "unknown-morphism", "unknown-stage", "c2-cat-s-e-swapped", "duplicate-family-key", "key-not-json"],
+    )
+    def test_decode_error_is_one_line(self, capsys, tmp_path, mutate, line):
+        # the finset bundle with one defect that the decoder meets before
+        # any law is checked: exit 2 and the one line that names it
+        data = copy.deepcopy(FINSET_DATA)
+        mutate(data)
+        ws = tmp_path / "ws.json"
+        ws.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "validate", "--workspace", str(ws))
+        assert (code, out) == (2, "")
+        assert err == f"error: {line}\n"
+        assert "Traceback" not in err
 
     def test_invalid_index_category_error_is_the_same_under_every_hash_seed(self, tmp_path):
         # the c2 bundle with e after e = g: rep e sends both arrows to g,
