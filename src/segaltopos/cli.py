@@ -61,123 +61,97 @@ def _load_workspace(arg: str, bound: int | None) -> Workspace:
         raise CliError(f"workspace {arg!r}: {exc}")
 
 
-def _require(w: Workspace, kind: str, name: str):
-    store = {
-        "presheaf": w.presheaves,
-        "morphism": w.morphisms,
-        "category object": w.category_objects,
-        "map": w.maps,
-    }[kind]
-    if name not in store:
-        raise CliError(f"no {kind} named {name!r}; known: {sorted(store)}")
-    return store[name]
+def _category_object(w: Workspace, args):
+    if args.name not in w.category_objects:
+        raise CliError(f"no category object named {args.name!r}; known: {sorted(w.category_objects)}")
+    return w.category_objects[args.name]
 
 
-def _map_morphism(w: Workspace, name: str):
-    if name in w.maps:
-        return w.morphisms[w.maps[name]]
-    return _require(w, "morphism", name)
+def _map(w: Workspace, args):
+    """The morphism a map alias or a morphism name names."""
+    name = w.maps.get(args.name, args.name)
+    if name not in w.morphisms:
+        raise CliError(f"no morphism named {name!r}; known: {sorted(w.morphisms)}")
+    return w.morphisms[name]
+
+
+def _sweep(w: Workspace, args):
+    if not is_finset_topos(w.topos):
+        raise CliError(f"{args.command} needs a workspace over the one-point index")
+    return enumerate_univalent(w.topos, args.max_e, args.max_b)
 
 
 # ---------------------------------------------------------------------------
-# commands: each returns (report dict, ok flag)
+# commands: each takes what its argument names and returns (its report
+# fields, ok flag); main adds the command, the name and the flag
 
 
 def cmd_validate(w: Workspace, args):
     # Decoding checked every structure: a workspace with problems exits 2
     # before any command runs.
     report = {
-        "command": "validate",
         "presheaves": sorted(w.presheaves),
         "morphisms": sorted(w.morphisms),
         "category_objects": sorted(w.category_objects),
         "maps": sorted(w.maps),
         "problems": [],
-        "ok": True,
     }
     return report, True
 
 
-def cmd_check_segal(w: Workspace, args):
-    C = _require(w, "category object", args.name)
+def cmd_check_segal(C, args):
     trunc = nerve_truncation(C)
     witness = segal_check(trunc)
     report = {
-        "command": "check-segal",
-        "name": args.name,
         "level_sizes": {str(n): trunc.level[n].total_size() for n in range(4)},
         "segal": witness.holds,
-        "ok": witness.holds,
     }
     return report, witness.holds
 
 
-def cmd_check_complete(w: Workspace, args):
-    C = _require(w, "category object", args.name)
+def cmd_check_complete(C, args):
     eq = isomorphisms(C)
     report = {
-        "command": "check-complete",
-        "name": args.name,
         "equivalences": eq.carrier.total_size(),
         "objects": C.C0.total_size(),
         "complete": is_iso(eq.s0_lift),
-        "ok": True,
     }
     return report, True
 
 
-def cmd_nerve(w: Workspace, args):
-    p = _map_morphism(w, args.name)
+def cmd_nerve(p, args):
     nerve = nerve_of_map(p)
     report = {
-        "command": "nerve",
-        "name": args.name,
         "level_sizes": {str(n): v for n, v in nerve_level_sizes(nerve.cat).items()},
         "fiberwise_maps": nerve.M.total.total_size(),
-        "ok": True,
     }
     return report, True
 
 
-def cmd_check_univalent(w: Workspace, args):
-    p = _map_morphism(w, args.name)
+def cmd_check_univalent(p, args):
     r = is_univalent(p, name=args.name)
-    ok = r.oracle_agrees is not False
     report = {
-        "command": "check-univalent",
-        "name": args.name,
         "univalent": r.univalent,
         "mono": r.mono,
         "level_sizes": {str(n): v for n, v in r.level_sizes.items()},
         "equivalence_carrier": r.carrier_sizes,
         "oracle": r.oracle,
         "oracle_agrees": r.oracle_agrees,
-        "ok": ok,
     }
-    return report, ok
+    return report, r.oracle_agrees is not False
 
 
-def _enumerate(w: Workspace, args):
-    if not is_finset_topos(w.topos):
-        raise CliError(f"{args.command} needs a workspace over the one-point index")
-    return enumerate_univalent(w.topos, args.max_e, args.max_b)
-
-
-def cmd_enumerate_univalent(w: Workspace, args):
-    found = _enumerate(w, args)
+def cmd_enumerate_univalent(found, args):
     report = {
-        "command": "enumerate-univalent",
         "max_e": args.max_e,
         "max_b": args.max_b,
         "count": len(found),
         "fiber_signatures": [list(sig) for sig, _ in found],
-        "ok": True,
     }
     return report, True
 
 
-def cmd_poset(w: Workspace, args):
-    found = _enumerate(w, args)
+def cmd_poset(found, args):
     counts = {}
     poset_ok = True
     for sig2, p2 in found:
@@ -186,29 +160,37 @@ def cmd_poset(w: Workspace, args):
             counts[f"{list(sig2)}->{list(sig1)}"] = n
             poset_ok = poset_ok and n <= 1
     report = {
-        "command": "poset",
         "count": len(found),
         "square_counts": counts,
         "at_most_one_square_each": poset_ok,
-        "ok": poset_ok,
     }
     return report, poset_ok
 
 
-def cmd_classify(w: Workspace, args):
-    m = _map_morphism(w, args.name)
+def cmd_classify(m, args):
     if not is_mono(m):
         raise CliError(f"{args.name!r} is not a mono")
     verdict = check_mono_classification(m)
     report = {
-        "command": "classify",
-        "name": args.name,
         "univalent": verdict.left,
         "characteristic_map_mono": verdict.right,
         "biconditional_holds": verdict.agrees,
-        "ok": verdict.agrees,
     }
     return report, verdict.agrees
+
+
+# name -> (handler, help, what the argument names: None for nothing, or
+# the function that finds it in the workspace)
+COMMANDS = {
+    "validate": (cmd_validate, "validate every structure in the workspace", None),
+    "check-segal": (cmd_check_segal, "nerve a category object and check the chain-splitting condition", _category_object),
+    "check-complete": (cmd_check_complete, "check that every isomorphism of a category object is an identity", _category_object),
+    "nerve": (cmd_nerve, "build the fiberwise-map category of a map", _map),
+    "check-univalent": (cmd_check_univalent, "decide univalence of a named map", _map),
+    "enumerate-univalent": (cmd_enumerate_univalent, "list univalent maps of finite sets within bounds", _sweep),
+    "poset": (cmd_poset, "count pullback squares between enumerated univalent maps", _sweep),
+    "classify": (cmd_classify, "characteristic map of a mono and the univalence biconditional", _map),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -228,38 +210,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Internal-category checks in finite presheaf toposes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_name=False, bounds=False):
+    for command, (_, text, find) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
         p.add_argument("--workspace", required=True, help="bundle name or JSON path")
         p.add_argument("--bound", type=natural, default=None, help="intermediate-size guardrail")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        if needs_name:
-            p.add_argument("name")
-        if bounds:
+        if find is _sweep:
             p.add_argument("--max-e", type=natural, default=2)
             p.add_argument("--max-b", type=natural, default=2)
-
-    common(sub.add_parser("validate", help="validate every structure in the workspace"))
-    common(sub.add_parser("check-segal", help="nerve a category object and check the chain-splitting condition"), needs_name=True)
-    common(sub.add_parser("check-complete", help="check that every isomorphism of a category object is an identity"), needs_name=True)
-    common(sub.add_parser("nerve", help="build the fiberwise-map category of a map"), needs_name=True)
-    common(sub.add_parser("check-univalent", help="decide univalence of a named map"), needs_name=True)
-    common(sub.add_parser("enumerate-univalent", help="list univalent maps of finite sets within bounds"), bounds=True)
-    common(sub.add_parser("poset", help="count pullback squares between enumerated univalent maps"), bounds=True)
-    common(sub.add_parser("classify", help="characteristic map of a mono and the univalence biconditional"), needs_name=True)
+        elif find is not None:
+            p.add_argument("name")
     return parser
-
-
-_COMMANDS = {
-    "validate": cmd_validate,
-    "check-segal": cmd_check_segal,
-    "check-complete": cmd_check_complete,
-    "nerve": cmd_nerve,
-    "check-univalent": cmd_check_univalent,
-    "enumerate-univalent": cmd_enumerate_univalent,
-    "poset": cmd_poset,
-    "classify": cmd_classify,
-}
 
 
 def _emit(report: dict, as_json: bool, out=None):
@@ -274,15 +235,19 @@ def _emit(report: dict, as_json: bool, out=None):
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    handler, _, find = COMMANDS[args.command]
     try:
         w = _load_workspace(args.workspace, args.bound)
-        report, ok = _COMMANDS[args.command](w, args)
+        fields, ok = handler(w if find is None else find(w, args), args)
     except (CliError, WorkspaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceBoundError as exc:
         print(f"resource bound exceeded in {exc.stage}: {exc}", file=sys.stderr)
         return 3
+    report = {"command": args.command, **fields, "ok": ok}
+    if "name" in args:
+        report["name"] = args.name
     _emit(report, args.json)
     return 0 if ok else 1
 

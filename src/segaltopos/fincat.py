@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import chain, compress, repeat
 from operator import add, ne
 
-from .elements import STAR, Atom, Element, FinFunction, FinSet, Tup, fibers, getter, pick
+from .elements import STAR, Atom, Element, FinFunction, FinSet, LazyFinSet, Tup, fibers, getter, pick
 
 DEFAULT_BOUND = 10**6
 
@@ -237,7 +237,7 @@ def arrow_category() -> FiniteCategory:
 # limits of chains
 
 
-class RowSet(FinSet):
+class RowSet(LazyFinSet):
     """The apex of a chain limit: the tuples over ``factors`` in which each
     link holds, in lexicographic order.  That is the canonical order of
     their Tup labels, so the k-th tuple is element k.
@@ -259,8 +259,8 @@ class RowSet(FinSet):
     """
 
     __slots__ = (
-        "factors", "links", "fixed", "counts", "size", "_offsets", "_fibers",
-        "_prefixes", "_columns", "__weakref__",
+        "factors", "links", "fixed", "counts", "_offsets", "_fibers", "_prefixes",
+        "_columns", "__weakref__",
     )
 
     def __init__(self, factors: tuple, links: list):
@@ -290,21 +290,14 @@ class RowSet(FinSet):
         self._prefixes = []
         self._columns = [None] * len(factors)
 
-    def __getattr__(self, name):
-        # Called only while the slot `name` is still empty.
-        if name == "elements":
-            if self.factors:
-                columns = [pick(f.elements, self.column(j)) for j, f in enumerate(self.factors)]
-                self.elements = tuple(map(Tup, zip(*columns)))
-            else:
-                self.elements = (STAR,) * self.size
-            return self.elements
-        if name == "index":
-            self.index = dict(zip(self.elements, range(self.size)))
-            return self.index
-        # rank returns the int objects of ``positions`` rather than fresh
-        # sums, so that the maps into the set share them.
-        return FinSet.__getattr__(self, name)
+    def _labels(self):
+        # A method, not a function stored on the instance as LazyFinSet's
+        # are: a bound method there would refer back to the set, and the
+        # kernel leaves no cyclic garbage.
+        if not self.factors:
+            return (STAR,) * self.size
+        columns = [pick(f.elements, self.column(j)) for j, f in enumerate(self.factors)]
+        return map(Tup, zip(*columns))
 
     def offsets(self, j: int, entries) -> tuple | None:
         """For each slot-j entry y in ``entries``: how many tuples agree
@@ -369,10 +362,9 @@ class RowSet(FinSet):
             part = self.offsets(j, col)
             if part is not None and (total is None or any(part)):
                 total = part if total is None else list(map(add, total, part))
+        # the int objects of ``positions`` rather than fresh sums, so that
+        # the maps into the set share them
         return pick(self.positions, total)
-
-    def __len__(self):
-        return self.size
 
     def __repr__(self):
         # Counted, so it lists no label.

@@ -81,7 +81,7 @@ class TruncatedSimplicialObject(FrozenRecord):
         setter(self, "degen", degen)  # (n, i) -> NatTrans level[n] -> level[n+1]
         problems = self.validate()
         if problems:
-            raise ValueError("invalid simplicial object: " + "; ".join(problems))
+            raise ValueError("invalid simplicial object: " + join_problems(problems))
 
     @property
     def source(self) -> NatTrans:
@@ -338,21 +338,13 @@ class SegalWitness:
         self.cones = cones  # n -> PsLimitCone
 
 
-def _spine_cone(X: TruncatedSimplicialObject, n: int) -> PsLimitCone:
-    return composable_pairs(X.topos, X.level[0], X.level[1], X.source, X.target, n)
-
-
-def _spine_comparison(X, n, cone) -> NatTrans:
-    return cone.mediate(X.level[n], X.spine_maps(n))
-
-
 def segal_check(X: TruncatedSimplicialObject) -> SegalWitness:
     """The spine comparisons of X and whether they are all invertible."""
     comparison, cones = {}, {}
     holds = True
     for n in (2, 3):
-        cone = _spine_cone(X, n)
-        cmp_map = _spine_comparison(X, n, cone)
+        cone = composable_pairs(X.topos, X.level[0], X.level[1], X.source, X.target, n)
+        cmp_map = cone.mediate(X.level[n], X.spine_maps(n))
         cones[n] = cone
         comparison[n] = cmp_map
         holds = holds and is_iso(cmp_map)
@@ -669,11 +661,10 @@ class SegalMap:
 def segal_map_from_nerves(F0: NatTrans, F1: NatTrans, W, V) -> SegalMap:
     """Extend object/morphism components to a full map of nerve truncations."""
     comps = {0: F0, 1: F1}
+    spine = segal_check(V)
     for n in (2, 3):
-        cone = _spine_cone(V, n)
-        cmp_v = _spine_comparison(V, n, cone)
         edges = [e.then(F1) for e in W.spine_maps(n)]
-        comps[n] = cone.mediate(W.level[n], edges).then(nat_inverse(cmp_v))
+        comps[n] = spine.cones[n].mediate(W.level[n], edges).then(nat_inverse(spine.comparison[n]))
     out = SegalMap(W, V, comps)
     problems = out.validate()
     if problems:

@@ -220,17 +220,40 @@ class Workspace:
         self.maps = {}  # alias -> morphism name
 
     def add_presheaf(self, name: str, X: Presheaf):
+        # a name is bound once: morphisms and category objects refer to it
+        if name in self.presheaves and self.presheaves[name] != X:
+            raise WorkspaceError(f"presheaf {name!r} is already bound")
         self.presheaves[name] = X
 
     def add_morphism(self, name: str, f: NatTrans, dom_name: str, cod_name: str):
+        if name in self.morphisms and self.morphisms[name] != f:
+            raise WorkspaceError(f"morphism {name!r} is already bound")
         if self.presheaves.get(dom_name) != f.dom or self.presheaves.get(cod_name) != f.cod:
             raise WorkspaceError(f"morphism {name!r} endpoints do not match named presheaves")
         self.morphisms[name] = f
         self.morphism_ends[name] = (dom_name, cod_name)
 
     def add_category_object(self, name: str, C: CategoryObject, refs: dict):
-        """refs: {'C0': presheaf name, 'C1': presheaf name,
-        's'/'t'/'e': morphism names}."""
+        """Add C and its parts.  refs names them: {'C0': presheaf name,
+        'C1': presheaf name, 's'/'t'/'e': morphism names}.  A part whose
+        name is free is added under it.  A name already bound, or given to
+        two parts, must hold an equal part; otherwise this raises
+        WorkspaceError and adds nothing."""
+        # each part and, for a morphism, the parts at its ends
+        ends = {"C0": None, "C1": None, "s": ("C1", "C0"), "t": ("C1", "C0"), "e": ("C0", "C1")}
+        if refs.keys() != ends.keys():
+            raise WorkspaceError(f"category object {name!r}: refs must name C0, C1, s, t and e")
+        held = {}  # (is a morphism, name) -> what the name is bound to, or given first
+        for part, at in ends.items():
+            key, X = (at is not None, refs[part]), getattr(C, part)
+            store = self.morphisms if key[0] else self.presheaves
+            if held.setdefault(key, store.get(refs[part], X)) != X:
+                raise WorkspaceError(f"category object {name!r}: {refs[part]!r} does not hold its {part}")
+        for part, at in ends.items():
+            if at is None:
+                self.presheaves.setdefault(refs[part], getattr(C, part))
+            elif refs[part] not in self.morphisms:
+                self.add_morphism(refs[part], getattr(C, part), refs[at[0]], refs[at[1]])
         self.category_objects[name] = C
         self.category_object_refs[name] = dict(refs)
 
@@ -240,17 +263,14 @@ class Workspace:
         self.maps[alias] = morphism_name
 
     def validate(self) -> list[str]:
+        """The laws each presheaf and morphism breaks.  The names need no
+        check: the add_* methods bind each name once, and only to what it
+        must hold."""
         report = []
         for name, X in self.presheaves.items():
             report.extend(f"presheaf {name}: {p}" for p in X.validate())
         for name, f in self.morphisms.items():
             report.extend(f"morphism {name}: {p}" for p in f.validate())
-            dn, cn = self.morphism_ends[name]
-            if f.dom != self.presheaves.get(dn) or f.cod != self.presheaves.get(cn):
-                report.append(f"morphism {name}: endpoint names do not resolve")
-        for alias, mname in self.maps.items():
-            if mname not in self.morphisms:
-                report.append(f"map {alias}: unknown morphism {mname!r}")
         return report
 
 

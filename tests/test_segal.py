@@ -618,6 +618,14 @@ class TestSegalCondition:
         assert [X.level[n].total_size() for n in range(4)] == [1, 2, 3, 4]
         assert not is_segal(X)
 
+    def test_error_line_lists_five_problems_and_counts_the_rest(self):
+        _, _, X = nerve("c2")
+        with pytest.raises(ValueError) as exc:
+            TruncatedSimplicialObject(X.topos, X.level, {}, {})
+        missing = "; ".join(f"missing face ({n},{i})" for n, i in ((1, 0), (1, 1), (2, 0), (2, 1), (2, 2)))
+        # nine faces and six degeneracies are missing
+        assert str(exc.value) == f"invalid simplicial object: {missing}; and 10 more"
+
     def test_round_trip_category_object(self):
         for name in ("c2", "chain2", "walking_iso"):
             C, cat, X = nerve(name)

@@ -246,8 +246,9 @@ class TestNerveOfMap:
         big = Presheaf(Topos(X.topos.index, 20_000_000), X.at, X.restrict)
         cat = nerve_of_map(unique_to_terminal(big)).cat
         w = Workspace(big.topos)
-        w.add_category_object("two_free_maps", cat, {})
-        report, ok = cli.cmd_check_complete(w, argparse.Namespace(name="two_free_maps"))
+        w.add_category_object("two_free_maps", cat, {"C0": "B", "C1": "M", "s": "s", "t": "t", "e": "e"})
+        C = w.category_objects["two_free_maps"]
+        report, ok = cli.cmd_check_complete(C, argparse.Namespace(name="two_free_maps"))
         assert ok
         assert (report["equivalences"], report["objects"], report["complete"]) == (24, 1, False)
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import segaltopos
 
-from segaltopos.bundles import build_bundle, bundle_names
+from segaltopos.bundles import BUNDLES
 from segaltopos.cli import bundle_names as cli_bundle_names, main
 from segaltopos.corpus import finset_presheaf, finset_function
 from segaltopos.elements import Atom, Fam, STAR, Tup
@@ -65,14 +65,14 @@ class TestElementCodec:
 
 
 class TestWorkspaceSerialization:
-    @pytest.mark.parametrize("name", bundle_names())
+    @pytest.mark.parametrize("name", sorted(BUNDLES))
     def test_round_trip_byte_identical(self, name, bundled_workspaces):
         w = bundled_workspaces[name]
         text = dumps_workspace(w)
         again = dumps_workspace(loads_workspace(text))
         assert text == again
 
-    @pytest.mark.parametrize("name", bundle_names())
+    @pytest.mark.parametrize("name", sorted(BUNDLES))
     def test_bundled_data_files_match_builders(self, name, bundled_workspaces):
         ref = resources.files("segaltopos").joinpath("data", f"{name}.json")
         assert ref.is_file()
@@ -80,26 +80,26 @@ class TestWorkspaceSerialization:
 
     def test_cli_bundles_are_the_builders_and_the_data_files(self):
         data = Path(segaltopos.__file__).resolve().parent / "data"
-        assert cli_bundle_names() == bundle_names() == sorted(p.stem for p in data.glob("*.json"))
+        assert cli_bundle_names() == sorted(BUNDLES) == sorted(p.stem for p in data.glob("*.json"))
 
-    @pytest.mark.parametrize("name", bundle_names())
+    @pytest.mark.parametrize("name", sorted(BUNDLES))
     def test_bundles_validate(self, name, bundled_workspaces):
         assert bundled_workspaces[name].validate() == []
 
     def test_unsupported_format_rejected(self):
-        data = encode_workspace(build_bundle("finset"))
+        data = encode_workspace(BUNDLES["finset"]())
         data["format"] = 99
         with pytest.raises(WorkspaceError):
             decode_workspace(data)
 
     def test_unknown_presheaf_reference_rejected(self):
-        data = encode_workspace(build_bundle("finset"))
+        data = encode_workspace(BUNDLES["finset"]())
         data["morphisms"]["id_one"]["dom"] = "missing"
         with pytest.raises(WorkspaceError):
             decode_workspace(data)
 
     def test_broken_component_rejected(self):
-        data = encode_workspace(build_bundle("finset"))
+        data = encode_workspace(BUNDLES["finset"]())
         comp = data["morphisms"]["id_two"]["component"]
         (ckey,) = comp
         table = comp[ckey]
@@ -110,15 +110,48 @@ class TestWorkspaceSerialization:
             decode_workspace(data)
 
     def test_add_morphism_checks_endpoints(self):
-        w = build_bundle("finset")
+        w = BUNDLES["finset"]()
         one = finset_presheaf(["x"])
         two = finset_presheaf(["0", "1"])
         f = finset_function(one, two, {"x": "0"})
         with pytest.raises(WorkspaceError):
             w.add_morphism("bad", f, "two", "one")
 
+    def test_a_bound_name_keeps_what_it_holds(self):
+        # morphisms name "two" and a map names "fold_two": each may be
+        # added again only as it is
+        w = BUNDLES["finset"]()
+        w.add_presheaf("two", finset_presheaf(["0", "1"]))
+        with pytest.raises(WorkspaceError, match="presheaf 'two' is already bound"):
+            w.add_presheaf("two", finset_presheaf(["0", "1", "2"]))
+        with pytest.raises(WorkspaceError, match="morphism 'fold_two' is already bound"):
+            w.add_morphism("fold_two", w.morphisms["id_two"], "two", "two")
+        assert dumps_workspace(w) == dumps_workspace(BUNDLES["finset"]())
+
+    def test_add_category_object_checks_its_part_names(self):
+        # chain2_cat under the names of c2_cat's parts, under its own with
+        # s and t swapped, and with s and t under one free name: each name
+        # holds another part, so nothing is added (a file written with them
+        # would not decode)
+        w = BUNDLES["finset"]()
+        chain2 = w.category_objects["chain2_cat"]
+        own = w.category_object_refs["chain2_cat"]
+        swapped = {**own, "s": own["t"], "t": own["s"]}
+        one_name = {**own, "s": "ends", "t": "ends"}
+        for refs, part in ((w.category_object_refs["c2_cat"], "C0"), (swapped, "s"), (one_name, "t")):
+            with pytest.raises(WorkspaceError, match=f"'{refs[part]}' does not hold its {part}$"):
+                w.add_category_object("mixed", chain2, refs)
+        with pytest.raises(WorkspaceError, match="refs must name C0, C1, s, t and e"):
+            w.add_category_object("mixed", chain2, {})
+        assert "mixed" not in w.category_objects and "ends" not in w.morphisms
+        # under free names its parts are added, and the file decodes again
+        w.add_category_object("copy", chain2, {k: f"copy_{k}" for k in own})
+        assert w.morphism_ends["copy_e"] == ("copy_C0", "copy_C1")
+        text = dumps_workspace(w)
+        assert dumps_workspace(loads_workspace(text)) == text
+
     def test_add_map_requires_known_morphism(self):
-        w = build_bundle("finset")
+        w = BUNDLES["finset"]()
         with pytest.raises(WorkspaceError):
             w.add_map("alias", "missing")
 
@@ -129,11 +162,24 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# each command's --json report and exit code, keyed by its arguments
+CLI_GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "cli_golden.json").read_text())
+
+
 class TestCli:
     def test_validate(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--workspace", "finset")
         assert code == 0
         assert '"ok": true' in out or "ok: true" in out
+
+    @pytest.mark.parametrize("key", sorted(CLI_GOLDEN))
+    def test_text_report_is_the_json_report_line_by_line(self, capsys, key):
+        # without --json each field is one "key: compact JSON" line, in key order
+        want = CLI_GOLDEN[key]
+        report = json.loads(want["stdout"]) if want["stdout"] else {}
+        lines = "".join(f"{k}: {json.dumps(v, sort_keys=True)}\n" for k, v in sorted(report.items()))
+        code, out, _ = run_cli(capsys, *key.split())
+        assert (code, out) == (want["exit"], lines)
 
     def test_check_segal(self, capsys):
         code, out, _ = run_cli(capsys, "check-segal", "--workspace", "finset", "c2_cat")
@@ -239,7 +285,7 @@ class TestCli:
         assert "parse error" in err
 
     def test_bad_workspace_exits_two(self, capsys, tmp_path):
-        data = encode_workspace(build_bundle("finset"))
+        data = encode_workspace(BUNDLES["finset"]())
         data["format"] = 99
         path = tmp_path / "future.json"
         path.write_text(json.dumps(data))
@@ -330,7 +376,7 @@ class TestCli:
 
     def test_workspace_from_file(self, capsys, tmp_path):
         path = tmp_path / "ws.json"
-        path.write_text(dumps_workspace(build_bundle("finset")))
+        path.write_text(dumps_workspace(BUNDLES["finset"]()))
         code, out, _ = run_cli(
             capsys, "check-univalent", "--workspace", str(path), "--json", "u_point"
         )
